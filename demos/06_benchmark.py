@@ -1,28 +1,16 @@
 """Wall-clock timing of the pipeline over the reference shapes.
 
-Times segmentation through classification (rendering excluded) and prints
-a per-shape table plus the overall average, at two raster sizes.
+Runs ``shapeid bench`` at two raster sizes: a CSV row per shape (mean,
+min and max ms over 10 runs, segmentation through classification,
+rendering excluded) plus the column averages.
 """
 
-import statistics
-import time
+import sys
 
-from shapeid import classify_raster, corpus, render
+from shapeid.cli import main
 
-REPEAT = 10
-
-for size in (256, 512):
-    print(f"--- {size}x{size}, {REPEAT} runs per shape ---")
-    print(f"{'shape':12s} {'mean ms':>8s} {'min ms':>8s} {'max ms':>8s}")
-    means = []
-    for name, spec in corpus(size, size):
-        image = render(spec, size, size)
-        timings = []
-        for _ in range(REPEAT):
-            t0 = time.perf_counter()
-            verdict, _ = classify_raster(image)
-            timings.append((time.perf_counter() - t0) * 1000.0)
-            assert verdict.label.value.lower() == name, name
-        means.append(statistics.fmean(timings))
-        print(f"{name:12s} {means[-1]:8.2f} {min(timings):8.2f} {max(timings):8.2f}")
-    print(f"{'average':12s} {statistics.fmean(means):8.2f}\n")
+for size in ("256x256", "512x512"):
+    print(f"--- {size} ---")
+    if main(["bench", "--size", size]) != 0:
+        sys.exit(1)
+    print()

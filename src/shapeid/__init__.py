@@ -25,7 +25,7 @@ from .geometry import (
     polygon_area,
 )
 from .pgm import PgmParseError, load_pgm, write_pgm
-from .pipeline import classify_raster
+from .pipeline import StageError, classify_raster
 from .segment import area, binarize, boundary, isolate_object, otsu_threshold
 from .synth import ShapeSpec, analytic_area, corpus, polygon_vertices, render
 
@@ -37,6 +37,7 @@ __all__ = [
     "PgmParseError",
     "ShapeClass",
     "ShapeSpec",
+    "StageError",
     "TABLE_ORDER",
     "Tolerances",
     "Verdict",

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import FeatureVector, fit_hemisphere, merge_close_points
+from .geometry import FeatureVector, fit_hemisphere
 
 __all__ = [
     "ShapeClass",
@@ -101,24 +101,6 @@ def _eq(a: float, b: float, eps: float) -> bool:
     return abs(a - b) <= eps * max(a, b)
 
 
-def _degenerate_triangle_trace(corners: np.ndarray, merge_eps: float) -> dict | None:
-    # For a near-three-corner set, record the solid-of-revolution surface
-    # area pi*r*l + pi*r^2 implied by base radius r and slant l.
-    pts = merge_close_points(np.asarray(corners, dtype=float), merge_eps)
-    if len(pts) != 3:
-        return None
-    d01 = math.dist(pts[0], pts[1])
-    d02 = math.dist(pts[0], pts[2])
-    d12 = math.dist(pts[1], pts[2])
-    base, slants = max(
-        ((d01, (d02, d12)), (d02, (d01, d12)), (d12, (d01, d02))),
-        key=lambda item: item[0],
-    )
-    r = base / 2.0
-    slant = (slants[0] + slants[1]) / 2.0
-    return {"r": r, "l": slant, "value": math.pi * r * slant + math.pi * r * r}
-
-
 def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     """Label a feature vector with the first matching rule."""
     if tol is None:
@@ -189,9 +171,6 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     notes = evidence["notes"]
 
     if degenerate:
-        trace = _degenerate_triangle_trace(corners, degen_eps)
-        if trace is not None:
-            evidence["cone_surface_3d"] = trace
         if bulge > 1 + tol.area_eps:
             notes.append("area exceeds corner triangle: curved cap present")
             return Verdict(ShapeClass.CONE, evidence)
@@ -251,12 +230,6 @@ def explain(verdict: Verdict) -> str:
         f"rule degenerate corners: {mark(rules['degenerate_corners'])}"
         " (smallest distance tiny and unique)"
     )
-    if "cone_surface_3d" in ev:
-        t = ev["cone_surface_3d"]
-        lines.append(
-            f"  solid surface area pi*r*l + pi*r^2 = {t['value']:.1f}"
-            f" for r={t['r']:.1f}, l={t['l']:.1f} (recorded for reference)"
-        )
     lines.append(f"rule four sides equal: {mark(rules['equal_sides'])}")
     if ev["hemisphere"] is None:
         lines.append("rule half-disk area: fail (no axis-aligned corner pair)")

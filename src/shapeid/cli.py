@@ -18,10 +18,9 @@ import sys
 import time
 from pathlib import Path
 
-from .classifier import TABLE_ORDER, Tolerances, classify
-from .geometry import build_features
+from .classifier import TABLE_ORDER, Tolerances
 from .pgm import PgmParseError, load_pgm, write_pgm
-from .segment import binarize, isolate_object
+from .pipeline import StageError, classify_raster
 from .synth import corpus, render
 
 __all__ = ["main"]
@@ -51,17 +50,6 @@ def _parse_threshold(text: str):
     raise argparse.ArgumentTypeError(f"expected 'otsu' or 'fixed:N', got {text!r}")
 
 
-def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if args.rel_eps is not None:
-        kwargs["rel_eps"] = args.rel_eps
-    if args.area_eps is not None:
-        kwargs["area_eps"] = args.area_eps
-    if args.degen_eps is not None:
-        kwargs["degen_eps"] = args.degen_eps
-    return Tolerances(**kwargs)
-
-
 def _features_summary(features, evidence) -> dict:
     return {
         "sides": evidence["sides"],
@@ -86,23 +74,19 @@ def cmd_classify(args) -> int:
         print(f"error: PGM parse failed for {args.path}: {err}", file=sys.stderr)
         return 2
     try:
-        tol = _tolerances(args)
+        tol = Tolerances(
+            rel_eps=args.rel_eps, area_eps=args.area_eps, degen_eps=args.degen_eps
+        )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     start = time.perf_counter()
     try:
-        mask = isolate_object(binarize(image, args.threshold))
-    except ValueError as err:
-        print(f"error: segmentation: {err}", file=sys.stderr)
+        verdict, features = classify_raster(image, tol, args.threshold)
+    except StageError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 3
-    try:
-        features = build_features(mask)
-    except ValueError as err:
-        print(f"error: feature extraction: {err}", file=sys.stderr)
-        return 3
-    verdict = classify(features, tol)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     if args.json:
@@ -162,9 +146,7 @@ def cmd_bench(args) -> int:
         timings = []
         for _ in range(args.repeat):
             start = time.perf_counter()
-            mask = isolate_object(binarize(image, "otsu"))
-            features = build_features(mask)
-            verdict = classify(features)
+            verdict, _ = classify_raster(image)
             timings.append((time.perf_counter() - start) * 1000.0)
             if verdict.label.value.lower() != name:
                 print(
@@ -209,10 +191,10 @@ def main(argv=None) -> int:
         "--threshold", type=_parse_threshold, default="otsu",
         help="binarization: 'otsu' (default) or 'fixed:N'",
     )
-    p_classify.add_argument("--rel-eps", type=float, default=None,
-                            help="relative length tolerance (default 0.05)")
-    p_classify.add_argument("--area-eps", type=float, default=None,
-                            help="relative area tolerance (default 0.10)")
+    p_classify.add_argument("--rel-eps", type=float, default=Tolerances.rel_eps,
+                            help="relative length tolerance (default %(default)s)")
+    p_classify.add_argument("--area-eps", type=float, default=Tolerances.area_eps,
+                            help="relative area tolerance (default %(default)s)")
     p_classify.add_argument("--degen-eps", type=float, default=None,
                             help="degenerate-corner threshold in px (default auto)")
     p_classify.set_defaults(func=cmd_classify)

@@ -34,7 +34,7 @@ __all__ = [
 #: Canonical order of the six unordered corner pairs.
 CORNER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-#: Default area factor by which the best quadrilateral must beat the best
+#: Area factor by which the best quadrilateral must beat the best
 #: triangle to count as four real corners.  Measured gains: quadrilaterals
 #: ~2.0, capped rectangles ~1.8, half-disks ~1.30, capped triangles <=1.19,
 #: triangles ~1.0, so 1.22 splits the population at its widest gap.
@@ -130,11 +130,11 @@ def _best_triangle_and_quad(hull: np.ndarray):
     return tri2, tri_idx, quad2, quad_idx
 
 
-def extract_corners(points: np.ndarray, quad_gain: float = QUAD_GAIN) -> np.ndarray:
+def extract_corners(points: np.ndarray) -> np.ndarray:
     """Pick four corner points from a boundary point set.
 
     Returns the vertices of the maximum-area quadrilateral when it beats
-    the maximum-area triangle by the ``quad_gain`` factor; otherwise the
+    the maximum-area triangle by the ``QUAD_GAIN`` factor; otherwise the
     triangle vertices with one repeated (a degenerate fourth corner).
     Raises ``ValueError`` for fewer than three points or a fully collinear
     set.
@@ -150,7 +150,7 @@ def extract_corners(points: np.ndarray, quad_gain: float = QUAD_GAIN) -> np.ndar
         tri = hull
     else:
         tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
-        if quad_idx is not None and quad2 > quad_gain * tri2:
+        if quad_idx is not None and quad2 > QUAD_GAIN * tri2:
             return order_counterclockwise(hull[list(quad_idx)])
         tri = hull[list(tri_idx)]
 
@@ -195,14 +195,14 @@ def merge_close_points(points: np.ndarray, eps: float) -> np.ndarray:
     return np.array(kept)
 
 
-def polygon_area(corners: np.ndarray, merge_eps: float = 0.5) -> float:
+def polygon_area(corners: np.ndarray) -> float:
     """Shoelace area of the ordered corner polygon.
 
-    Points closer than ``merge_eps`` are merged first, so a repeated pick
+    Points closer than 0.5 px are merged first, so a repeated pick
     degrades to the triangle area.  Raises ``ValueError`` when fewer than
     three distinct points remain.
     """
-    pts = merge_close_points(corners, merge_eps)
+    pts = merge_close_points(corners, 0.5)
     if len(pts) < 3:
         raise ValueError(f"degenerate polygon: only {len(pts)} distinct points")
     x = pts[:, 0]
@@ -239,9 +239,9 @@ def fit_hemisphere(corners: np.ndarray, align_eps: float = 2.0) -> HemisphereFit
     return None if best is None else best[1]
 
 
-def build_features(mask: np.ndarray, quad_gain: float = QUAD_GAIN) -> FeatureVector:
+def build_features(mask: np.ndarray) -> FeatureVector:
     """Boundary -> corners -> distances and areas for a single-object mask."""
-    corners = extract_corners(boundary(mask), quad_gain=quad_gain)
+    corners = extract_corners(boundary(mask))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PgmParseError", "load_pgm", "write_pgm"]
+__all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
@@ -111,8 +111,9 @@ def load_pgm(data: bytes) -> np.ndarray:
     return flat.reshape(height, width).copy()
 
 
-def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
-    """Encode a ``(height, width)`` array of 0..255 intensities as PGM bytes."""
+def check_image(image: np.ndarray) -> np.ndarray:
+    """Return ``image`` as an array if it is a non-empty 2-D array of
+    integer intensities in 0..255, else raise ``ValueError``."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {arr.shape}")
@@ -120,6 +121,12 @@ def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
         raise ValueError(f"expected integer intensities, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() > 255:
         raise ValueError("intensities must lie in [0, 255]")
+    return arr
+
+
+def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
+    """Encode a ``(height, width)`` array of 0..255 intensities as PGM bytes."""
+    arr = check_image(image)
     height, width = arr.shape
     if binary:
         header = f"P5\n{width} {height}\n255\n".encode("ascii")

@@ -1,4 +1,9 @@
-"""End-to-end composition: grayscale image -> verdict."""
+"""End-to-end composition: grayscale image -> verdict.
+
+This is the one place the stages are chained; the library, the CLI and
+the benchmark all call ``classify_raster``.  A stage that rejects its
+input raises ``StageError`` naming that stage.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,19 @@ import numpy as np
 
 from .classifier import Tolerances, Verdict, classify
 from .geometry import FeatureVector, build_features
+from .pgm import check_image
 from .segment import binarize, isolate_object
 
-__all__ = ["classify_raster"]
+__all__ = ["StageError", "classify_raster"]
+
+
+class StageError(ValueError):
+    """A pipeline stage failed; ``stage`` is ``"input"``, ``"segmentation"``
+    or ``"feature extraction"``."""
+
+    def __init__(self, stage: str, msg: str):
+        super().__init__(f"{stage}: {msg}")
+        self.stage = stage
 
 
 def classify_raster(
@@ -16,7 +31,18 @@ def classify_raster(
     tol: Tolerances | None = None,
     threshold="otsu",
 ) -> tuple[Verdict, FeatureVector]:
-    """Binarize, isolate the largest object, extract features, classify."""
-    mask = isolate_object(binarize(image, threshold))
-    features = build_features(mask)
+    """Check the input, binarize, isolate the largest object, extract
+    features, classify."""
+    try:
+        image = check_image(image)
+    except ValueError as err:
+        raise StageError("input", str(err)) from err
+    try:
+        mask = isolate_object(binarize(image, threshold))
+    except ValueError as err:
+        raise StageError("segmentation", str(err)) from err
+    try:
+        features = build_features(mask)
+    except ValueError as err:
+        raise StageError("feature extraction", str(err)) from err
     return classify(features, tol), features

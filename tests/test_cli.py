@@ -185,3 +185,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("shape,size,mean_ms,min_ms,max_ms")
+
+
+def test_classify_stage_error_exit_code(tmp_path, capsys):
+    import numpy as np
+
+    from shapeid import write_pgm
+
+    img = np.zeros((16, 16), dtype=np.uint8)
+    img[5, 4:7] = 255
+    path = tmp_path / "line.pgm"
+    path.write_bytes(write_pgm(img))
+    code, out, err = run_cli(["classify", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: feature extraction: degenerate boundary: all points collinear\n"
+
+
+def test_classify_help_shows_tolerance_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "relative length tolerance (default 0.05)" in help_text
+    assert "relative area tolerance (default 0.1)" in help_text

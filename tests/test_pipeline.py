@@ -1,0 +1,64 @@
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from shapeid import StageError, classify_raster, corpus, render, write_pgm
+from shapeid.cli import main
+
+
+def _line():
+    img = np.zeros((16, 16), dtype=np.uint8)
+    img[5, 4:7] = 255
+    return img
+
+
+@pytest.mark.parametrize(
+    "image, threshold, stage",
+    [
+        (np.full((16, 16), 300, dtype=np.uint16), "otsu", "input"),
+        (np.full((16, 16), -1, dtype=np.int16), "otsu", "input"),
+        (np.zeros((16, 16, 3), dtype=np.uint8), "otsu", "input"),
+        (np.zeros((16, 16), dtype=float), "otsu", "input"),
+        (np.zeros((16, 16), dtype=np.uint8), "otsu", "segmentation"),
+        (_line(), 300, "segmentation"),
+        (_line(), "otsu", "feature extraction"),
+    ],
+    ids=["uint16-300", "negative-int16", "rgb", "float", "flat",
+         "fixed-300", "three-pixel-line"],
+)
+def test_stage_error_names_the_stage(image, threshold, stage):
+    with pytest.raises(StageError) as info:
+        classify_raster(image, threshold=threshold)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert err.stage == stage
+    assert str(err).startswith(f"{stage}: ")
+
+
+def test_evidence_keys_same_for_every_label():
+    unknown = np.zeros((128, 128), dtype=np.uint8)
+    unknown[20:100, 20:50] = 255
+    unknown[70:100, 20:110] = 255
+    images = [render(spec, 256, 256) for _, spec in corpus()] + [unknown]
+    verdicts = [classify_raster(img)[0] for img in images]
+    assert len({v.label for v in verdicts}) == 9
+    assert len({frozenset(v.evidence) for v in verdicts}) == 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_cli_json_matches_library(name, tmp_path):
+    image = render(dict(corpus())[name], 256, 256)
+    path = tmp_path / f"{name}.pgm"
+    path.write_bytes(write_pgm(image))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", "--json", str(path)]) == 0
+    report = json.loads(out.getvalue())
+
+    verdict, features = classify_raster(image)
+    assert report["label"] == verdict.label.value
+    assert report["evidence"] == verdict.evidence["rules"]
+    assert report["features"]["area_px"] == features.area_px
