@@ -39,6 +39,16 @@ def _parse_size(text: str) -> tuple[int, int]:
     return width, height
 
 
+def _parse_repeat(text: str) -> int:
+    try:
+        repeat = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if repeat < 1:
+        raise argparse.ArgumentTypeError(f"repeat must be at least 1, got {repeat}")
+    return repeat
+
+
 def _parse_threshold(text: str):
     if text == "otsu":
         return "otsu"
@@ -140,9 +150,13 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     size = args.size
     width, height = size
+    try:
+        images = [(name, render(spec, *size)) for name, spec in corpus(*size)]
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     rows = []
-    for name, spec in corpus(*size):
-        image = render(spec, *size)
+    for name, image in images:
         timings = []
         for _ in range(args.repeat):
             start = time.perf_counter()
@@ -226,7 +240,7 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument("--size", type=_parse_size, default=(256, 256),
                          help="raster size WxH (default 256x256)")
-    p_bench.add_argument("--repeat", type=int, default=10,
+    p_bench.add_argument("--repeat", type=_parse_repeat, default=10,
                          help="pipeline runs per shape (default 10)")
     p_bench.set_defaults(func=cmd_bench)
 

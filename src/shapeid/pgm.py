@@ -5,6 +5,11 @@ Both encodings round-trip bit-exactly: ``load_pgm(write_pgm(img, b)) == img``
 for either value of ``b``.  The parser accepts ``#`` comments and arbitrary
 whitespace between header tokens; parse errors report the byte offset of
 the offending input.
+
+P2 pixel data is read and written in bulk with numpy.  Pixel data the
+bulk reader cannot take as it is (comments, digit runs of four or more,
+too few or too many values, values above 255) goes to a token loop,
+which gives the same result and the same errors.
 """
 
 from __future__ import annotations
@@ -15,6 +20,17 @@ __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
+#: Byte classes for the bulk P2 check: digits become ``0``, whitespace
+#: becomes a space and every other byte ``x``.
+_P2_CLASSES = bytes(
+    0x30 if 0x30 <= b <= 0x39 else 0x20 if b in _WHITESPACE else 0x78
+    for b in range(256)
+)
+#: ``_P2_DIGITS[v]`` is the decimal text of ``v`` padded with NUL bytes
+#: to three, for writing P2 without a Python object per pixel.
+_P2_DIGITS = np.array(
+    [list(str(v).encode("ascii").ljust(3, b"\0")) for v in range(256)], dtype=np.uint8
+)
 
 
 class PgmParseError(ValueError):
@@ -58,6 +74,53 @@ def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return int(token), start, pos
 
 
+def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Read ``count`` P2 pixel tokens from ``data[pos:]`` one at a time.
+
+    This is the reference parser and the only one that raises pixel-data
+    errors.  It allows comments between pixels, leading zeros and anything
+    after the last pixel.
+    """
+    values = []
+    for _ in range(count):
+        try:
+            value, start, pos = _next_int(data, pos, "pixel")
+        except PgmParseError as err:
+            if "unexpected end" in str(err):
+                raise PgmParseError(
+                    f"pixel data holds {len(values)} values, header promises {count}",
+                    err.offset,
+                ) from None
+            raise
+        if value > 255:
+            raise PgmParseError(f"pixel value {value} exceeds 255", start)
+        values.append(value)
+    return np.array(values, dtype=np.uint8)
+
+
+def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
+    """Read the P2 pixel data ``data[pos:]`` in one numpy call.
+
+    Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
+    need the token loop: any byte but digits and whitespace, a digit run of
+    four or more (numpy wraps such values into ``uint16``), whitespace only
+    (numpy reads it as one 0), other than ``count`` values, or a value above
+    255.  No Python object is made per token.
+    """
+    classes = data.translate(_P2_CLASSES)
+    if (
+        classes.find(b"x", pos) >= 0
+        or classes.find(b"0000", pos) >= 0
+        or classes.find(b"0", pos) < 0
+    ):
+        return None
+    del classes  # a copy of the file: free it before numpy allocates
+    values = np.fromstring(data[pos:], dtype=np.uint16, sep=" ")
+    if values.size != count or values.max() > 255:
+        return None
+    return values.astype(np.uint8)
+
+
 def load_pgm(data: bytes) -> np.ndarray:
     """Parse PGM bytes into a ``(height, width)`` uint8 array.
 
@@ -93,21 +156,9 @@ def load_pgm(data: bytes) -> np.ndarray:
             )
         flat = np.frombuffer(payload, dtype=np.uint8, count=count)
     else:
-        values = []
-        for _ in range(count):
-            try:
-                value, start, pos = _next_int(data, pos, "pixel")
-            except PgmParseError as err:
-                if "unexpected end" in str(err):
-                    raise PgmParseError(
-                        f"pixel data holds {len(values)} values, header promises {count}",
-                        err.offset,
-                    ) from None
-                raise
-            if value > 255:
-                raise PgmParseError(f"pixel value {value} exceeds 255", start)
-            values.append(value)
-        flat = np.array(values, dtype=np.uint8)
+        flat = _p2_bulk(data, pos, count)
+        if flat is None:
+            flat = _p2_tokens(data, pos, count)
     return flat.reshape(height, width).copy()
 
 
@@ -132,5 +183,11 @@ def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
         header = f"P5\n{width} {height}\n255\n".encode("ascii")
         return header + arr.astype(np.uint8).tobytes()
     header = f"P2\n{width} {height}\n255\n".encode("ascii")
-    body = "\n".join(" ".join(str(int(v)) for v in row) for row in arr)
-    return header + body.encode("ascii") + b"\n"
+    # Each pixel is its padded digits then a space, or a newline at the end
+    # of a row; the NUL padding is then dropped.
+    text = np.empty((height, width, 4), dtype=np.uint8)
+    text[:, :, :3] = _P2_DIGITS[arr.astype(np.uint8)]
+    text[:, :, 3] = 0x20
+    text[:, -1, 3] = 0x0A
+    text = text.ravel()
+    return header + text[text != 0].tobytes()

@@ -208,3 +208,20 @@ def test_classify_help_shows_tolerance_defaults(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "relative length tolerance (default 0.05)" in help_text
     assert "relative area tolerance (default 0.1)" in help_text
+
+
+@pytest.mark.parametrize("size", ["16x16", "24x24"])
+def test_bench_too_small_for_corpus_is_usage_error(size, capsys):
+    code, out, err = run_cli(["bench", "--repeat", "1", "--size", size], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 8 px" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_repeat_below_one_rejected(repeat, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--repeat", repeat])
+    assert exc.value.code == 2
+    assert "repeat must be at least 1" in capsys.readouterr().err

@@ -93,3 +93,35 @@ def test_zero_width_rejected():
 def test_write_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         write_pgm(np.array([[300]], dtype=np.int32))
+
+
+def test_whitespace_only_pixel_data_holds_no_values():
+    with pytest.raises(PgmParseError, match="pixel data holds 0 values, header promises 1"):
+        load_pgm(b"P2\n1 1\n255\n  \n")
+
+
+def test_ascii_leading_zeros_are_decimal():
+    assert load_pgm(b"P2\n2 1\n255\n0255 007\n").tolist() == [[255, 7]]
+
+
+def test_ascii_four_digit_pixel_reported_at_its_offset():
+    data = b"P2\n3 1\n255\n7 1000 8\n"
+    with pytest.raises(PgmParseError, match="pixel value 1000 exceeds 255") as err:
+        load_pgm(data)
+    assert err.value.offset == data.index(b"1000")
+
+
+def test_ascii_pixel_that_wraps_in_uint16_exceeds_255():
+    with pytest.raises(PgmParseError, match="pixel value 65537 exceeds 255"):
+        load_pgm(b"P2\n1 1\n255\n65537\n")
+
+
+@pytest.mark.parametrize("tail", [b" 9 9 9\n", b" junk\n", b"\n# end\n", b" -1 \xff\x00"])
+def test_ascii_data_after_last_pixel_ignored(tail):
+    assert load_pgm(b"P2\n2 1\n255\n1 2" + tail).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("sep", [b"\r\n", b"\t", b"\x0b", b"\x0c"])
+def test_ascii_separator_bytes(sep):
+    data = sep.join([b"P2", b"2 2", b"255", b"1", b"2", b"3", b"4"]) + sep
+    assert load_pgm(data).tolist() == [[1, 2], [3, 4]]
