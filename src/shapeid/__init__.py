@@ -1,7 +1,7 @@
 """shapeid: identify regular shapes in grayscale rasters via corner geometry.
 
 The pipeline segments one bright object from a dark background, extracts
-its four corner points from the boundary's convex hull, measures the six
+its four corner points from the object's convex hull, measures the six
 pairwise corner distances plus the pixel and corner-polygon areas, and
 classifies among eight shape classes with tolerance rules.
 """

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import statistics
 import sys
@@ -186,7 +187,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="shapeid",
         description="Identify regular shapes in grayscale PGM images from corner geometry.",
@@ -243,8 +246,11 @@ def main(argv=None) -> int:
     p_bench.add_argument("--repeat", type=_parse_repeat, default=10,
                          help="pipeline runs per shape (default 10)")
     p_bench.set_defaults(func=cmd_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

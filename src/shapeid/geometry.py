@@ -1,7 +1,8 @@
 """Corner extraction and distance/area features of a segmented object.
 
 Corners are the vertices of the maximum-area quadrilateral inscribed in
-the convex hull of the boundary.  When that quadrilateral barely beats the
+the convex hull of the object, which is the hull of each row's leftmost
+and rightmost foreground pixel.  When that quadrilateral barely beats the
 best inscribed triangle (the fourth vertex adds only a sliver, as for
 triangles and capped triangles), the shape has three real corners: the
 triangle is returned with one vertex repeated, which drives the smallest
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment import area, boundary
+from .segment import area
 
 __all__ = [
     "FeatureVector",
@@ -70,12 +71,18 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     """Strictly convex hull (collinear points dropped), monotone chain.
 
     Returns hull vertices in counterclockwise order starting from the
-    lexicographically smallest point.  Degenerate inputs yield fewer than
-    three vertices.
+    lexicographically smallest point, with the input's dtype.  Degenerate
+    inputs yield fewer than three vertices.
     """
-    pts = np.unique(np.asarray(points), axis=0)  # sorts lexicographically
+    pts = np.unique(np.asarray(points), axis=0)  # sorts by x, then y
     if len(pts) <= 2:
         return pts
+    # A hull vertex is the lowest or highest point of its x column, so only
+    # the first and last point of each run of equal x can be one.
+    x = pts[:, 0]
+    extreme = np.ones(len(pts), dtype=bool)
+    extreme[1:-1] = (x[1:-1] != x[:-2]) | (x[1:-1] != x[2:])
+    candidates = pts[extreme].tolist()  # Python numbers: no numpy scalar math
 
     def half(iterable):
         chain = []
@@ -87,12 +94,12 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
                     chain.pop()
                 else:
                     break
-            chain.append((p[0], p[1]))
+            chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    lower = half(candidates)
+    upper = half(reversed(candidates))
+    return np.array(lower[:-1] + upper[:-1], dtype=pts.dtype)
 
 
 def _best_triangle_and_quad(hull: np.ndarray):
@@ -130,8 +137,12 @@ def _best_triangle_and_quad(hull: np.ndarray):
     return tri2, tri_idx, quad2, quad_idx
 
 
+def _too_few_points(count: int) -> str:
+    return f"too few points: corner extraction needs >= 3, got {count}"
+
+
 def extract_corners(points: np.ndarray) -> np.ndarray:
-    """Pick four corner points from a boundary point set.
+    """Pick four corner points from the convex hull of a point set.
 
     Returns the vertices of the maximum-area quadrilateral when it beats
     the maximum-area triangle by the ``QUAD_GAIN`` factor; otherwise the
@@ -141,8 +152,12 @@ def extract_corners(points: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points)
     if len(pts) < 3:
-        raise ValueError(f"too few points: corner extraction needs >= 3, got {len(pts)}")
-    hull = convex_hull(pts)
+        raise ValueError(_too_few_points(len(pts)))
+    return _corners_of_hull(convex_hull(pts))
+
+
+def _corners_of_hull(hull: np.ndarray) -> np.ndarray:
+    """``extract_corners`` once the hull is known."""
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
 
@@ -239,14 +254,38 @@ def fit_hemisphere(corners: np.ndarray, align_eps: float = 2.0) -> HemisphereFit
     return None if best is None else best[1]
 
 
+def _row_extremes(mask: np.ndarray) -> np.ndarray:
+    """Leftmost then rightmost foreground pixel of every non-empty row.
+
+    Returns a (2R, 2) int64 array of (x, y) coordinates for R non-empty
+    rows (a one-pixel row appears twice).  Its convex hull is the hull of
+    the whole mask, and of ``boundary(mask)``.
+    """
+    m = np.asarray(mask, dtype=bool)
+    ys = np.flatnonzero(m.any(axis=1))
+    rows = m[ys]
+    first = rows.argmax(axis=1)
+    last = m.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
+    xs = np.concatenate([first, last])
+    return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
+
+
 def build_features(mask: np.ndarray) -> FeatureVector:
-    """Boundary -> corners -> distances and areas for a single-object mask."""
-    corners = extract_corners(boundary(mask))
+    """Corners of the mask's convex hull -> distances and areas for a
+    single-object mask."""
+    area_px = area(mask)
+    if area_px == 0:
+        raise ValueError("no object: mask has no foreground pixels")
+    # boundary(mask) has fewer than three points exactly when the mask has
+    # fewer than three pixels, so this is the count extract_corners would see.
+    if area_px < 3:
+        raise ValueError(_too_few_points(area_px))
+    corners = _corners_of_hull(convex_hull(_row_extremes(mask)))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,
         distances=tuple(float(x) for x in d),
         sd=sd,
-        area_px=area(mask),
+        area_px=area_px,
         poly_area=polygon_area(corners),
     )

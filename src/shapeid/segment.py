@@ -53,13 +53,19 @@ def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
 def isolate_object(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
-    Size ties resolve to the component whose first pixel comes earliest in
-    row-major order.
+    Only the bounding box of the foreground is labelled; the kept
+    component is returned in a mask of the input's shape.  Size ties
+    resolve to the component whose first pixel comes earliest in row-major
+    order (the same order inside the box as in the whole mask).
     """
     m = np.asarray(mask, dtype=bool)
-    if not m.any():
+    rows = np.flatnonzero(m.any(axis=1))
+    if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
-    labels, count = ndimage.label(m, structure=_FOUR_CONNECTED)
+    top, bottom = rows[0], rows[-1] + 1
+    cols = np.flatnonzero(m[top:bottom].any(axis=0))
+    box = (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+    labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
     if count == 1:
         return m.copy()
     sizes = np.bincount(labels.ravel())[1:]
@@ -69,7 +75,11 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     else:
         flat = labels.ravel()
         keep = min(tied, key=lambda lab: int(np.argmax(flat == lab)))
-    return labels == keep
+    if labels.shape == m.shape:
+        return labels == keep
+    out = np.zeros_like(m)
+    out[box] = labels == keep
+    return out
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:

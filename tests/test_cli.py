@@ -225,3 +225,36 @@ def test_bench_repeat_below_one_rejected(repeat, capsys):
         main(["bench", "--repeat", repeat])
     assert exc.value.code == 2
     assert "repeat must be at least 1" in capsys.readouterr().err
+
+
+def test_repeated_calls_match_a_fresh_process(square_pgm, tmp_path, capsys, monkeypatch):
+    # Help is wrapped to COLUMNS; pin it for this process and the fresh ones.
+    monkeypatch.setenv("COLUMNS", "100")
+    argvs = [
+        ["classify", str(square_pgm)],
+        ["classify", "--threshold", "bogus", str(square_pgm)],
+        ["classify", str(tmp_path / "missing.pgm")],
+        ["classify", "--help"],
+        ["generate", "hexagon", "-o", str(tmp_path / "h.pgm")],
+        ["bench", "--repeat", "0"],
+        ["frobnicate"],
+        [],
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shapeid", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for order in (argvs, argvs[::-1], argvs):
+        for argv in order:
+            assert in_process(argv) == fresh[argvs.index(argv)], argv

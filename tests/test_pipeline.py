@@ -62,3 +62,45 @@ def test_cli_json_matches_library(name, tmp_path):
     assert report["label"] == verdict.label.value
     assert report["evidence"] == verdict.evidence["rules"]
     assert report["features"]["area_px"] == features.area_px
+
+
+def _object(pixels):
+    img = np.zeros((16, 16), dtype=np.uint8)
+    for x, y in pixels:
+        img[y, x] = 255
+    return img
+
+
+_TOO_FEW = "feature extraction: too few points: corner extraction needs >= 3, got {}"
+_COLLINEAR = "feature extraction: degenerate boundary: all points collinear"
+
+
+@pytest.mark.parametrize(
+    "pixels, message",
+    [
+        ([(4, 5)], _TOO_FEW.format(1)),
+        ([(4, 5), (5, 5)], _TOO_FEW.format(2)),
+        ([(4, 5), (4, 6)], _TOO_FEW.format(2)),
+        ([(4 + i, 5) for i in range(3)], _COLLINEAR),
+        ([(4 + i, 5) for i in range(4)], _COLLINEAR),
+        ([(3 + i, 5) for i in range(10)], _COLLINEAR),
+        ([(4, 5 + i) for i in range(3)], _COLLINEAR),
+        ([(4, 5 + i) for i in range(4)], _COLLINEAR),
+        ([(4, 3 + i) for i in range(10)], _COLLINEAR),
+    ],
+    ids=["1px", "2px-horizontal", "2px-vertical", "3px-horizontal",
+         "4px-horizontal", "10px-horizontal", "3px-vertical", "4px-vertical",
+         "10px-vertical"],
+)
+def test_tiny_object_error_message(pixels, message):
+    with pytest.raises(StageError) as info:
+        classify_raster(_object(pixels))
+    assert str(info.value) == message
+
+
+def test_two_by_two_block_is_four_corners():
+    verdict, features = classify_raster(_object([(4, 5), (5, 5), (4, 6), (5, 6)]))
+    assert verdict.label.value == "Unknown"
+    assert features.corners.tolist() == [[4, 5], [5, 5], [5, 6], [4, 6]]
+    assert features.area_px == 4
+    assert features.poly_area == 1.0
