@@ -73,6 +73,8 @@ class Tolerances:
     smallest corner distance marks a degenerate (three-corner) shape;
     ``None`` selects ``max(3, 0.05 * largest distance)`` per feature
     vector.  ``align_eps`` is forwarded to the hemisphere corner-pair fit.
+    Both must be finite and positive: a NaN would fail every comparison
+    and silently switch its rule off.
     """
 
     rel_eps: float = 0.05
@@ -85,10 +87,10 @@ class Tolerances:
             raise ValueError(f"rel_eps must be in (0, 0.5), got {self.rel_eps}")
         if not 0 < self.area_eps < 0.5:
             raise ValueError(f"area_eps must be in (0, 0.5), got {self.area_eps}")
-        if self.degen_eps is not None and self.degen_eps <= 0:
-            raise ValueError(f"degen_eps must be positive, got {self.degen_eps}")
-        if self.align_eps <= 0:
-            raise ValueError(f"align_eps must be positive, got {self.align_eps}")
+        if self.degen_eps is not None and not (math.isfinite(self.degen_eps) and self.degen_eps > 0):
+            raise ValueError(f"degen_eps must be finite and positive, got {self.degen_eps}")
+        if not (math.isfinite(self.align_eps) and self.align_eps > 0):
+            raise ValueError(f"align_eps must be finite and positive, got {self.align_eps}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Corner extraction and distance/area features of a segmented object.
 
 Corners are the vertices of the maximum-area quadrilateral inscribed in
-the convex hull of the object, which is the hull of each row's leftmost
-and rightmost foreground pixel.  When that quadrilateral barely beats the
+the convex hull of the object.  When that quadrilateral barely beats the
 best inscribed triangle (the fourth vertex adds only a sliver, as for
 triangles and capped triangles), the shape has three real corners: the
 triangle is returned with one vertex repeated, which drives the smallest
 pairwise corner distance to zero and marks the set as degenerate for the
 classifier.  All choices resolve ties by scan order, so extraction is
 deterministic.
+
+The hull is that of each row's leftmost and rightmost foreground pixel.
+Those points are first pruned in numpy to the few that can be hull
+vertices, and only the survivors go through the monotone chain.  The
+corner search reduces the triangle areas over all vertex triples in
+blocks of at most ``_BLOCK`` values, with no Python loop per vertex.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ CORNER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 #: triangles ~1.0, so 1.22 splits the population at its widest gap.
 QUAD_GAIN = 1.22
 
+#: Most cross products the corner search holds at once (32 KiB of int64).
+_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
@@ -72,7 +80,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
     Returns hull vertices in counterclockwise order starting from the
     lexicographically smallest point, with the input's dtype.  Degenerate
-    inputs yield fewer than three vertices.
+    inputs yield fewer than three vertices.  Any point set is accepted;
+    ``build_features`` passes the pruned row extremes of its mask
+    (``_hull_candidates``), usually a few dozen points.
     """
     pts = np.unique(np.asarray(points), axis=0)  # sorts by x, then y
     if len(pts) <= 2:
@@ -102,39 +112,102 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=pts.dtype)
 
 
+def _cross_rows(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of ``C[a, b] = x[a] * y[b] - y[a] * x[b]``."""
+    rows = np.multiply.outer(x[lo:hi], y)
+    rows -= np.multiply.outer(y[lo:hi], x)
+    return rows
+
+
+def _scan_group(x, y, whole, g0: int, g1: int):
+    """Triangle and quad candidates whose first index is in ``g0:g1``.
+
+    ``cross[i, j, k] = C[i, j] + C[j, k] - C[i, k]`` is twice the signed
+    area of triangle ``(i, j, k)``.  Its largest and smallest values over
+    ``k`` are taken in blocks of no more than ``_BLOCK`` values.  ``whole``
+    is all of ``C`` when it fits in one block, else ``None`` and the rows
+    of ``C`` are made per block.  Returns the largest ``|cross|``, the flat
+    ``(i - g0, j)`` index of the first row holding it, and per ``i`` the
+    total of the first best diagonal ``(i, j)`` (``-1`` when one side of
+    it is empty) and that ``j``.
+    """
+    n = len(x)
+    rows = g1 - g0
+    ci = whole[g0:g1] if whole is not None else _cross_rows(x, y, g0, g1)
+    top = np.empty_like(ci)
+    low = np.empty_like(ci)
+    if whole is not None:
+        step_i, step_j = max(1, _BLOCK // (n * n)), n
+    else:
+        step_i, step_j = rows, max(1, _BLOCK // (rows * n))
+    buffer = np.empty((step_i, step_j, n), dtype=np.int64)
+    for i0 in range(0, rows, step_i):
+        i1 = min(rows, i0 + step_i)
+        for j0 in range(0, n, step_j):
+            j1 = min(n, j0 + step_j)
+            cj = whole[j0:j1] if whole is not None else _cross_rows(x, y, j0, j1)
+            block = buffer[:i1 - i0, :j1 - j0]
+            np.copyto(block, cj)  # C[j, k], repeated over i
+            block -= ci[i0:i1, None, :]
+            block.max(axis=2, out=top[i0:i1, j0:j1])
+            block.min(axis=2, out=low[i0:i1, j0:j1])
+    top += ci
+    low += ci
+    # cross[i, j, i] == 0, so top >= 0 >= low.
+    spread = np.maximum(top, -low)
+    flat = int(spread.argmax())
+    total = top - low
+    j = total.argmax(axis=1)
+    at = np.arange(rows)
+    both_sides = (top[at, j] > 0) & (low[at, j] < 0)
+    return int(spread.flat[flat]), flat, np.where(both_sides, total[at, j], -1), j
+
+
 def _best_triangle_and_quad(hull: np.ndarray):
     """Max-area triangle and max-area quadrilateral over hull vertices.
 
     Returns ``(tri2, tri_idx, quad2, quad_idx)`` where the areas are twice
-    the polygon area (exact integers for integer input).  The quad search
-    treats each vertex pair as a diagonal and takes the extreme cross
-    products on both sides; ties resolve to the first candidate in scan
-    order.
+    the polygon area (exact integers for integer input).  The h x h x h
+    tensor of triangle areas is reduced over its last index in bounded
+    blocks, a group of first indices at a time (``_scan_group``).  The
+    triangle is the first ``(i, j, k)`` in scan order with the largest
+    absolute area.  The quad search treats each pair ``(i, j)`` as a
+    diagonal and adds the largest areas on both sides.  For each ``i`` the
+    first best ``j`` counts, and only if it has vertices on both sides;
+    the first such ``i`` with the largest sum wins.
     """
     pts = hull.astype(np.int64)
     n = len(pts)
-    tri2 = -1
-    tri_idx = None
-    quad2 = -1
-    quad_idx = None
-    for i in range(n):
-        rel = pts - pts[i]
-        cross = np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0])
-        flat = int(np.argmax(np.abs(cross)))
-        j, k = divmod(flat, n)
-        value = int(abs(cross[j, k]))
+    # Areas do not change under translation; this keeps the products small.
+    x = pts[:, 0] - pts[0, 0]
+    y = pts[:, 1] - pts[0, 1]
+    whole = _cross_rows(x, y, 0, n) if n * n <= _BLOCK else None
+    # All i's at once when C fits in a block.  Else few enough that each
+    # per-group array holds a quarter of a block: with a block and the
+    # buffer numpy fills to broadcast into it, under 128 KiB in all.
+    group = n if whole is not None else max(1, _BLOCK // (4 * n))
+    tri2, tri_row = -1, None
+    quad_sum = np.empty(n, dtype=np.int64)  # per i: best diagonal's total
+    quad_j = np.empty(n, dtype=np.int64)  # per i: first j with that total
+    for g0 in range(0, n, group):
+        g1 = min(n, g0 + group)
+        value, flat, quad_sum[g0:g1], quad_j[g0:g1] = _scan_group(x, y, whole, g0, g1)
         if value > tri2:
-            tri2, tri_idx = value, (i, j, k)
-        pos = np.maximum(cross, 0).max(axis=1)
-        neg = np.maximum(-cross, 0).max(axis=1)
-        total = pos + neg
-        j = int(np.argmax(total))
-        value = int(total[j])
-        if value > quad2 and pos[j] > 0 and neg[j] > 0:
-            k_pos = int(np.argmax(cross[j]))
-            k_neg = int(np.argmin(cross[j]))
-            quad2, quad_idx = value, (i, k_pos, j, k_neg)
-    return tri2, tri_idx, quad2, quad_idx
+            tri2 = value
+            tri_row = divmod(g0 * n + flat, n)
+
+    def areas(i, j):  # cross[i, j, :]
+        return (x[j] - x[i]) * (y - y[i]) - (y[j] - y[i]) * (x - x[i])
+
+    i, j = tri_row
+    tri_idx = (i, j, int(np.abs(areas(i, j)).argmax()))
+    i = int(quad_sum.argmax())
+    quad2 = int(quad_sum[i])
+    if quad2 < 0:
+        return tri2, tri_idx, -1, None
+    j = int(quad_j[i])
+    cross = areas(i, j)
+    return tri2, tri_idx, quad2, (i, int(cross.argmax()), j, int(cross.argmin()))
 
 
 def _too_few_points(count: int) -> str:
@@ -157,7 +230,12 @@ def extract_corners(points: np.ndarray) -> np.ndarray:
 
 
 def _corners_of_hull(hull: np.ndarray) -> np.ndarray:
-    """``extract_corners`` once the hull is known."""
+    """``extract_corners`` once the hull is known.
+
+    The triangle and quadrilateral come from ``_best_triangle_and_quad``,
+    which holds at most ``_BLOCK`` triangle areas at a time, so its memory
+    stays bounded (under 128 KiB at 80 and 200 hull vertices).
+    """
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
 
@@ -270,6 +348,37 @@ def _row_extremes(mask: np.ndarray) -> np.ndarray:
     return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
 
 
+def _hull_candidates(mask: np.ndarray) -> np.ndarray:
+    """The row extremes of ``mask`` less points that cannot be hull vertices.
+
+    The left extremes, top to bottom, and then the right ones, bottom to
+    top, form one path around the object.  A point on or inside the
+    segment joining its two path neighbours lies between that segment and
+    the other extreme of its row, so it is no hull vertex.  (On a
+    one-pixel row the point is its own partner, but it is on the path
+    twice and both copies drop only if it lies between the two chains.)
+    The neighbours are original points, so all such points drop at once,
+    and the pass repeats until nothing drops.  The top and bottom row's
+    points are kept.  The convex hull of the result equals that of
+    ``_row_extremes(mask)``.
+    """
+    pts = _row_extremes(mask)
+    rows = len(pts) // 2
+    path = np.concatenate([pts[:rows], pts[rows:][::-1]])
+    bottom = rows  # path[bottom - 1] and path[bottom] are the bottom row's points
+    while len(path) > 2:
+        ahead = path[2:] - path[:-2]
+        side = path[1:-1] - path[:-2]
+        keep = np.ones(len(path), dtype=bool)
+        keep[1:-1] = ahead[:, 0] * side[:, 1] > ahead[:, 1] * side[:, 0]
+        keep[bottom - 1:bottom + 1] = True
+        if keep.all():
+            break
+        bottom = int(np.count_nonzero(keep[:bottom]))
+        path = path[keep]
+    return path
+
+
 def build_features(mask: np.ndarray) -> FeatureVector:
     """Corners of the mask's convex hull -> distances and areas for a
     single-object mask."""
@@ -280,7 +389,7 @@ def build_features(mask: np.ndarray) -> FeatureVector:
     # fewer than three pixels, so this is the count extract_corners would see.
     if area_px < 3:
         raise ValueError(_too_few_points(area_px))
-    corners = _corners_of_hull(convex_hull(_row_extremes(mask)))
+    corners = _corners_of_hull(convex_hull(_hull_candidates(mask)))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,

@@ -120,6 +120,15 @@ def test_tolerance_validation():
         Tolerances(align_eps=0.0)
 
 
+@pytest.mark.parametrize("field", ["degen_eps", "align_eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tolerances_reject_non_finite(field, value):
+    # NaN compares false against every bound, so it used to slip through
+    # and turn corpus triangles, cones and hemispheres into Unknown.
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        Tolerances(**{field: value})
+
+
 def test_monotone_degeneracy():
     # sd = 5, all other distances large; raising degen_eps may only move
     # the verdict into the degenerate branch, never out of it.

@@ -202,6 +202,14 @@ def test_classify_stage_error_exit_code(tmp_path, capsys):
     assert err == "error: feature extraction: degenerate boundary: all points collinear\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_classify_non_finite_degen_eps_is_usage_error(square_pgm, value, capsys):
+    code, out, err = run_cli(["classify", "--degen-eps", value, str(square_pgm)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degen_eps must be finite and positive, got {float(value)}\n"
+
+
 def test_classify_help_shows_tolerance_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["classify", "--help"])

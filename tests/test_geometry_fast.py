@@ -1,0 +1,273 @@
+"""The pruned hull input and the blocked corner search against the code
+they replaced.
+
+``build_features`` prunes the mask's row extremes before the monotone
+chain (``_hull_candidates``), and ``_best_triangle_and_quad`` reduces the
+h x h x h tensor of triangle areas in bounded blocks instead of looping
+over vertices.  Both must give the old results bit for bit, including
+which of several equal candidates wins.  The old per-vertex search is kept
+here verbatim as the oracle; the old hull input is
+``convex_hull(_row_extremes(mask))``.
+"""
+
+import inspect
+import sys
+import tracemalloc
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from shapeid import ShapeSpec, convex_hull, render
+from shapeid import geometry
+from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _hull_candidates, _row_extremes
+
+
+def old_best_triangle_and_quad(hull: np.ndarray):
+    """Max-area triangle and max-area quadrilateral over hull vertices.
+
+    Returns ``(tri2, tri_idx, quad2, quad_idx)`` where the areas are twice
+    the polygon area (exact integers for integer input).  The quad search
+    treats each vertex pair as a diagonal and takes the extreme cross
+    products on both sides; ties resolve to the first candidate in scan
+    order.
+    """
+    pts = hull.astype(np.int64)
+    n = len(pts)
+    tri2 = -1
+    tri_idx = None
+    quad2 = -1
+    quad_idx = None
+    for i in range(n):
+        rel = pts - pts[i]
+        cross = np.outer(rel[:, 0], rel[:, 1]) - np.outer(rel[:, 1], rel[:, 0])
+        flat = int(np.argmax(np.abs(cross)))
+        j, k = divmod(flat, n)
+        value = int(abs(cross[j, k]))
+        if value > tri2:
+            tri2, tri_idx = value, (i, j, k)
+        pos = np.maximum(cross, 0).max(axis=1)
+        neg = np.maximum(-cross, 0).max(axis=1)
+        total = pos + neg
+        j = int(np.argmax(total))
+        value = int(total[j])
+        if value > quad2 and pos[j] > 0 and neg[j] > 0:
+            k_pos = int(np.argmax(cross[j]))
+            k_neg = int(np.argmin(cross[j]))
+            quad2, quad_idx = value, (i, k_pos, j, k_neg)
+    return tri2, tri_idx, quad2, quad_idx
+
+
+def regular_hull(count: int, radius: float, phase: float = 0.0) -> np.ndarray:
+    """Hull of a regular polygon rounded to integers.  With ``count`` a
+    multiple of four and no phase it is symmetric under quarter turns, so
+    many triangles and quadrilaterals tie exactly."""
+    t = phase + 2 * np.pi * np.arange(count) / count
+    pts = np.column_stack([np.rint(radius * np.cos(t)), np.rint(radius * np.sin(t))])
+    return convex_hull(pts.astype(np.int64))
+
+
+def octagon_hull(a: int, b: int) -> np.ndarray:
+    """The eight points (+-a, +-b), (+-b, +-a): mirror symmetric both ways."""
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    pts = [(sx * a, sy * b) for sx, sy in signs] + [(sx * b, sy * a) for sx, sy in signs]
+    return convex_hull(np.array(pts, dtype=np.int64))
+
+
+# Hulls with exact ties, on both sides of the one-block size (n * n <= 4096).
+TIED_HULLS = [
+    convex_hull(np.array([[0, 0], [7, 0], [7, 3], [0, 3]])),
+    convex_hull(np.array([[2, 1], [9, 1], [9, 1], [9, 6], [2, 6], [5, 1], [2, 4]])),
+    octagon_hull(5, 2),
+    octagon_hull(40, 13),
+    # Mirror symmetric: two best diagonals from the winning vertex.
+    convex_hull(np.array([[-8, -2], [-3, -4], [2, -2], [2, 2], [-3, 4], [-8, 2]])),
+    # An edge parallel to the quad's diagonal, on its positive side ...
+    convex_hull(np.array([[-4, 2], [0, -5], [4, 2], [2, 5], [-2, 5]])),
+    # ... and on its negative side.
+    convex_hull(np.array([[-4, 2], [-2, -3], [0, -3], [2, 2], [0, 7], [-2, 7]])),
+    *(regular_hull(count, 1000.0) for count in (8, 12, 16, 24, 32, 64, 68, 72, 96, 120)),
+]
+
+
+def test_tied_hulls_have_the_intended_sizes():
+    sizes = [len(h) for h in TIED_HULLS]
+    assert sizes == [4, 4, 8, 8, 6, 5, 6, 8, 12, 16, 24, 32, 64, 68, 72, 96, 120]
+
+
+@pytest.mark.parametrize("hull", TIED_HULLS, ids=[str(len(h)) for h in TIED_HULLS])
+def test_search_matches_loop_on_tied_hulls(hull):
+    assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
+
+
+@st.composite
+def _random_hulls(draw):
+    """Hulls of 4 to about 120 vertices: rounded points on a jittered circle
+    or ellipse, a rounded regular polygon, or a random point cloud."""
+    kind = draw(st.sampled_from(["circle", "regular", "cloud"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "regular":
+        return regular_hull(draw(st.integers(4, 120)), draw(st.floats(3.0, 5000.0)), draw(st.floats(0.0, 1.0)))
+    if kind == "circle":
+        count = draw(st.integers(4, 140))
+        t = np.sort(rng.uniform(0.0, 2 * np.pi, count))
+        rx, ry = draw(st.floats(20.0, 3000.0)), draw(st.floats(20.0, 3000.0))
+        jitter = rng.uniform(-1.0, 1.0, (count, 2)) * draw(st.floats(0.0, 2.0))
+        pts = np.column_stack([rx * np.cos(t), ry * np.sin(t)]) + jitter
+        pts = np.rint(pts).astype(np.int64) + draw(st.integers(-1000, 1000))
+    else:
+        pts = rng.integers(-50, 50, (draw(st.integers(4, 200)), 2))
+    return convex_hull(pts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hull=_random_hulls().filter(lambda h: len(h) >= 4))
+def test_search_matches_loop_on_random_hulls(hull):
+    assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(hull=_random_hulls().filter(lambda h: len(h) >= 4), shift=st.floats(0.0, 0.99))
+def test_search_truncates_float_hulls_like_the_loop(hull, shift):
+    floats = hull.astype(np.float64) + shift
+    assert _best_triangle_and_quad(floats) == old_best_triangle_and_quad(floats)
+
+
+@st.composite
+def _rough_masks(draw, max_side=32):
+    """Masks with several components, holes, skipped rows and one-pixel rows."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    if draw(st.booleans()):
+        m = draw(arrays(np.bool_, (h, w)))
+    else:
+        m = np.zeros((h, w), dtype=bool)
+        for value in (True, True, True, False, False):
+            y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            y1, x1 = draw(st.integers(y0, h)), draw(st.integers(x0, w))
+            m[y0:y1 + 1, x0:x1 + 1] = value
+    for y in draw(st.lists(st.integers(0, h - 1), max_size=4)):
+        m[y] = False
+    for y in draw(st.lists(st.integers(0, h - 1), max_size=4)):
+        m[y] = False
+        m[y, draw(st.integers(0, w - 1))] = True
+    return m
+
+
+@st.composite
+def _rendered_masks(draw):
+    """Rotated polygons and curved shapes: long digital edges at any slope."""
+    size = draw(st.integers(48, 128))
+    c = (size / 2.0 - 0.5, size / 2.0 - 0.5)
+    angle = draw(st.floats(0.0, 90.0))
+    s = size / 256.0
+    spec = draw(st.sampled_from([
+        ShapeSpec.rectangle(c, 120 * s, 80 * s, rotation=angle),
+        ShapeSpec.kite(c, 160 * s, 80 * s, 0.375, rotation=angle),
+        ShapeSpec.triangle(c, 100 * s, 100 * s, rotation=angle),
+        ShapeSpec.rhombus(c, 100 * s, 0.75, rotation=angle),
+        ShapeSpec.hemisphere(c, 50 * s),
+    ]))
+    return render(spec, size, size) > 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mask=st.one_of(_rough_masks(), _rendered_masks()))
+def test_pruned_hull_matches_unpruned(mask):
+    pruned = convex_hull(_hull_candidates(mask))
+    unpruned = convex_hull(_row_extremes(mask))
+    assert pruned.dtype == unpruned.dtype == np.int64
+    assert np.array_equal(pruned, unpruned)
+    if mask.any():
+        every_pixel = np.argwhere(mask)[:, ::-1].astype(np.int64)
+        assert np.array_equal(pruned, convex_hull(every_pixel))
+
+
+def test_pruning_keeps_only_few_points_of_a_long_edge():
+    c = (127.5, 127.5)
+    mask = render(ShapeSpec.rectangle(c, 120, 80, rotation=20.0), 256, 256) > 0
+    assert len(_row_extremes(mask)) > 200
+    assert len(_hull_candidates(mask)) < 40
+
+
+# Mutation checks: each fragment of geometry.py below is replaced by a
+# plausible mistake, and the comparisons above must then find a case that
+# differs.
+
+def _mutant(old: str, new: str) -> dict:
+    """geometry with one source fragment replaced, as a module namespace."""
+    source = inspect.getsource(geometry)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("shapeid._geometry_mutant")
+    module.__package__ = "shapeid"
+    # dataclass() looks its class's module up in sys.modules.
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source.replace(old, new), geometry.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.__dict__
+
+
+_MUTANT_MASKS = [
+    render(spec, 64, 64) > 0
+    for spec in (
+        ShapeSpec.triangle((31.5, 31.5), 25, 25, rotation=20.0),
+        ShapeSpec.rhombus((31.5, 31.5), 25, 0.75),
+        ShapeSpec.kite((31.5, 31.5), 40, 20, 0.375, rotation=45.0),
+        ShapeSpec.cylinder((31.5, 31.5), 25, 30, 4),
+    )
+]
+
+
+@pytest.mark.parametrize("old, new", [
+    # prune side flipped: drops the outer points and keeps the inner ones
+    ("ahead[:, 0] * side[:, 1] > ahead[:, 1] * side[:, 0]",
+     "ahead[:, 0] * side[:, 1] < ahead[:, 1] * side[:, 0]"),
+    # the bottom row left unpinned: a one-pixel bottom row drops from both
+    # chains in the same pass
+    ("keep[bottom - 1:bottom + 1] = True", "pass"),
+])
+def test_prune_mutants_are_caught(old, new):
+    mutant = _mutant(old, new)
+    assert any(
+        not np.array_equal(convex_hull(mutant["_hull_candidates"](m)), convex_hull(_row_extremes(m)))
+        for m in _MUTANT_MASKS
+    )
+
+
+@pytest.mark.parametrize("old, new", [
+    # the last of several equally large triangles, not the first
+    ("flat = int(spread.argmax())",
+     "flat = spread.size - 1 - int(spread.ravel()[::-1].argmax())"),
+    # the last best diagonal of a vertex
+    ("j = total.argmax(axis=1)",
+     "j = total.shape[1] - 1 - total[:, ::-1].argmax(axis=1)"),
+    # the last vertex with the best quadrilateral
+    ("i = int(quad_sum.argmax())",
+     "i = len(quad_sum) - 1 - int(quad_sum[::-1].argmax())"),
+    # a later group replaces an equal triangle
+    ("if value > tri2:", "if value >= tri2:"),
+    # the last farthest vertex on either side of the quad's diagonal
+    ("int(cross.argmax())", "len(cross) - 1 - int(cross[::-1].argmax())"),
+    ("int(cross.argmin())", "len(cross) - 1 - int(cross[::-1].argmin())"),
+])
+def test_search_mutants_are_caught(old, new):
+    mutant = _mutant(old, new)
+    assert any(mutant["_best_triangle_and_quad"](h) != old_best_triangle_and_quad(h) for h in TIED_HULLS)
+
+
+@pytest.mark.parametrize("count", [80, 200])
+def test_corner_search_memory_is_bounded(count):
+    hull = regular_hull(count, 10_000.0, 0.1)
+    assert len(hull) == count
+    _corners_of_hull(hull)  # first call: let numpy set up its caches
+    tracemalloc.start()
+    try:
+        _corners_of_hull(hull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
