@@ -337,13 +337,18 @@ def _row_extremes(mask: np.ndarray) -> np.ndarray:
 
     Returns a (2R, 2) int64 array of (x, y) coordinates for R non-empty
     rows (a one-pixel row appears twice).  Its convex hull is the hull of
-    the whole mask, and of ``boundary(mask)``.
+    the whole mask, and of ``boundary(mask)``.  The ``argmax`` passes see
+    only the columns between the foreground's first and last.
     """
     m = np.asarray(mask, dtype=bool)
     ys = np.flatnonzero(m.any(axis=1))
-    rows = m[ys]
-    first = rows.argmax(axis=1)
-    last = m.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
+    if len(ys) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    cols = np.flatnonzero(m[ys[0]:ys[-1] + 1].any(axis=0))
+    left, right = cols[0], cols[-1] + 1
+    rows = m[ys, left:right]
+    first = left + rows.argmax(axis=1)
+    last = right - 1 - rows[:, ::-1].argmax(axis=1)
     xs = np.concatenate([first, last])
     return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
 

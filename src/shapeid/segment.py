@@ -2,6 +2,12 @@
 
 All connectivity is 4-connected, for components and boundaries alike, so
 diagonal speckle never bridges into the object.
+
+Both counting steps avoid a per-pixel ``int64`` copy.  The Otsu histogram
+counts the pixels two at a time, as ``uint16`` pairs, into one ``int32``
+table of 65,536 bins, and folds its row and column sums into the 256-bin
+histogram.  Component sizes are counted over the foreground's labels
+only, not over the background zeros around them.
 """
 
 from __future__ import annotations
@@ -9,9 +15,40 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from .pgm import check_image
+
 __all__ = ["area", "binarize", "boundary", "isolate_object", "otsu_threshold"]
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+#: Most pixel pairs one pass of the Otsu histogram counts into its
+#: ``int32`` table.  Each pass is folded into the ``int64`` histogram, so
+#: no bin, row sum or column sum of the table can overflow.
+_PAIRS_PER_PASS = 1 << 29
+
+
+def _histogram(image: np.ndarray) -> np.ndarray:
+    """Counts of the intensities 0..255 of a ``uint8``-castable image.
+
+    Pixel pairs ``(a, b)``, viewed as one ``uint16``, are counted into a
+    256x256 table; ``a`` is the table's row or column depending on byte
+    order, so adding both axis sums counts each pixel once either way.
+    """
+    flat = np.ascontiguousarray(image, dtype=np.uint8).ravel()
+    hist = np.zeros(256, dtype=np.int64)
+    pairs = flat[: len(flat) - len(flat) % 2].view(np.uint16)
+    table = np.zeros(65536, dtype=np.int32)
+    for start in range(0, len(pairs), _PAIRS_PER_PASS):
+        if start:
+            table[:] = 0
+        # An int32 scalar keeps add.at on its fast path; a Python 1 does not.
+        np.add.at(table, pairs[start:start + _PAIRS_PER_PASS], np.int32(1))
+        square = table.reshape(256, 256)
+        hist += square.sum(axis=0)
+        hist += square.sum(axis=1)
+    if len(flat) % 2:
+        hist[flat[-1]] += 1
+    return hist
 
 
 def otsu_threshold(image: np.ndarray) -> int:
@@ -19,10 +56,15 @@ def otsu_threshold(image: np.ndarray) -> int:
 
     Returns ``t`` such that foreground is ``intensity >= t``; variance ties
     resolve toward the lower threshold.  An image with a single distinct
-    intensity has no two classes to separate.
+    intensity has no two classes to separate.  A ``uint8`` array is
+    counted as it is; any other input must pass ``pgm.check_image`` (a
+    non-empty 2-D array of integers in 0..255), else ``ValueError``.
+    The histogram is counted in pixel pairs (see the module docstring).
     """
     img = np.asarray(image)
-    hist = np.bincount(img.ravel().astype(np.int64), minlength=256).astype(np.float64)
+    if img.dtype != np.uint8:
+        img = check_image(img)
+    hist = _histogram(img).astype(np.float64)
     if np.count_nonzero(hist) < 2:
         raise ValueError("degenerate histogram: single distinct intensity")
     weight = np.cumsum(hist)
@@ -53,10 +95,12 @@ def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
 def isolate_object(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
-    Only the bounding box of the foreground is labelled; the kept
-    component is returned in a mask of the input's shape.  Size ties
-    resolve to the component whose first pixel comes earliest in row-major
-    order (the same order inside the box as in the whole mask).
+    Only the bounding box of the foreground is labelled, and component
+    sizes are counted over the foreground's labels alone (a label is
+    non-zero exactly there); the kept component is returned in a mask of
+    the input's shape.  Size ties resolve to the component whose first
+    pixel comes earliest in row-major order (the same order inside the box
+    as in the whole mask).
     """
     m = np.asarray(mask, dtype=bool)
     rows = np.flatnonzero(m.any(axis=1))
@@ -68,7 +112,7 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
     if count == 1:
         return m.copy()
-    sizes = np.bincount(labels.ravel())[1:]
+    sizes = np.bincount(labels[m[box]], minlength=count + 1)[1:]
     tied = np.flatnonzero(sizes == sizes.max()) + 1
     if len(tied) == 1:
         keep = tied[0]

@@ -137,3 +137,28 @@ def test_isolate_never_grows_area():
         assert area(out) <= area(mask)
         # Equality exactly when the mask already had a single component.
         assert (area(out) == area(mask)) == np.array_equal(out, mask)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (np.array([[0.6, 200.7]]), "expected integer intensities, got dtype float64"),
+        (np.array([[0, 300]], dtype=np.int16), r"intensities must lie in \[0, 255\]"),
+        (np.array([[-1, 200]]), r"intensities must lie in \[0, 255\]"),
+        (np.array([0, 200], dtype=np.int64), "expected a non-empty 2-D image"),
+        (np.array([[False, True]]), "expected integer intensities, got dtype bool"),
+    ],
+)
+def test_otsu_rejects_off_contract_input(image, message):
+    # Only uint8 is counted as it is; anything else must pass check_image.
+    with pytest.raises(ValueError, match=message):
+        otsu_threshold(image)
+    with pytest.raises(ValueError, match=message):
+        binarize(image, "otsu")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint64])
+def test_otsu_in_range_integers_match_uint8_copy(dtype):
+    rng = np.random.default_rng(3)
+    img = rng.integers(0, 128 if dtype == np.int8 else 256, size=(17, 9)).astype(np.uint8)
+    assert otsu_threshold(img.astype(dtype)) == otsu_threshold(img)

@@ -1,0 +1,231 @@
+"""The segment layer's counting steps against the code they replaced.
+
+``otsu_threshold`` counts its histogram from ``uint16`` pixel pairs into
+an ``int32`` table, and ``isolate_object`` counts component sizes over
+the foreground's labels only.  Each is checked here against the previous
+whole-array ``bincount``, kept verbatim as the oracle, and against the
+memory it was rewritten to save.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
+
+from shapeid import ShapeSpec, binarize, isolate_object, otsu_threshold, render
+from shapeid import segment
+
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def old_histogram(image):
+    return np.bincount(np.asarray(image).ravel().astype(np.int64), minlength=256)
+
+
+def old_otsu_threshold(image) -> int:
+    """Threshold maximizing between-class histogram variance.
+
+    Returns ``t`` such that foreground is ``intensity >= t``; variance ties
+    resolve toward the lower threshold.  An image with a single distinct
+    intensity has no two classes to separate.
+    """
+    img = np.asarray(image)
+    hist = np.bincount(img.ravel().astype(np.int64), minlength=256).astype(np.float64)
+    if np.count_nonzero(hist) < 2:
+        raise ValueError("degenerate histogram: single distinct intensity")
+    weight = np.cumsum(hist)
+    mass = np.cumsum(hist * np.arange(256))
+    w0 = weight[:-1]
+    w1 = weight[-1] - w0
+    valid = (w0 > 0) & (w1 > 0)
+    mu0 = np.divide(mass[:-1], w0, out=np.zeros(255), where=valid)
+    mu1 = np.divide(mass[-1] - mass[:-1], w1, out=np.zeros(255), where=valid)
+    variance = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -1.0)
+    return int(np.argmax(variance)) + 1
+
+
+def old_isolate_object(mask: np.ndarray) -> np.ndarray:
+    """Keep only the largest 4-connected foreground component.
+
+    Only the bounding box of the foreground is labelled; the kept
+    component is returned in a mask of the input's shape.  Size ties
+    resolve to the component whose first pixel comes earliest in row-major
+    order (the same order inside the box as in the whole mask).
+    """
+    m = np.asarray(mask, dtype=bool)
+    rows = np.flatnonzero(m.any(axis=1))
+    if len(rows) == 0:
+        raise ValueError("no object: mask has no foreground pixels")
+    top, bottom = rows[0], rows[-1] + 1
+    cols = np.flatnonzero(m[top:bottom].any(axis=0))
+    box = (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+    labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
+    if count == 1:
+        return m.copy()
+    sizes = np.bincount(labels.ravel())[1:]
+    tied = np.flatnonzero(sizes == sizes.max()) + 1
+    if len(tied) == 1:
+        keep = tied[0]
+    else:
+        flat = labels.ravel()
+        keep = min(tied, key=lambda lab: int(np.argmax(flat == lab)))
+    if labels.shape == m.shape:
+        return labels == keep
+    out = np.zeros_like(m)
+    out[box] = labels == keep
+    return out
+
+
+def _threshold_outcome(fn, image):
+    try:
+        return fn(image)
+    except ValueError as err:
+        return str(err)
+
+
+_side = st.integers(1, 24)
+_shapes = st.one_of(
+    st.tuples(st.just(1), _side), st.tuples(_side, st.just(1)), st.tuples(_side, _side)
+)
+
+
+@st.composite
+def _images(draw):
+    """``uint8`` images: arbitrary, constant, or two-level."""
+    shape = draw(_shapes)
+    kind = draw(st.sampled_from(["any", "constant", "two-level"]))
+    if kind == "any":
+        return draw(arrays(np.uint8, shape))
+    low, high = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+    if kind == "constant":
+        return np.full(shape, low, dtype=np.uint8)
+    pick = draw(arrays(np.bool_, shape))
+    return np.where(pick, high, low).astype(np.uint8)
+
+
+def _views(image):
+    """Contiguous and strided views of ``image``, and a view at an odd byte."""
+    shifted = np.empty(image.size + 1, dtype=np.uint8)[1:].reshape(image.shape)
+    shifted[...] = image
+    return [image, image[:, ::2], image.T, image[::-1], image[::-1, ::-2], shifted]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(image=_images())
+def test_histogram_matches_bincount(image):
+    for view in _views(image):
+        hist = segment._histogram(view)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, old_histogram(view))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(image=_images())
+def test_threshold_matches_old(image):
+    for view in _views(image):
+        assert _threshold_outcome(otsu_threshold, view) == _threshold_outcome(old_otsu_threshold, view)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(image=_images(), dtype=st.sampled_from([np.int16, np.int64]))
+def test_in_range_integer_dtypes_match_old(image, dtype):
+    wide = image.astype(dtype)
+    assert np.array_equal(segment._histogram(wide), old_histogram(wide))
+    assert _threshold_outcome(otsu_threshold, wide) == _threshold_outcome(old_otsu_threshold, wide)
+
+
+@pytest.mark.parametrize("pairs_per_pass", [1, 2, 3])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(image=_images())
+def test_multi_pass_fold_matches_bincount(pairs_per_pass, image):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "_PAIRS_PER_PASS", pairs_per_pass)
+        for view in (image, image.T):
+            assert np.array_equal(segment._histogram(view), old_histogram(view))
+            assert _threshold_outcome(otsu_threshold, view) == _threshold_outcome(old_otsu_threshold, view)
+
+
+@st.composite
+def _masks(draw):
+    """Random masks, masks of equal-sized blocks (size ties), and a filled
+    object with holes and single-pixel specks around it."""
+    kind = draw(st.sampled_from(["random", "ties", "holes"]))
+    if kind == "random":
+        shape = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+        return draw(arrays(np.bool_, shape))
+    if kind == "ties":
+        block = draw(st.integers(1, 3))
+        grid = draw(arrays(np.bool_, (draw(st.integers(1, 5)), draw(st.integers(1, 5)))))
+        # Blocks on a grid with one-pixel gaps: equal sizes, never touching.
+        cell = np.zeros((block + 1, block + 1), dtype=bool)
+        cell[:block, :block] = True
+        return np.kron(grid, cell).astype(bool)
+    size = draw(st.integers(6, 20))
+    mask = np.zeros((size, size), dtype=bool)
+    mask[2:-2, 2:-2] = True
+    holes = draw(st.lists(st.tuples(st.integers(2, size - 3), st.integers(2, size - 3)), max_size=6))
+    specks = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=8))
+    for y, x in holes:
+        mask[y, x] = False
+    for y, x in specks:
+        if y in (0, size - 1) or x in (0, size - 1):
+            mask[y, x] = True
+    return mask
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mask=_masks())
+def test_isolate_matches_whole_box_bincount(mask):
+    if not mask.any():
+        with pytest.raises(ValueError, match="no object"):
+            isolate_object(mask)
+        return
+    assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
+
+
+def test_isolate_tie_of_many_single_pixels():
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[::2, ::2] = True
+    expect = np.zeros_like(mask)
+    expect[0, 0] = True
+    assert np.array_equal(isolate_object(mask), expect)
+    assert np.array_equal(old_isolate_object(mask), expect)
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size", [256, 1024, 2048])
+def test_otsu_peak_does_not_grow_with_the_image(size):
+    image = np.full((size, size), 30, dtype=np.uint8)
+    image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
+    assert otsu_threshold(image) == 31
+    # The int32 pair table (0.25 MiB) and numpy's cast buffer; an int64
+    # copy of the pixels would take 0.5, 8 and 32 MiB.
+    assert _peak_mib(otsu_threshold, image) < 0.4
+
+
+def test_isolate_peak_below_int64_copy_of_labels():
+    # About 16% foreground, as in the speckle_512 benchmark workload: the
+    # sizes are counted from an int64 copy of the foreground's labels, so
+    # the peak grows with the foreground share, not with the raster.
+    rng = np.random.default_rng(512)
+    clean = render(ShapeSpec.square((255.5, 255.5), 200, fg=200, bg=50), 512, 512)
+    noisy = np.clip(np.rint(clean + rng.normal(0.0, 20.0, clean.shape)), 0, 255).astype(np.uint8)
+    u = rng.random(clean.shape)
+    noisy[u < 0.005] = 255
+    noisy[(u >= 0.005) & (u < 0.01)] = 0
+    mask = binarize(noisy)
+    assert ndimage.label(mask, structure=_FOUR_CONNECTED)[1] > 500
+    assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
+    # An int64 copy of the 512x512 labels alone would take 2 MiB.
+    assert _peak_mib(isolate_object, mask) < 2.0
