@@ -9,11 +9,11 @@ pairwise corner distance to zero and marks the set as degenerate for the
 classifier.  All choices resolve ties by scan order, so extraction is
 deterministic.
 
-The hull is that of each row's leftmost and rightmost foreground pixel.
-Those points are first pruned in numpy to the few that can be hull
-vertices, and only the survivors go through the monotone chain.  The
-corner search reduces the triangle areas over all vertex triples in
-blocks of at most ``_BLOCK`` values, with no Python loop per vertex.
+Every hull comes from one numpy routine, ``_convex_path``, which prunes
+a path of column extremes to the hull's vertices; the mask's hull is that
+of each row's leftmost and rightmost foreground pixel.  The corner search
+reduces the triangle areas over all vertex triples in blocks of at most
+``_BLOCK`` values, with no Python loop per vertex.
 """
 
 from __future__ import annotations
@@ -76,40 +76,57 @@ class HemisphereFit:
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Strictly convex hull (collinear points dropped), monotone chain.
+    """Strictly convex hull (collinear points dropped), by ``_convex_path``.
 
     Returns hull vertices in counterclockwise order starting from the
     lexicographically smallest point, with the input's dtype.  Degenerate
-    inputs yield fewer than three vertices.  Any point set is accepted;
-    ``build_features`` passes the pruned row extremes of its mask
-    (``_hull_candidates``), usually a few dozen points.
+    inputs yield fewer than three vertices.  Integer coordinates must span
+    less than 2**31, so that the turn test is exact; else ``ValueError``.
     """
     pts = np.unique(np.asarray(points), axis=0)  # sorts by x, then y
-    if len(pts) <= 2:
+    if len(pts) == 0:
         return pts
-    # A hull vertex is the lowest or highest point of its x column, so only
-    # the first and last point of each run of equal x can be one.
-    x = pts[:, 0]
-    extreme = np.ones(len(pts), dtype=bool)
-    extreme[1:-1] = (x[1:-1] != x[:-2]) | (x[1:-1] != x[2:])
-    candidates = pts[extreme].tolist()  # Python numbers: no numpy scalar math
+    if pts.dtype.kind in "iu":
+        span = max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+        if span >= 1 << 31:
+            raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
+    new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
+    lower = pts[np.r_[True, new]]
+    upper = pts[np.r_[new, True]][::-1]
+    return _convex_path(np.concatenate([lower, upper]), len(lower))
 
-    def half(iterable):
-        chain = []
-        for p in iterable:
-            while len(chain) >= 2:
-                ox, oy = chain[-2]
-                ax, ay = chain[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
 
-    lower = half(candidates)
-    upper = half(reversed(candidates))
-    return np.array(lower[:-1] + upper[:-1], dtype=pts.dtype)
+def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
+    """Vertices of the convex hull of a path of column extremes.
+
+    The path holds each column's lowest point, columns (the first
+    coordinate) ascending, then from ``path[split]`` each one's highest,
+    descending.  A point on or inside the segment joining its path
+    neighbours lies between it and its column's other extreme, so it is no
+    hull vertex (a one-point column is on the path twice; both copies drop
+    only between both chains).  All such points drop at once, until none
+    does; the last column's two points stay.  The rest, with a one-point
+    first or last column's copies merged, is the monotone chain's (Andrew
+    1979) output.  Integer turns are exact in int64 relative to ``path[0]``.
+    """
+    if path.dtype.kind in "iu":
+        work = path.astype(np.int64) - path[0].astype(np.int64)
+    else:
+        work = path.astype(np.float64)
+    while len(work) > 2:
+        ahead = work[2:] - work[:-2]
+        side = work[1:-1] - work[:-2]
+        keep = np.ones(len(work), dtype=bool)
+        keep[1:-1] = side[:, 0] * ahead[:, 1] > side[:, 1] * ahead[:, 0]
+        keep[split - 1:split + 1] = True
+        if keep.all():
+            break
+        split = int(np.count_nonzero(keep[:split]))
+        path, work = path[keep], work[keep]
+    keep = np.ones(len(path), dtype=bool)
+    keep[split] = (path[split] != path[split - 1]).any()
+    keep[-1] &= (path[-1] != path[0]).any()
+    return path[keep]
 
 
 def _cross_rows(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -353,35 +370,18 @@ def _row_extremes(mask: np.ndarray) -> np.ndarray:
     return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
 
 
-def _hull_candidates(mask: np.ndarray) -> np.ndarray:
-    """The row extremes of ``mask`` less points that cannot be hull vertices.
-
-    The left extremes, top to bottom, and then the right ones, bottom to
-    top, form one path around the object.  A point on or inside the
-    segment joining its two path neighbours lies between that segment and
-    the other extreme of its row, so it is no hull vertex.  (On a
-    one-pixel row the point is its own partner, but it is on the path
-    twice and both copies drop only if it lies between the two chains.)
-    The neighbours are original points, so all such points drop at once,
-    and the pass repeats until nothing drops.  The top and bottom row's
-    points are kept.  The convex hull of the result equals that of
-    ``_row_extremes(mask)``.
-    """
-    pts = _row_extremes(mask)
-    rows = len(pts) // 2
-    path = np.concatenate([pts[:rows], pts[rows:][::-1]])
-    bottom = rows  # path[bottom - 1] and path[bottom] are the bottom row's points
-    while len(path) > 2:
-        ahead = path[2:] - path[:-2]
-        side = path[1:-1] - path[:-2]
-        keep = np.ones(len(path), dtype=bool)
-        keep[1:-1] = ahead[:, 0] * side[:, 1] > ahead[:, 1] * side[:, 0]
-        keep[bottom - 1:bottom + 1] = True
-        if keep.all():
-            break
-        bottom = int(np.count_nonzero(keep[:bottom]))
-        path = path[keep]
-    return path
+def _mask_hull(mask: np.ndarray) -> np.ndarray:
+    """``convex_hull(_row_extremes(mask))`` without a sort: read as (y, x),
+    the left extremes and then the right ones reversed are a path for
+    ``_convex_path``.  Its clockwise result is reversed and rotated to
+    start at the smallest (x, y)."""
+    ends = _row_extremes(mask)
+    rows = len(ends) // 2
+    if rows == 0:
+        return ends
+    path = np.concatenate([ends[:rows], ends[rows:][::-1]])[:, ::-1]
+    hull = _convex_path(path, rows)[::-1, ::-1]
+    return np.roll(hull, -np.lexsort(hull.T[::-1])[0], axis=0)
 
 
 def build_features(mask: np.ndarray) -> FeatureVector:
@@ -394,7 +394,7 @@ def build_features(mask: np.ndarray) -> FeatureVector:
     # fewer than three pixels, so this is the count extract_corners would see.
     if area_px < 3:
         raise ValueError(_too_few_points(area_px))
-    corners = _corners_of_hull(convex_hull(_hull_candidates(mask)))
+    corners = _corners_of_hull(_mask_hull(mask))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,

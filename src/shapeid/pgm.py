@@ -164,13 +164,14 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 def check_image(image: np.ndarray) -> np.ndarray:
     """Return ``image`` as an array if it is a non-empty 2-D array of
-    integer intensities in 0..255, else raise ``ValueError``."""
+    integer intensities in 0..255, else raise ``ValueError``.  A ``uint8``
+    array is in range by its dtype, so only other dtypes are scanned."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"expected integer intensities, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() > 255:
+    if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("intensities must lie in [0, 255]")
     return arr
 

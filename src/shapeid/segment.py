@@ -56,15 +56,12 @@ def otsu_threshold(image: np.ndarray) -> int:
 
     Returns ``t`` such that foreground is ``intensity >= t``; variance ties
     resolve toward the lower threshold.  An image with a single distinct
-    intensity has no two classes to separate.  A ``uint8`` array is
-    counted as it is; any other input must pass ``pgm.check_image`` (a
-    non-empty 2-D array of integers in 0..255), else ``ValueError``.
-    The histogram is counted in pixel pairs (see the module docstring).
+    intensity has no two classes to separate.  The input must pass
+    ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
+    else ``ValueError``.  The histogram is counted in pixel pairs (see the
+    module docstring).
     """
-    img = np.asarray(image)
-    if img.dtype != np.uint8:
-        img = check_image(img)
-    hist = _histogram(img).astype(np.float64)
+    hist = _histogram(check_image(image)).astype(np.float64)
     if np.count_nonzero(hist) < 2:
         raise ValueError("degenerate histogram: single distinct intensity")
     weight = np.cumsum(hist)
@@ -113,12 +110,9 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     if count == 1:
         return m.copy()
     sizes = np.bincount(labels[m[box]], minlength=count + 1)[1:]
-    tied = np.flatnonzero(sizes == sizes.max()) + 1
-    if len(tied) == 1:
-        keep = tied[0]
-    else:
-        flat = labels.ravel()
-        keep = min(tied, key=lambda lab: int(np.argmax(flat == lab)))
+    # ndimage.label numbers the components in row-major order of their
+    # first pixel, so the first largest size is the earliest tied component.
+    keep = int(sizes.argmax()) + 1
     if labels.shape == m.shape:
         return labels == keep
     out = np.zeros_like(m)

@@ -1,13 +1,14 @@
-"""The pruned hull input and the blocked corner search against the code
-they replaced.
+"""The mask's hull and the blocked corner search against the code they
+replaced.
 
-``build_features`` prunes the mask's row extremes before the monotone
-chain (``_hull_candidates``), and ``_best_triangle_and_quad`` reduces the
+``build_features`` prunes the mask's row extremes to the hull's vertices
+with no sort (``_mask_hull``), and ``_best_triangle_and_quad`` reduces the
 h x h x h tensor of triangle areas in bounded blocks instead of looping
 over vertices.  Both must give the old results bit for bit, including
 which of several equal candidates wins.  The old per-vertex search is kept
-here verbatim as the oracle; the old hull input is
-``convex_hull(_row_extremes(mask))``.
+here verbatim as the oracle; the old hull is
+``convex_hull(_row_extremes(mask))``, and the old monotone chain is
+``old_convex_hull``.
 """
 
 import inspect
@@ -17,12 +18,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeid import ShapeSpec, convex_hull, render
 from shapeid import geometry
-from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _hull_candidates, _row_extremes
+from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _mask_hull, _row_extremes
+from test_hull_from_mask import old_convex_hull
 
 
 def old_best_triangle_and_quad(hull: np.ndarray):
@@ -175,21 +177,24 @@ def _rendered_masks(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mask=st.one_of(_rough_masks(), _rendered_masks()))
+@example(mask=np.zeros((3, 4), dtype=bool))
 def test_pruned_hull_matches_unpruned(mask):
-    pruned = convex_hull(_hull_candidates(mask))
+    pruned = _mask_hull(mask)
     unpruned = convex_hull(_row_extremes(mask))
     assert pruned.dtype == unpruned.dtype == np.int64
+    assert pruned.shape == unpruned.shape
     assert np.array_equal(pruned, unpruned)
+    every_pixel = np.argwhere(mask)[:, ::-1].astype(np.int64)
+    assert np.array_equal(pruned, convex_hull(every_pixel))
     if mask.any():
-        every_pixel = np.argwhere(mask)[:, ::-1].astype(np.int64)
-        assert np.array_equal(pruned, convex_hull(every_pixel))
+        assert np.array_equal(pruned, old_convex_hull(every_pixel))
 
 
 def test_pruning_keeps_only_few_points_of_a_long_edge():
     c = (127.5, 127.5)
     mask = render(ShapeSpec.rectangle(c, 120, 80, rotation=20.0), 256, 256) > 0
     assert len(_row_extremes(mask)) > 200
-    assert len(_hull_candidates(mask)) < 40
+    assert len(_mask_hull(mask)) < 40
 
 
 # Mutation checks: each fragment of geometry.py below is replaced by a
@@ -224,16 +229,26 @@ _MUTANT_MASKS = [
 
 @pytest.mark.parametrize("old, new", [
     # prune side flipped: drops the outer points and keeps the inner ones
-    ("ahead[:, 0] * side[:, 1] > ahead[:, 1] * side[:, 0]",
-     "ahead[:, 0] * side[:, 1] < ahead[:, 1] * side[:, 0]"),
-    # the bottom row left unpinned: a one-pixel bottom row drops from both
-    # chains in the same pass
-    ("keep[bottom - 1:bottom + 1] = True", "pass"),
+    ("side[:, 0] * ahead[:, 1] > side[:, 1] * ahead[:, 0]",
+     "side[:, 0] * ahead[:, 1] < side[:, 1] * ahead[:, 0]"),
+    # the last column left unpinned: a one-point last column drops from
+    # both chains in the same pass
+    ("keep[split - 1:split + 1] = True", "pass"),
+    # a one-point last column's two copies both kept
+    ("keep[split] = (path[split] != path[split - 1]).any()", "pass"),
+    # a one-point first column's two copies both kept
+    ("keep[-1] &= (path[-1] != path[0]).any()", "pass"),
 ])
 def test_prune_mutants_are_caught(old, new):
+    # Both callers of the prune must see the mistake: the mask's hull, and
+    # convex_hull on the same points against the old monotone chain.
     mutant = _mutant(old, new)
     assert any(
-        not np.array_equal(convex_hull(mutant["_hull_candidates"](m)), convex_hull(_row_extremes(m)))
+        not np.array_equal(mutant["_mask_hull"](m), convex_hull(_row_extremes(m)))
+        for m in _MUTANT_MASKS
+    )
+    assert any(
+        not np.array_equal(mutant["convex_hull"](_row_extremes(m)), old_convex_hull(_row_extremes(m)))
         for m in _MUTANT_MASKS
     )
 

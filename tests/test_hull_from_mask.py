@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from helpers import flood_components
 from shapeid import boundary, build_features, convex_hull, extract_corners, isolate_object
 from shapeid.geometry import _row_extremes, pairwise_distances, polygon_area
 
@@ -113,6 +114,37 @@ def test_convex_hull_keeps_float_and_int32_dtypes(pts):
         assert np.array_equal(hull, expected)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    pts=_point_sets().filter(lambda p: len(p) > 0),
+    scale32=st.integers(1, 2**14),
+    shift32=st.integers(-(2**20), 2**20),
+    scale64=st.integers(1, 2**23),
+    shift64=st.integers(-(2**29), 2**29),
+)
+def test_convex_hull_turns_are_exact_on_large_integers(pts, scale32, shift32, scale64, shift64):
+    # Products of the int32 differences reach 2**40, which wraps in int32,
+    # and those of the int64 ones 2**58; the chain on the int64 copy
+    # computes both exactly.
+    for dtype, scale, shift in ((np.int32, scale32, shift32), (np.int64, scale64, shift64)):
+        big = pts * scale + shift
+        hull = convex_hull(big.astype(dtype))
+        assert hull.dtype == dtype
+        assert np.array_equal(hull, old_convex_hull(big))
+
+
+def test_convex_hull_limits_the_integer_span():
+    n = 2**31 - 1
+    # (n - 1, n - 2) lies 1/n below the line from (0, 0) to (n, n - 1):
+    # a vertex that the cross products must not round away.
+    pts = np.array([[n, n - 1], [0, 0], [n - 1, n - 2], [0, 0]])
+    assert convex_hull(pts).tolist() == [[0, 0], [n - 1, n - 2], [n, n - 1]]
+    with pytest.raises(ValueError, match=r"span less than 2\*\*31, got 2147483648"):
+        convex_hull(pts + [[1, 0], [0, 0], [0, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"span less than 2\*\*31"):
+        convex_hull(np.array([[0, -(2**31)], [1, 2**31 - 1], [2, 0]], dtype=np.int32))
+
+
 @st.composite
 def _masks(draw, max_side=24):
     """Random masks: noise, or rectangles with rectangular holes cut out."""
@@ -182,6 +214,19 @@ def test_isolate_object_matches_whole_raster_labelling(mask):
         assert result.dtype == expected.dtype
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask=st.one_of(_masks(), _tied_masks()))
+def test_scipy_numbers_components_in_row_major_order(mask):
+    # isolate_object takes the first largest label as the earliest of tied
+    # components, which holds only while ndimage.label numbers them so.
+    labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
+    components = flood_components(mask)
+    assert count == len(components)
+    for number, component in enumerate(components, start=1):
+        ys, xs = np.array(component).T
+        assert (labels[ys, xs] == number).all()
 
 
 @pytest.mark.parametrize("pad", [0, 3])

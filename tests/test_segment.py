@@ -147,10 +147,13 @@ def test_isolate_never_grows_area():
         (np.array([[-1, 200]]), r"intensities must lie in \[0, 255\]"),
         (np.array([0, 200], dtype=np.int64), "expected a non-empty 2-D image"),
         (np.array([[False, True]]), "expected integer intensities, got dtype bool"),
+        (np.array([0, 200], dtype=np.uint8), "expected a non-empty 2-D image"),
+        (np.tile(np.array([0, 200], dtype=np.uint8), (4, 5, 3)), "expected a non-empty 2-D image"),
+        (np.array([[-1, 100]], dtype=np.int8), r"intensities must lie in \[0, 255\]"),
     ],
 )
 def test_otsu_rejects_off_contract_input(image, message):
-    # Only uint8 is counted as it is; anything else must pass check_image.
+    # Every input must pass check_image, uint8 included.
     with pytest.raises(ValueError, match=message):
         otsu_threshold(image)
     with pytest.raises(ValueError, match=message):
