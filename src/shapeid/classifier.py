@@ -52,16 +52,7 @@ class ShapeClass(Enum):
 
 
 #: The eight concrete classes in report order.
-TABLE_ORDER = (
-    ShapeClass.RECTANGLE,
-    ShapeClass.CYLINDER,
-    ShapeClass.KITE,
-    ShapeClass.SQUARE,
-    ShapeClass.RHOMBUS,
-    ShapeClass.HEMISPHERE,
-    ShapeClass.TRIANGLE,
-    ShapeClass.CONE,
-)
+TABLE_ORDER = tuple(cls for cls in ShapeClass if cls is not ShapeClass.UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -72,15 +63,15 @@ class Tolerances:
     area differences.  ``degen_eps`` is the pixel threshold below which the
     smallest corner distance marks a degenerate (three-corner) shape;
     ``None`` selects ``max(3, 0.05 * largest distance)`` per feature
-    vector.  ``align_eps`` is forwarded to the hemisphere corner-pair fit.
-    Both must be finite and positive: a NaN would fail every comparison
-    and silently switch its rule off.
+    vector; a set ``degen_eps`` must be finite and positive, because a NaN
+    would fail every comparison and silently switch its rule off.  The
+    hemisphere fit's alignment tolerance is the fixed
+    ``geometry.ALIGN_EPS``.
     """
 
     rel_eps: float = 0.05
     area_eps: float = 0.10
     degen_eps: float | None = None
-    align_eps: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.rel_eps < 0.5:
@@ -89,8 +80,6 @@ class Tolerances:
             raise ValueError(f"area_eps must be in (0, 0.5), got {self.area_eps}")
         if self.degen_eps is not None and not (math.isfinite(self.degen_eps) and self.degen_eps > 0):
             raise ValueError(f"degen_eps must be finite and positive, got {self.degen_eps}")
-        if not (math.isfinite(self.align_eps) and self.align_eps > 0):
-            raise ValueError(f"align_eps must be finite and positive, got {self.align_eps}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,7 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     diagonals_eq = _eq(diagonals[0], diagonals[1], tol.rel_eps)
     bulge_ok = bulge <= 1 + tol.area_eps
 
-    fit = fit_hemisphere(corners, tol.align_eps)
+    fit = fit_hemisphere(corners)
     half_disk_area = 0.5 * math.pi * fit.radius**2 if fit is not None else None
     hemisphere_match = fit is not None and _eq(
         area_px, half_disk_area, tol.area_eps

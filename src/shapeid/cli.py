@@ -19,14 +19,12 @@ import sys
 import time
 from pathlib import Path
 
-from .classifier import TABLE_ORDER, Tolerances
+from .classifier import Tolerances
 from .pgm import PgmParseError, load_pgm, write_pgm
 from .pipeline import StageError, classify_raster
 from .synth import corpus, render
 
 __all__ = ["main"]
-
-_SHAPE_NAMES = [cls.value.lower() for cls in TABLE_ORDER]
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -114,34 +112,28 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _corpus_spec(name: str, size: tuple[int, int]):
-    entries = dict(corpus(*size))
-    if name not in entries:
-        raise ValueError(f"unknown shape {name!r}; choose from {', '.join(_SHAPE_NAMES)} or 'corpus'")
-    return entries[name]
-
-
 def cmd_generate(args) -> int:
     size = args.size
+    out = Path(args.output)
     try:
+        specs = dict(corpus(*size))
         if args.shape == "corpus":
-            out_dir = Path(args.output)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for name, spec in corpus(*size):
-                path = out_dir / f"{name}.pgm"
-                path.write_bytes(write_pgm(render(spec, *size)))
-                print(f"wrote {path}")
-            return 0
-        spec = _corpus_spec(args.shape, size)
-        if args.bulge is not None:
-            spec = dataclasses.replace(spec, bulge=args.bulge)
-        if args.rotate is not None:
-            spec = dataclasses.replace(spec, rotation=args.rotate)
-        out = Path(args.output)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(write_pgm(render(spec, *size)))
-        print(f"wrote {out}")
+            targets = [(out / f"{name}.pgm", spec) for name, spec in specs.items()]
+        elif args.shape in specs:
+            spec = specs[args.shape]
+            if args.bulge is not None:
+                spec = dataclasses.replace(spec, bulge=args.bulge)
+            if args.rotate is not None:
+                spec = dataclasses.replace(spec, rotation=args.rotate)
+            targets = [(out, spec)]
+        else:
+            raise ValueError(
+                f"unknown shape {args.shape!r}; choose from {', '.join(specs)} or 'corpus'"
+            )
+        for path, spec in targets:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(write_pgm(render(spec, *size)))
+            print(f"wrote {path}")
         return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment import area
+from .segment import area, check_mask
 
 __all__ = [
     "FeatureVector",
@@ -45,6 +45,10 @@ CORNER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 #: ~2.0, capped rectangles ~1.8, half-disks ~1.30, capped triangles <=1.19,
 #: triangles ~1.0, so 1.22 splits the population at its widest gap.
 QUAD_GAIN = 1.22
+
+#: Largest x or y offset, in px, at which ``fit_hemisphere`` still counts
+#: a corner pair as axis-aligned.
+ALIGN_EPS = 2.0
 
 #: Most cross products the corner search holds at once (32 KiB of int64).
 _BLOCK = 4096
@@ -320,10 +324,10 @@ def polygon_area(corners: np.ndarray) -> float:
     return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
 
 
-def fit_hemisphere(corners: np.ndarray, align_eps: float = 2.0) -> HemisphereFit | None:
+def fit_hemisphere(corners: np.ndarray) -> HemisphereFit | None:
     """Fit a flat-edge center/radius from an axis-aligned corner pair.
 
-    Scans the six corner pairs for one aligned within ``align_eps`` px
+    Scans the six corner pairs for one aligned within ``ALIGN_EPS`` px
     along y (horizontal pair) or x (vertical pair) and keeps the widest;
     the center is the pair midpoint and the radius half its separation.
     Returns ``None`` when no pair qualifies.
@@ -333,9 +337,9 @@ def fit_hemisphere(corners: np.ndarray, align_eps: float = 2.0) -> HemisphereFit
     for i, j in CORNER_PAIRS:
         dx = abs(pts[i][0] - pts[j][0])
         dy = abs(pts[i][1] - pts[j][1])
-        if dy <= align_eps:
+        if dy <= ALIGN_EPS:
             axis = "horizontal"
-        elif dx <= align_eps:
+        elif dx <= ALIGN_EPS:
             axis = "vertical"
         else:
             continue
@@ -386,7 +390,8 @@ def _mask_hull(mask: np.ndarray) -> np.ndarray:
 
 def build_features(mask: np.ndarray) -> FeatureVector:
     """Corners of the mask's convex hull -> distances and areas for a
-    single-object mask."""
+    single-object mask; a mask that is not 2-D raises ``ValueError``."""
+    mask = check_mask(mask)
     area_px = area(mask)
     if area_px == 0:
         raise ValueError("no object: mask has no foreground pixels")

@@ -34,7 +34,9 @@ def classify_raster(
     """Check the input, binarize, isolate the largest object, extract
     features, classify."""
     try:
-        image = check_image(image)
+        # In range, so its uint8 copy thresholds the same and the later
+        # stages' own checks skip their range scans.
+        image = check_image(image).astype(np.uint8, copy=False)
     except ValueError as err:
         raise StageError("input", str(err)) from err
     try:

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .pgm import check_image
 
-__all__ = ["area", "binarize", "boundary", "isolate_object", "otsu_threshold"]
+__all__ = ["area", "binarize", "boundary", "check_mask", "isolate_object", "otsu_threshold"]
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -76,8 +76,11 @@ def otsu_threshold(image: np.ndarray) -> int:
 
 
 def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
-    """Foreground mask: ``intensity >= t`` with ``t`` fixed or from Otsu."""
-    img = np.asarray(image)
+    """Foreground mask: ``intensity >= t`` with ``t`` fixed or from Otsu.
+
+    The image must pass ``pgm.check_image`` for either method.
+    """
+    img = check_image(image)
     if isinstance(threshold, str):
         if threshold != "otsu":
             raise ValueError(f"unknown threshold method {threshold!r}")
@@ -89,17 +92,25 @@ def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
     return img >= t
 
 
+def check_mask(mask: np.ndarray) -> np.ndarray:
+    """``mask`` as a ``bool`` array if it is 2-D, else ``ValueError``."""
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D mask, got shape {m.shape}")
+    return m
+
+
 def isolate_object(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
     Only the bounding box of the foreground is labelled, and component
     sizes are counted over the foreground's labels alone (a label is
-    non-zero exactly there); the kept component is returned in a mask of
-    the input's shape.  Size ties resolve to the component whose first
-    pixel comes earliest in row-major order (the same order inside the box
-    as in the whole mask).
+    non-zero exactly there); the kept component is written into a new
+    ``bool`` mask of the input's shape.  Size ties resolve to the component
+    whose first pixel comes earliest in row-major order (the same order
+    inside the box as in the whole mask).
     """
-    m = np.asarray(mask, dtype=bool)
+    m = check_mask(mask)
     rows = np.flatnonzero(m.any(axis=1))
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
@@ -107,16 +118,14 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     cols = np.flatnonzero(m[top:bottom].any(axis=0))
     box = (slice(top, bottom), slice(cols[0], cols[-1] + 1))
     labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
-    if count == 1:
-        return m.copy()
-    sizes = np.bincount(labels[m[box]], minlength=count + 1)[1:]
-    # ndimage.label numbers the components in row-major order of their
-    # first pixel, so the first largest size is the earliest tied component.
-    keep = int(sizes.argmax()) + 1
-    if labels.shape == m.shape:
-        return labels == keep
-    out = np.zeros_like(m)
-    out[box] = labels == keep
+    keep = 1
+    if count > 1:
+        sizes = np.bincount(labels[m[box]], minlength=count + 1)[1:]
+        # ndimage.label numbers the components in row-major order of their
+        # first pixel, so the first largest size is the earliest tied one.
+        keep = int(sizes.argmax()) + 1
+    out = np.zeros(m.shape, dtype=bool)
+    np.equal(labels, keep, out=out[box])
     return out
 
 
@@ -126,7 +135,7 @@ def boundary(mask: np.ndarray) -> np.ndarray:
     Returns an (N, 2) integer array of (x, y) coordinates in row-major
     scan order.
     """
-    m = np.asarray(mask, dtype=bool)
+    m = check_mask(mask)
     if not m.any():
         raise ValueError("no object: mask has no foreground pixels")
     padded = np.pad(m, 1, constant_values=False)

@@ -26,7 +26,6 @@ _POLYGON_KINDS = (
     ShapeClass.KITE,
     ShapeClass.TRIANGLE,
 )
-_ROTATABLE = _POLYGON_KINDS
 _BULGED = (ShapeClass.CYLINDER, ShapeClass.CONE)
 
 
@@ -188,7 +187,7 @@ def _validate(spec: ShapeSpec, width: int, height: int) -> None:
             continue
         if value < 8:
             raise ValueError(f"{spec.kind.value} {name} must be >= 8 px, got {value}")
-    if spec.rotation != 0 and spec.kind not in _ROTATABLE:
+    if spec.rotation != 0 and spec.kind not in _POLYGON_KINDS:
         raise ValueError(f"rotation is not supported for {spec.kind.value}")
     if spec.kind in _BULGED:
         if spec.bulge <= 0:
@@ -214,8 +213,7 @@ def _validate(spec: ShapeSpec, width: int, height: int) -> None:
 
 
 def _fill_convex(vertices: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    pos = np.ones(xs.shape, dtype=bool)
-    neg = np.ones(xs.shape, dtype=bool)
+    pos = neg = True
     n = len(vertices)
     for i in range(n):
         x1, y1 = vertices[i]
@@ -236,7 +234,8 @@ def render(spec: ShapeSpec, width: int, height: int) -> np.ndarray:
     if width < 1 or height < 1:
         raise ValueError(f"raster dimensions must be >= 1, got {width}x{height}")
     _validate(spec, width, height)
-    ys, xs = np.mgrid[0:height, 0:width].astype(float)
+    # A (height, 1) column and a (1, width) row: every predicate broadcasts.
+    ys, xs = (a.astype(float) for a in np.ogrid[0:height, 0:width])
     cx, cy = spec.center
     kind = spec.kind
 

@@ -4,7 +4,10 @@ Cases: the eight reference shapes at 48-512 px, with the five polygon
 kinds rotated 0-85 degrees in 5 degree steps, each in both polarities
 (bright object on dark, and inverted).  Each line holds the case name and
 either the label, corners and evidence ``classify_raster`` returns, or the
-stage and message of the ``StageError`` it raises.
+stage and message of the ``StageError`` it raises.  Under ``"cli"`` it
+also holds what ``shapeid classify --json`` makes of the case written as a
+P5 file: the exit code, then the JSON report without its run-dependent
+``file`` and ``elapsed_ms`` fields, or the error text on stderr.
 
 Run it on two checkouts and compare the outputs with ``diff``:
 
@@ -18,14 +21,19 @@ pytest does not collect this file (its name does not start with ``test_``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from golden_features import _plain
-from shapeid import StageError, classify_raster, corpus, render
+from shapeid import StageError, classify_raster, corpus, render, write_pgm
+from shapeid.cli import main as cli_main
 
 SIZES = (48, 64, 96, 128, 192, 256, 384, 512)
 ANGLES = range(0, 90, 5)
@@ -59,9 +67,25 @@ def outcome(image: np.ndarray) -> dict:
     }
 
 
+def cli_outcome(image: np.ndarray, path: Path) -> dict:
+    """Exit code and output of ``shapeid classify --json`` on ``image``."""
+    path.write_bytes(write_pgm(image))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["classify", "--json", str(path)])
+    if code != 0:
+        return {"exit": code, "stderr": err.getvalue()}
+    report = json.loads(out.getvalue())
+    del report["file"], report["elapsed_ms"]
+    return {"exit": code, "report": report}
+
+
 def main() -> None:
-    for name, image in cases():
-        sys.stdout.write(json.dumps({"case": name, **outcome(image)}) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.pgm"
+        for name, image in cases():
+            line = {"case": name, **outcome(image), "cli": cli_outcome(image, path)}
+            sys.stdout.write(json.dumps(line) + "\n")
 
 
 if __name__ == "__main__":

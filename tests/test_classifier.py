@@ -116,11 +116,9 @@ def test_tolerance_validation():
         Tolerances(area_eps=0.0)
     with pytest.raises(ValueError):
         Tolerances(degen_eps=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(align_eps=0.0)
 
 
-@pytest.mark.parametrize("field", ["degen_eps", "align_eps"])
+@pytest.mark.parametrize("field", ["degen_eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_tolerances_reject_non_finite(field, value):
     # NaN compares false against every bound, so it used to slip through

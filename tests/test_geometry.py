@@ -113,7 +113,7 @@ def test_fit_hemisphere_none_for_rotated_rhombus():
     deltas = np.abs(rot[:, None, :] - rot[None, :, :])
     off_diag = ~np.eye(4, dtype=bool)
     assert (deltas[off_diag].min(axis=-1) > 2).all()  # no pair aligned on x or y
-    assert fit_hemisphere(rot, align_eps=2.0) is None
+    assert fit_hemisphere(rot) is None
 
 
 def test_fit_hemisphere_end_to_end_radius():

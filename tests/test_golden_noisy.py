@@ -18,7 +18,8 @@ def test_snapshot_covers_every_case():
 
 
 def test_noisy_hulls_are_large():
-    # Hull of the kept object's boundary, which is the pipeline's hull.
+    # Hull of the kept object's boundary: the same polygon as the hull
+    # build_features takes from the mask's row extremes.
     sizes = [len(convex_hull(boundary(isolate_object(binarize(image))))) for _, image in CASES]
     assert max(sizes) >= 50
     assert sum(30 <= s <= 55 for s in sizes) >= 12

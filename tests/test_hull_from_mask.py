@@ -213,6 +213,8 @@ def test_isolate_object_matches_whole_raster_labelling(mask):
     if expected is not None:
         assert result.dtype == expected.dtype
         assert result.shape == expected.shape
+        assert result.flags.c_contiguous
+        assert not np.shares_memory(result, mask)
         assert np.array_equal(result, expected)
 
 

@@ -38,6 +38,18 @@ def test_stage_error_names_the_stage(image, threshold, stage):
     assert str(err).startswith(f"{stage}: ")
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64])
+@pytest.mark.parametrize("threshold", ["otsu", 128])
+def test_in_range_integer_dtypes_classify_like_uint8(dtype, threshold):
+    for _, spec in corpus():
+        image = render(spec, 256, 256)
+        verdict, features = classify_raster(image.astype(dtype), threshold=threshold)
+        expected, expected_features = classify_raster(image, threshold=threshold)
+        assert verdict == expected
+        assert np.array_equal(features.corners, expected_features.corners)
+        assert features.distances == expected_features.distances
+
+
 def test_evidence_keys_same_for_every_label():
     unknown = np.zeros((128, 128), dtype=np.uint8)
     unknown[20:100, 20:50] = 255

@@ -9,6 +9,7 @@ from shapeid import (
     area,
     binarize,
     boundary,
+    build_features,
     isolate_object,
     otsu_threshold,
     render,
@@ -32,6 +33,18 @@ def test_binarize_fixed_is_monotone():
 def test_binarize_fixed_out_of_range(t):
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         binarize(np.zeros((2, 2), dtype=np.uint8), t)
+
+
+def test_binarize_fixed_checks_the_image():
+    # The fixed threshold used to compare any array and return a mask.
+    with pytest.raises(ValueError, match="expected integer intensities, got dtype float64"):
+        binarize(np.array([[0.5, 200.7]]), 100)
+
+
+@pytest.mark.parametrize("stage", [isolate_object, build_features, boundary])
+def test_mask_stages_reject_a_mask_that_is_not_2d(stage):
+    with pytest.raises(ValueError, match=r"expected a 2-D mask, got shape \(4, 5, 3\)"):
+        stage(np.ones((4, 5, 3), dtype=bool))
 
 
 def test_otsu_recovers_render_foreground():
@@ -71,6 +84,42 @@ def test_isolate_removes_speckles():
     expect = np.zeros_like(mask)
     expect[14:26, 14:26] = True
     assert np.array_equal(out, expect)
+    assert np.array_equal(out, largest_component_mask(mask))
+
+
+def _isolate_cases():
+    one = np.zeros((10, 12), dtype=bool)
+    one[2:7, 3:8] = True
+    # Several components whose bounding box is the whole raster.
+    whole = np.zeros((9, 11), dtype=bool)
+    whole[0, 0:3] = True
+    whole[3:7, 4:8] = True
+    whole[8, 7:11] = True
+    whole[5, 0] = True
+    # Several components inside a box that leaves a margin.
+    partial = np.zeros((12, 14), dtype=bool)
+    partial[2:5, 3:6] = True
+    partial[7:10, 6:11] = True
+    partial[9, 3] = True
+    return {"one_component": one, "whole_box": whole, "partial_box": partial}
+
+
+_ISOLATE_FORMS = {
+    "bool": lambda m: m,
+    "uint8": lambda m: m.astype(np.uint8) * 7,
+    "transposed": lambda m: m.T,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_ISOLATE_FORMS))
+@pytest.mark.parametrize("case", sorted(_isolate_cases()))
+def test_isolate_returns_a_fresh_contiguous_bool_mask(case, form):
+    mask = _ISOLATE_FORMS[form](_isolate_cases()[case])
+    out = isolate_object(mask)
+    assert out.dtype == bool
+    assert out.shape == mask.shape
+    assert out.flags.c_contiguous
+    assert not np.shares_memory(out, mask)
     assert np.array_equal(out, largest_component_mask(mask))
 
 
