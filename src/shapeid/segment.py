@@ -4,10 +4,13 @@ All connectivity is 4-connected, for components and boundaries alike, so
 diagonal speckle never bridges into the object.
 
 Both counting steps avoid a per-pixel ``int64`` copy.  The Otsu histogram
-counts the pixels two at a time, as ``uint16`` pairs, into one ``int32``
-table of 65,536 bins, and folds its row and column sums into the 256-bin
-histogram.  Component sizes are counted over the foreground's labels
-only, not over the background zeros around them.
+of a two-level image (every pixel at its minimum or its maximum, as in a
+clean render) is counted by comparing the pixels with those two levels,
+block by block.  An image with a third level is counted two pixels at a
+time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
+row and column sums fold into the 256-bin histogram.  Component sizes are
+counted into an ``int64`` table from the foreground's labels only, not
+from the background zeros around them.
 """
 
 from __future__ import annotations
@@ -26,15 +29,47 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 #: no bin, row sum or column sum of the table can overflow.
 _PAIRS_PER_PASS = 1 << 29
 
+#: Most pixels one comparison of the two-level count covers, so that its
+#: ``bool`` buffer stays at 64 KiB whatever the image's size.
+_COMPARE_BLOCK = 1 << 16
+
+
+def _two_level_histogram(flat: np.ndarray) -> np.ndarray | None:
+    """Histogram of ``flat`` if every pixel is its minimum or maximum, else ``None``.
+
+    Gives up at the first block holding a third level.
+    """
+    lo, hi = flat.min(), flat.max()
+    hist = np.zeros(256, dtype=np.int64)
+    if lo == hi:
+        hist[lo] = len(flat)
+        return hist
+    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
+    for start in range(0, len(flat), _COMPARE_BLOCK):
+        block = flat[start:start + _COMPARE_BLOCK]
+        out = equal[:len(block)]
+        lows = np.count_nonzero(np.equal(block, lo, out=out))
+        highs = np.count_nonzero(np.equal(block, hi, out=out))
+        if lows + highs != len(block):
+            return None
+        hist[lo] += lows
+        hist[hi] += highs
+    return hist
+
 
 def _histogram(image: np.ndarray) -> np.ndarray:
     """Counts of the intensities 0..255 of a ``uint8``-castable image.
 
-    Pixel pairs ``(a, b)``, viewed as one ``uint16``, are counted into a
-    256x256 table; ``a`` is the table's row or column depending on byte
-    order, so adding both axis sums counts each pixel once either way.
+    A two-level image is counted by comparison (``_two_level_histogram``).
+    Otherwise pixel pairs ``(a, b)``, viewed as one ``uint16``, are counted
+    into a 256x256 table; ``a`` is the table's row or column depending on
+    byte order, so adding both axis sums counts each pixel once either way.
     """
     flat = np.ascontiguousarray(image, dtype=np.uint8).ravel()
+    # The comparison buffer is freed on return, before the pair table exists.
+    hist = _two_level_histogram(flat)
+    if hist is not None:
+        return hist
     hist = np.zeros(256, dtype=np.int64)
     pairs = flat[: len(flat) - len(flat) % 2].view(np.uint16)
     table = np.zeros(65536, dtype=np.int32)
@@ -120,10 +155,13 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
     keep = 1
     if count > 1:
-        sizes = np.bincount(labels[m[box]], minlength=count + 1)[1:]
+        # add.at indexes with the int32 labels as they are; bincount
+        # would first copy them to intp.
+        sizes = np.zeros(count + 1, dtype=np.int64)
+        np.add.at(sizes, labels[m[box]], np.int64(1))
         # ndimage.label numbers the components in row-major order of their
         # first pixel, so the first largest size is the earliest tied one.
-        keep = int(sizes.argmax()) + 1
+        keep = int(sizes[1:].argmax()) + 1
     out = np.zeros(m.shape, dtype=bool)
     np.equal(labels, keep, out=out[box])
     return out

@@ -2,7 +2,11 @@
 
 Cases: the eight reference shapes at 48-512 px, with the five polygon
 kinds rotated 0-85 degrees in 5 degree steps, each in both polarities
-(bright object on dark, and inverted).  Each line holds the case name and
+(bright object on dark, and inverted); the eight shapes at 128-512 px
+with seeded Gaussian noise plus salt and pepper, whose third and further
+grey levels send Otsu's histogram through the pixel-pair count; and two
+images each stage must reject, a constant one (no threshold) and a
+two-pixel object (too few points for corners).  Each line holds the case name and
 either the label, corners and evidence ``classify_raster`` returns, or the
 stage and message of the ``StageError`` it raises.  Under ``"cli"`` it
 also holds what ``shapeid classify --json`` makes of the case written as a
@@ -38,6 +42,16 @@ from shapeid.cli import main as cli_main
 SIZES = (48, 64, 96, 128, 192, 256, 384, 512)
 ANGLES = range(0, 90, 5)
 _POLYGONS = ("rectangle", "square", "rhombus", "kite", "triangle")
+SPECKLE_SIZES = (128, 256, 512)
+
+
+def _speckled(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``image`` plus Gaussian noise (sigma 20), then 0.5% each of salt and pepper."""
+    noisy = np.clip(np.rint(image + rng.normal(0.0, 20.0, image.shape)), 0, 255).astype(np.uint8)
+    u = rng.random(image.shape)
+    noisy[u < 0.005] = 255
+    noisy[(u >= 0.005) & (u < 0.01)] = 0
+    return noisy
 
 
 def cases():
@@ -52,6 +66,15 @@ def cases():
             image = render(spec, size, size)
             yield f"{name}/{size}", image
             yield f"{name}/{size}/inverted", 255 - image
+    for size in SPECKLE_SIZES:
+        rng = np.random.default_rng(size)
+        for name, spec in corpus(size, size):
+            yield f"{name}/{size}/speckled", _speckled(render(spec, size, size), rng)
+    constant = np.full((64, 64), 40, dtype=np.uint8)
+    yield "constant/64", constant
+    two_pixels = constant.copy()
+    two_pixels[30, 30:32] = 200
+    yield "two-pixel/64", two_pixels
 
 
 def outcome(image: np.ndarray) -> dict:

@@ -1,8 +1,9 @@
 """The segment layer's counting steps against the code they replaced.
 
-``otsu_threshold`` counts its histogram from ``uint16`` pixel pairs into
-an ``int32`` table, and ``isolate_object`` counts component sizes over
-the foreground's labels only.  Each is checked here against the previous
+``otsu_threshold`` counts a two-level image's histogram by comparison
+and any other image's from ``uint16`` pixel pairs into an ``int32``
+table, and ``isolate_object`` counts component sizes over the
+foreground's labels only.  Each is checked here against the previous
 whole-array ``bincount``, kept verbatim as the oracle, and against the
 memory it was rewritten to save.
 """
@@ -229,3 +230,78 @@ def test_isolate_peak_below_int64_copy_of_labels():
     assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
     # An int64 copy of the 512x512 labels alone would take 2 MiB.
     assert _peak_mib(isolate_object, mask) < 2.0
+
+
+@pytest.mark.parametrize("size", [256, 1024, 2048])
+def test_otsu_peak_on_a_third_level_stays_flat(size):
+    # One pixel of a third level in the last block: the comparison count
+    # runs to the end, gives up, and the pair count runs after it.
+    image = np.full((size, size), 30, dtype=np.uint8)
+    image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
+    image[-1, -1] = 200
+    assert otsu_threshold(image) == old_otsu_threshold(image) == 31
+    # The pair table and numpy's cast buffer took 0.320 MiB; the 64 KiB
+    # comparison buffer, if still alive next to them, would make 0.383.
+    assert _peak_mib(otsu_threshold, image) < 0.35
+
+
+@pytest.mark.parametrize("size", [256, 1024, 2048])
+def test_two_level_otsu_allocates_no_pair_table(size):
+    image = np.full((size, size), 30, dtype=np.uint8)
+    image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
+    # The 64 KiB comparison buffer only; the pair table alone is 0.25 MiB.
+    assert _peak_mib(otsu_threshold, image) < 0.1
+
+
+_BLOCK = segment._COMPARE_BLOCK
+
+
+@st.composite
+def _block_images(draw):
+    """Constant and two-level images of up to three comparison blocks, some
+    with one odd pixel in the first block, the last block or at a block edge."""
+    n = draw(st.one_of(
+        st.sampled_from([1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]),
+        st.integers(1, 3 * _BLOCK),
+    ))
+    layout = draw(st.sampled_from(["row", "column", "rect"]))
+    if layout == "rect":
+        width = draw(st.sampled_from([w for w in (2, 3, 7, 256) if n % w == 0] or [1]))
+        shape = (n // width, width)
+    else:
+        shape = (1, n) if layout == "row" else (n, 1)
+    low, high = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0]))
+    flat = np.where(rng.random(n) < share, high, low).astype(np.uint8)
+    where = draw(st.sampled_from(["none", "first", "last", "edge"]))
+    if where != "none":
+        if where == "first":
+            at = draw(st.integers(0, min(n, _BLOCK) - 1))
+        elif where == "last":
+            at = draw(st.integers((n - 1) // _BLOCK * _BLOCK, n - 1))
+        else:
+            at = min(n - 1, _BLOCK * draw(st.integers(1, 3)) + draw(st.integers(-1, 0)))
+        flat[at] = draw(st.integers(0, 255))
+    return flat.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(image=_block_images())
+def test_comparison_count_matches_bincount(image):
+    for view in _views(image):
+        hist = segment._histogram(view)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, old_histogram(view))
+
+
+def test_isolate_peak_with_a_large_foreground_share():
+    # 44% foreground: 15% random speckle plus a 300x300 block.  Sizes are
+    # counted from the int32 labels without an intp copy; the count
+    # through bincount peaked at 2.47 MiB here, this one at 1.66 MiB.
+    rng = np.random.default_rng(44)
+    mask = rng.random((512, 512)) < 0.15
+    mask[106:406, 106:406] = True
+    assert 0.43 < mask.mean() < 0.45
+    assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
+    assert _peak_mib(isolate_object, mask) < 1.8
