@@ -9,11 +9,13 @@ pairwise corner distance to zero and marks the set as degenerate for the
 classifier.  All choices resolve ties by scan order, so extraction is
 deterministic.
 
-Every hull comes from one numpy routine, ``_convex_path``, which prunes
-a path of column extremes to the hull's vertices; the mask's hull is that
-of each row's leftmost and rightmost foreground pixel.  The corner search
-reduces the triangle areas over all vertex triples in blocks of at most
-``_BLOCK`` values, with no Python loop per vertex.
+Features are computed from an object's row spans (``segment.Spans``):
+its pixel area is their total count, and its hull is that of each row's
+first and last pixel.  Every hull comes from one numpy routine,
+``_convex_path``, which prunes a path of column extremes to the hull's
+vertices.  The corner search reduces the triangle areas over all vertex
+triples in blocks of at most ``_BLOCK`` values, with no Python loop per
+vertex.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment import area, check_mask
+from .segment import Spans, row_spans
 
 __all__ = [
     "FeatureVector",
@@ -31,6 +33,7 @@ __all__ = [
     "build_features",
     "convex_hull",
     "extract_corners",
+    "features_of_spans",
     "fit_hemisphere",
     "merge_close_points",
     "pairwise_distances",
@@ -353,53 +356,31 @@ def fit_hemisphere(corners: np.ndarray) -> HemisphereFit | None:
     return None if best is None else best[1]
 
 
-def _row_extremes(mask: np.ndarray) -> np.ndarray:
-    """Leftmost then rightmost foreground pixel of every non-empty row.
+def _span_hull(spans: Spans) -> np.ndarray:
+    """Convex hull of the spans' end pixels, which is the hull of all their
+    pixels, in ``convex_hull``'s order and as ``int64``.
 
-    Returns a (2R, 2) int64 array of (x, y) coordinates for R non-empty
-    rows (a one-pixel row appears twice).  Its convex hull is the hull of
-    the whole mask, and of ``boundary(mask)``.  The ``argmax`` passes see
-    only the columns between the foreground's first and last.
+    Read as (y, x), the first columns top to bottom and then the last
+    columns bottom to top are a path for ``_convex_path``, with no sort.
+    Its clockwise result is reversed and rotated to start at the smallest
+    (x, y).
     """
-    m = np.asarray(mask, dtype=bool)
-    ys = np.flatnonzero(m.any(axis=1))
-    if len(ys) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    cols = np.flatnonzero(m[ys[0]:ys[-1] + 1].any(axis=0))
-    left, right = cols[0], cols[-1] + 1
-    rows = m[ys, left:right]
-    first = left + rows.argmax(axis=1)
-    last = right - 1 - rows[:, ::-1].argmax(axis=1)
-    xs = np.concatenate([first, last])
-    return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
-
-
-def _mask_hull(mask: np.ndarray) -> np.ndarray:
-    """``convex_hull(_row_extremes(mask))`` without a sort: read as (y, x),
-    the left extremes and then the right ones reversed are a path for
-    ``_convex_path``.  Its clockwise result is reversed and rotated to
-    start at the smallest (x, y)."""
-    ends = _row_extremes(mask)
-    rows = len(ends) // 2
-    if rows == 0:
-        return ends
-    path = np.concatenate([ends[:rows], ends[rows:][::-1]])[:, ::-1]
-    hull = _convex_path(path, rows)[::-1, ::-1]
+    ys = np.concatenate([spans.ys, spans.ys[::-1]])
+    xs = np.concatenate([spans.first, spans.last[::-1]])
+    hull = _convex_path(np.column_stack([ys, xs]).astype(np.int64, copy=False), len(spans.ys))[::-1, ::-1]
     return np.roll(hull, -np.lexsort(hull.T[::-1])[0], axis=0)
 
 
-def build_features(mask: np.ndarray) -> FeatureVector:
-    """Corners of the mask's convex hull -> distances and areas for a
-    single-object mask; a mask that is not 2-D raises ``ValueError``."""
-    mask = check_mask(mask)
-    area_px = area(mask)
-    if area_px == 0:
-        raise ValueError("no object: mask has no foreground pixels")
-    # boundary(mask) has fewer than three points exactly when the mask has
-    # fewer than three pixels, so this is the count extract_corners would see.
+def features_of_spans(spans: Spans) -> FeatureVector:
+    """Corners of the convex hull of one object's ``Spans`` -> distances
+    and areas; ``area_px`` is the spans' pixel count."""
+    area_px = int(spans.count.sum())
+    # boundary() of these pixels has fewer than three points exactly when
+    # there are fewer than three pixels, so this is the count
+    # extract_corners would see.
     if area_px < 3:
         raise ValueError(_too_few_points(area_px))
-    corners = _corners_of_hull(_mask_hull(mask))
+    corners = _corners_of_hull(_span_hull(spans))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,
@@ -408,3 +389,10 @@ def build_features(mask: np.ndarray) -> FeatureVector:
         area_px=area_px,
         poly_area=polygon_area(corners),
     )
+
+
+def build_features(mask: np.ndarray) -> FeatureVector:
+    """``features_of_spans`` of the mask's non-empty rows, for a
+    single-object mask; a mask that is not 2-D or has no foreground raises
+    ``ValueError``."""
+    return features_of_spans(row_spans(mask))

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .classifier import Tolerances, Verdict, classify
-from .geometry import FeatureVector, build_features
+from .geometry import FeatureVector, features_of_spans
 from .pgm import check_image
-from .segment import binarize, isolate_object
+from .segment import binarize, object_spans
 
 __all__ = ["StageError", "classify_raster"]
 
@@ -31,8 +31,8 @@ def classify_raster(
     tol: Tolerances | None = None,
     threshold="otsu",
 ) -> tuple[Verdict, FeatureVector]:
-    """Check the input, binarize, isolate the largest object, extract
-    features, classify."""
+    """Check the input, binarize, take the largest object's row spans,
+    extract features, classify."""
     try:
         # In range, so its uint8 copy thresholds the same and the later
         # stages' own checks skip their range scans.
@@ -40,11 +40,11 @@ def classify_raster(
     except ValueError as err:
         raise StageError("input", str(err)) from err
     try:
-        mask = isolate_object(binarize(image, threshold))
+        spans = object_spans(binarize(image, threshold))
     except ValueError as err:
         raise StageError("segmentation", str(err)) from err
     try:
-        features = build_features(mask)
+        features = features_of_spans(spans)
     except ValueError as err:
         raise StageError("feature extraction", str(err)) from err
     return classify(features, tol), features

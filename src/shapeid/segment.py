@@ -3,10 +3,19 @@
 All connectivity is 4-connected, for components and boundaries alike, so
 diagonal speckle never bridges into the object.
 
+The pipeline takes the object as row spans (``Spans``: each row's first
+and last column and its pixel count), not as a mask.  ``object_spans``
+proves from the spans alone that the foreground is one component when
+every row of its bounding box is one run overlapping the next, and labels
+the box only when that proof fails.  ``isolate_object`` always labels,
+and returns the kept component as a mask.
+
 Both counting steps avoid a per-pixel ``int64`` copy.  The Otsu histogram
 of a two-level image (every pixel at its minimum or its maximum, as in a
 clean render) is counted by comparing the pixels with those two levels,
-block by block.  An image with a third level is counted two pixels at a
+block by block; the first block is checked against its own levels before
+the image's extremes are scanned, so most images with a third level are
+turned away after one block.  An image with a third level is counted two pixels at a
 time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
 row and column sums fold into the 256-bin histogram.  Component sizes are
 counted into an ``int64`` table from the foreground's labels only, not
@@ -15,12 +24,24 @@ from the background zeros around them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import ndimage
 
 from .pgm import check_image
 
-__all__ = ["area", "binarize", "boundary", "check_mask", "isolate_object", "otsu_threshold"]
+__all__ = [
+    "Spans",
+    "area",
+    "binarize",
+    "boundary",
+    "check_mask",
+    "isolate_object",
+    "object_spans",
+    "otsu_threshold",
+    "row_spans",
+]
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -37,19 +58,36 @@ _COMPARE_BLOCK = 1 << 16
 def _two_level_histogram(flat: np.ndarray) -> np.ndarray | None:
     """Histogram of ``flat`` if every pixel is its minimum or maximum, else ``None``.
 
-    Gives up at the first block holding a third level.
+    The first block is checked against its own levels before the whole
+    image's minimum and maximum are taken, so an image with a third level
+    there costs one block's scans.  Gives up at the first block holding a
+    third level.
     """
+    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
+
+    def counts(block, lo, hi):
+        out = equal[:len(block)]
+        return np.count_nonzero(np.equal(block, lo, out=out)), np.count_nonzero(np.equal(block, hi, out=out))
+
+    head = flat[:_COMPARE_BLOCK]
+    head_lo, head_hi = head.min(), head.max()
+    lows, highs = counts(head, head_lo, head_hi) if head_lo < head_hi else (len(head), 0)
+    if lows + highs != len(head):
+        return None
     lo, hi = flat.min(), flat.max()
+    # A level of the first block strictly between the image's extremes is
+    # a third level, even if every later block holds only those two.
+    if head_lo not in (lo, hi) or head_hi not in (lo, hi):
+        return None
     hist = np.zeros(256, dtype=np.int64)
     if lo == hi:
         hist[lo] = len(flat)
         return hist
-    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
-    for start in range(0, len(flat), _COMPARE_BLOCK):
+    hist[head_lo] += lows
+    hist[head_hi] += highs
+    for start in range(_COMPARE_BLOCK, len(flat), _COMPARE_BLOCK):
         block = flat[start:start + _COMPARE_BLOCK]
-        out = equal[:len(block)]
-        lows = np.count_nonzero(np.equal(block, lo, out=out))
-        highs = np.count_nonzero(np.equal(block, hi, out=out))
+        lows, highs = counts(block, lo, hi)
         if lows + highs != len(block):
             return None
         hist[lo] += lows
@@ -135,23 +173,57 @@ def check_mask(mask: np.ndarray) -> np.ndarray:
     return m
 
 
-def isolate_object(mask: np.ndarray) -> np.ndarray:
-    """Keep only the largest 4-connected foreground component.
+class Spans(NamedTuple):
+    """Foreground rows ``ys``, top to bottom, with each row's ``first`` and
+    ``last`` foreground column and its pixel ``count`` (all ``intp``)."""
 
-    Only the bounding box of the foreground is labelled, and component
-    sizes are counted over the foreground's labels alone (a label is
-    non-zero exactly there); the kept component is written into a new
-    ``bool`` mask of the input's shape.  Size ties resolve to the component
-    whose first pixel comes earliest in row-major order (the same order
-    inside the box as in the whole mask).
-    """
-    m = check_mask(mask)
+    ys: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    count: np.ndarray
+
+
+def _foreground_box(m: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """The non-empty rows of ``m`` and its foreground's bounding box."""
     rows = np.flatnonzero(m.any(axis=1))
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
     top, bottom = rows[0], rows[-1] + 1
     cols = np.flatnonzero(m[top:bottom].any(axis=0))
-    box = (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+    return rows, (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+
+
+def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last ``True`` column of each row of a 2-D ``bool`` array;
+    an empty row reads as the first and the last column."""
+    return rows.argmax(axis=1), rows.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
+
+
+def _spans(ys: np.ndarray, rows: np.ndarray, left) -> Spans:
+    """``Spans`` of ``rows``, the non-empty rows ``ys`` of a mask cropped to
+    start at column ``left``."""
+    first, last = _row_ends(rows)
+    # An intp total keeps no int copy of the rows.
+    count = np.add.reduce(rows, axis=1, dtype=np.intp)
+    return Spans(ys, left + first, left + last, count)
+
+
+def row_spans(mask: np.ndarray) -> Spans:
+    """``Spans`` of every non-empty row of a mask, whatever its components."""
+    m = check_mask(mask)
+    ys, (_, cols) = _foreground_box(m)
+    return _spans(ys, m[ys, cols], cols.start)
+
+
+def _label_largest(m: np.ndarray, box: tuple[slice, slice]) -> tuple[np.ndarray, int]:
+    """Labels of ``m[box]``, the foreground's bounding box, and the label
+    of its largest 4-connected component.
+
+    Component sizes are counted over the foreground's labels alone (a label
+    is non-zero exactly there).  Size ties resolve to the component whose
+    first pixel comes earliest in row-major order (the same order inside
+    the box as in the whole mask).
+    """
     labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
     keep = 1
     if count > 1:
@@ -162,9 +234,66 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
         # ndimage.label numbers the components in row-major order of their
         # first pixel, so the first largest size is the earliest tied one.
         keep = int(sizes[1:].argmax()) + 1
+    return labels, keep
+
+
+def isolate_object(mask: np.ndarray) -> np.ndarray:
+    """Keep only the largest 4-connected foreground component.
+
+    Only the bounding box of the foreground is labelled; the kept
+    component is written into a new ``bool`` mask of the input's shape.
+    Size ties resolve to the component whose first pixel comes earliest in
+    row-major order.
+    """
+    m = check_mask(mask)
+    _, box = _foreground_box(m)
+    labels, keep = _label_largest(m, box)
     out = np.zeros(m.shape, dtype=bool)
     np.equal(labels, keep, out=out[box])
     return out
+
+
+def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_row_ends`` of a 2-D ``bool`` array if each of its rows is one run,
+    else ``None``.  A row's count is at most the width of its span, so the
+    totals are equal only if every row's are (an empty row reads as a span
+    of the whole width)."""
+    first, last = _row_ends(rows)
+    if np.count_nonzero(rows) != np.sum(last - first + 1):
+        return None
+    return first, last
+
+
+def object_spans(mask: np.ndarray) -> Spans:
+    """``Spans`` of the largest 4-connected foreground component, the
+    object ``isolate_object`` keeps.
+
+    The foreground is proved to be one component, without labelling it,
+    when its bounding box has no empty row, every row is one run, and each
+    run overlaps the columns of the next.  An empty row, or a first or last
+    row of several runs, rejects the proof before the other rows are read.
+    Otherwise the box is labelled and the spans are read from the kept
+    label, cropped to its own rows and columns; no mask of the input's
+    shape is made.
+    """
+    m = check_mask(mask)
+    rows, box = _foreground_box(m)
+    top, left = box[0].start, box[1].start
+    # The empty-row and end-row tests only reject early: the whole box's
+    # test below fails on either.
+    if len(rows) == box[0].stop - top and _run_ends(m[rows[[0, -1]], box[1]]):
+        ends = _run_ends(m[box])
+        if ends:
+            first, last = ends
+            if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
+                return Spans(rows, left + first, left + last, last - first + 1)
+    labels, keep = _label_largest(m, box)
+    kept = labels == keep
+    del labels  # freed before the spans are read
+    ys = np.flatnonzero(kept.any(axis=1))
+    xs = np.flatnonzero(kept.any(axis=0))
+    # One component: every row between its first and last is non-empty.
+    return _spans(top + ys, kept[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1], left + xs[0])
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""The mask's hull and the blocked corner search against the code they
+"""The spans' hull and the blocked corner search against the code they
 replaced.
 
-``build_features`` prunes the mask's row extremes to the hull's vertices
-with no sort (``_mask_hull``), and ``_best_triangle_and_quad`` reduces the
-h x h x h tensor of triangle areas in bounded blocks instead of looping
-over vertices.  Both must give the old results bit for bit, including
-which of several equal candidates wins.  The old per-vertex search is kept
-here verbatim as the oracle; the old hull is
-``convex_hull(_row_extremes(mask))``, and the old monotone chain is
+The features prune the ends of an object's row spans to the hull's
+vertices with no sort (``_span_hull``), and ``_best_triangle_and_quad``
+reduces the h x h x h tensor of triangle areas in bounded blocks instead
+of looping over vertices.  Both must give the old results bit for bit,
+including which of several equal candidates wins.  The old per-vertex
+search is kept here verbatim as the oracle; the old hull is
+``convex_hull(old_row_extremes(mask))``, and the old monotone chain is
 ``old_convex_hull``.
 """
 
@@ -23,8 +23,9 @@ from hypothesis.extra.numpy import arrays
 
 from shapeid import ShapeSpec, convex_hull, render
 from shapeid import geometry
-from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _mask_hull, _row_extremes
-from test_hull_from_mask import old_convex_hull
+from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _span_hull
+from shapeid.segment import row_spans
+from test_hull_from_mask import old_convex_hull, old_row_extremes
 
 
 def old_best_triangle_and_quad(hull: np.ndarray):
@@ -179,22 +180,26 @@ def _rendered_masks(draw):
 @given(mask=st.one_of(_rough_masks(), _rendered_masks()))
 @example(mask=np.zeros((3, 4), dtype=bool))
 def test_pruned_hull_matches_unpruned(mask):
-    pruned = _mask_hull(mask)
-    unpruned = convex_hull(_row_extremes(mask))
+    unpruned = convex_hull(old_row_extremes(mask))
+    if not mask.any():
+        assert len(unpruned) == 0
+        with pytest.raises(ValueError, match="no object"):
+            row_spans(mask)
+        return
+    pruned = _span_hull(row_spans(mask))
     assert pruned.dtype == unpruned.dtype == np.int64
     assert pruned.shape == unpruned.shape
     assert np.array_equal(pruned, unpruned)
     every_pixel = np.argwhere(mask)[:, ::-1].astype(np.int64)
     assert np.array_equal(pruned, convex_hull(every_pixel))
-    if mask.any():
-        assert np.array_equal(pruned, old_convex_hull(every_pixel))
+    assert np.array_equal(pruned, old_convex_hull(every_pixel))
 
 
 def test_pruning_keeps_only_few_points_of_a_long_edge():
     c = (127.5, 127.5)
     mask = render(ShapeSpec.rectangle(c, 120, 80, rotation=20.0), 256, 256) > 0
-    assert len(_row_extremes(mask)) > 200
-    assert len(_mask_hull(mask)) < 40
+    assert len(row_spans(mask).ys) > 100
+    assert len(_span_hull(row_spans(mask))) < 40
 
 
 # Mutation checks: each fragment of geometry.py below is replaced by a
@@ -240,15 +245,15 @@ _MUTANT_MASKS = [
     ("keep[-1] &= (path[-1] != path[0]).any()", "pass"),
 ])
 def test_prune_mutants_are_caught(old, new):
-    # Both callers of the prune must see the mistake: the mask's hull, and
+    # Both callers of the prune must see the mistake: the spans' hull, and
     # convex_hull on the same points against the old monotone chain.
     mutant = _mutant(old, new)
     assert any(
-        not np.array_equal(mutant["_mask_hull"](m), convex_hull(_row_extremes(m)))
+        not np.array_equal(mutant["_span_hull"](row_spans(m)), convex_hull(old_row_extremes(m)))
         for m in _MUTANT_MASKS
     )
     assert any(
-        not np.array_equal(mutant["convex_hull"](_row_extremes(m)), old_convex_hull(_row_extremes(m)))
+        not np.array_equal(mutant["convex_hull"](old_row_extremes(m)), old_convex_hull(old_row_extremes(m)))
         for m in _MUTANT_MASKS
     )
 

@@ -1,9 +1,10 @@
 """The hull-from-mask pipeline against the whole-mask code it replaced.
 
-``classify_raster`` takes the convex hull from each row's extreme pixels
-instead of from ``boundary()``, thins the hull's input to column extremes,
-and labels only the foreground's bounding box.  Each rewrite is checked
-here against the previous implementation, kept verbatim as the oracle.
+``classify_raster`` takes the convex hull from the ends of each row's
+span instead of from ``boundary()``, thins the hull's input to column
+extremes, and labels only the foreground's bounding box.  Each rewrite is
+checked here against the previous implementation, kept verbatim as the
+oracle; ``old_row_extremes`` is the row-extremes scan the spans replaced.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from scipy import ndimage
 
 from helpers import flood_components
 from shapeid import boundary, build_features, convex_hull, extract_corners, isolate_object
-from shapeid.geometry import _row_extremes, pairwise_distances, polygon_area
+from shapeid.geometry import _span_hull, pairwise_distances, polygon_area
+from shapeid.segment import row_spans
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -59,6 +61,27 @@ def old_isolate_object(mask):
         flat = labels.ravel()
         keep = min(tied, key=lambda lab: int(np.argmax(flat == lab)))
     return labels == keep
+
+
+def old_row_extremes(mask: np.ndarray) -> np.ndarray:
+    """Leftmost then rightmost foreground pixel of every non-empty row.
+
+    Returns a (2R, 2) int64 array of (x, y) coordinates for R non-empty
+    rows (a one-pixel row appears twice).  Its convex hull is the hull of
+    the whole mask, and of ``boundary(mask)``.  The ``argmax`` passes see
+    only the columns between the foreground's first and last.
+    """
+    m = np.asarray(mask, dtype=bool)
+    ys = np.flatnonzero(m.any(axis=1))
+    if len(ys) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    cols = np.flatnonzero(m[ys[0]:ys[-1] + 1].any(axis=0))
+    left, right = cols[0], cols[-1] + 1
+    rows = m[ys, left:right]
+    first = left + rows.argmax(axis=1)
+    last = right - 1 - rows[:, ::-1].argmax(axis=1)
+    xs = np.concatenate([first, last])
+    return np.column_stack([xs, np.concatenate([ys, ys])]).astype(np.int64)
 
 
 def old_build_features(mask):
@@ -163,9 +186,15 @@ def _masks(draw, max_side=24):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mask=_masks().filter(lambda m: m.any()))
 def test_hull_of_row_extremes_is_hull_of_boundary(mask):
-    extremes = _row_extremes(mask)
-    assert extremes.dtype == np.int64
-    assert np.array_equal(convex_hull(extremes), convex_hull(boundary(mask)))
+    spans = row_spans(mask)
+    extremes = old_row_extremes(mask)
+    assert np.array_equal(np.concatenate([spans.first, spans.last]), extremes[:, 0])
+    assert np.array_equal(np.concatenate([spans.ys, spans.ys]), extremes[:, 1])
+    assert np.array_equal(spans.count, np.count_nonzero(mask[spans.ys], axis=1))
+    hull = _span_hull(spans)
+    assert hull.dtype == np.int64
+    assert np.array_equal(hull, convex_hull(extremes))
+    assert np.array_equal(hull, convex_hull(boundary(mask)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

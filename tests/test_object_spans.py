@@ -1,0 +1,254 @@
+"""``segment.object_spans`` against the mask path it replaced.
+
+``classify_raster`` reads the largest component's row spans straight from
+the thresholded mask.  It proves the foreground is one component without
+labelling it when every row of its box is one run overlapping the next,
+and labels the box otherwise.  The old path, ``isolate_object`` then the
+row extremes and pixel count of the kept mask, is kept here verbatim as
+the oracle.  The tests also pin which path the corpus and speckled images
+take, what each path allocates, and that every sweep case gives the same
+features or error as ``build_features(isolate_object(binarize(image)))``.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
+
+from shapeid import (
+    ShapeSpec,
+    StageError,
+    binarize,
+    build_features,
+    classify_raster,
+    corpus,
+    isolate_object,
+    render,
+)
+from shapeid import segment
+from shapeid.segment import check_mask, object_spans, row_spans
+from sweep import _speckled, cases
+from test_hull_from_mask import _masks, _outcome, _tied_masks, old_row_extremes
+
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def old_isolate_object(mask: np.ndarray) -> np.ndarray:
+    """Keep only the largest 4-connected foreground component.
+
+    Only the bounding box of the foreground is labelled, and component
+    sizes are counted over the foreground's labels alone (a label is
+    non-zero exactly there); the kept component is written into a new
+    ``bool`` mask of the input's shape.  Size ties resolve to the component
+    whose first pixel comes earliest in row-major order (the same order
+    inside the box as in the whole mask).
+    """
+    m = check_mask(mask)
+    rows = np.flatnonzero(m.any(axis=1))
+    if len(rows) == 0:
+        raise ValueError("no object: mask has no foreground pixels")
+    top, bottom = rows[0], rows[-1] + 1
+    cols = np.flatnonzero(m[top:bottom].any(axis=0))
+    box = (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+    labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
+    keep = 1
+    if count > 1:
+        # add.at indexes with the int32 labels as they are; bincount
+        # would first copy them to intp.
+        sizes = np.zeros(count + 1, dtype=np.int64)
+        np.add.at(sizes, labels[m[box]], np.int64(1))
+        # ndimage.label numbers the components in row-major order of their
+        # first pixel, so the first largest size is the earliest tied one.
+        keep = int(sizes[1:].argmax()) + 1
+    out = np.zeros(m.shape, dtype=bool)
+    np.equal(labels, keep, out=out[box])
+    return out
+
+
+def old_spans_path(mask):
+    """The kept mask, its row extremes and its pixel count."""
+    kept = old_isolate_object(mask)
+    return kept, old_row_extremes(kept), int(np.count_nonzero(kept))
+
+
+def assert_spans_match_oracle(mask):
+    spans, error = _outcome(object_spans, mask)
+    expected, expected_error = _outcome(old_spans_path, mask)
+    assert error == expected_error
+    if expected is None:
+        return
+    kept, extremes, area_px = expected
+    for values in spans:
+        assert values.dtype == np.intp
+    assert np.array_equal(np.concatenate([spans.first, spans.last]), extremes[:, 0])
+    assert np.array_equal(np.concatenate([spans.ys, spans.ys]), extremes[:, 1])
+    assert np.array_equal(spans.count, np.count_nonzero(kept[spans.ys], axis=1))
+    assert int(spans.count.sum()) == area_px
+    # The same rows as the new isolate_object's mask read by row_spans.
+    assert all(np.array_equal(a, b) for a, b in zip(spans, row_spans(isolate_object(mask))))
+
+
+@st.composite
+def _run_masks(draw, max_side=24):
+    """One run per row, overlapping its neighbour or not, with an empty row
+    or salt pixels sometimes added: the cases the proof must tell apart."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    m = np.zeros((h + 2, w), dtype=bool)
+    y0 = draw(st.integers(0, 2))
+    for y in range(y0, y0 + h):
+        a = draw(st.integers(0, w - 1))
+        m[y, a:draw(st.integers(a, w - 1)) + 1] = True
+    if draw(st.booleans()):
+        m[draw(st.integers(0, h + 1))] = False
+    for y, x in draw(st.lists(st.tuples(st.integers(0, h + 1), st.integers(0, w - 1)), max_size=3)):
+        m[y, x] = True
+    return m
+
+
+def _mask(text: str) -> np.ndarray:
+    return np.array([[c == "#" for c in row] for row in text.split()], dtype=bool)
+
+
+# name: (mask, whether the proof holds without labelling)
+CRAFTED = {
+    "diagonal-pixels": (_mask("#. .#"), False),
+    "diagonal-blocks": (_mask("##.. ##.. ..## ..##"), False),
+    "diagonal-unequal": (_mask("##... ##... ..### ..###"), False),
+    "runs-not-overlapping": (_mask("###... ...###"), False),
+    "runs-not-overlapping-unequal": (_mask("###.... ...####"), False),
+    "u-shape": (_mask("#...# #...# #...# #####"), False),
+    "c-shape": (_mask("##### #.... #.... #####"), True),
+    "hole": (_mask("##### #.#.# ##### #####"), False),
+    "empty-row-inside": (_mask("###. .... .##."), False),
+    "one-by-n": (_mask("..... .####"), True),
+    "n-by-one": (_mask("#. #. #."), True),
+    "single-pixel": (_mask("... .#. ..."), True),
+    "size-tie": (_mask("##.## ##.##"), False),
+    "size-tie-rows": (_mask("## .. ##"), False),
+    "salt-above-first-row": (_mask("....# ###.. ###.."), False),
+    "salt-in-first-row": (_mask("###.# ###.. ###.."), False),
+    "salt-in-last-row": (_mask("###.. ###.. ###.#"), False),
+    "salt-below-last-row": (_mask("###.. ###.. ....#"), False),
+    "salt-touching-first-row": (_mask("..#.. ###.. ###.."), True),
+    "staircase": (_mask("##... .##.. ..##. ...##"), True),
+}
+
+
+class _CountingNdimage:
+    """``scipy.ndimage`` with its ``label`` calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def label(self, *args, **kwargs):
+        self.calls += 1
+        return ndimage.label(*args, **kwargs)
+
+
+@pytest.fixture
+def labelling(monkeypatch):
+    counter = _CountingNdimage()
+    monkeypatch.setattr(segment, "ndimage", counter)
+    return counter
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_crafted_spans_match_oracle(name, labelling):
+    mask, proved = CRAFTED[name]
+    for view in (mask, mask.T, mask[::-1], mask[:, ::-1]):
+        assert_spans_match_oracle(view)
+    labelling.calls = 0
+    object_spans(mask)
+    assert labelling.calls == (0 if proved else 1)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mask=st.one_of(_masks(), _tied_masks(), _run_masks()))
+@example(mask=np.zeros((3, 4), dtype=bool))
+@example(mask=np.zeros((0, 4), dtype=bool))
+@example(mask=np.zeros((3, 0), dtype=bool))
+def test_spans_match_isolate_then_row_extremes(mask):
+    assert_spans_match_oracle(mask)
+
+
+@pytest.mark.parametrize("size", [256, 1024])
+def test_corpus_shapes_are_proved_without_labelling(size, labelling):
+    for name, spec in corpus(size, size):
+        image = render(spec, size, size)
+        classify_raster(image)
+        assert labelling.calls == 0, name
+        assert_spans_match_oracle(binarize(image))  # isolate_object labels
+        labelling.calls = 0
+
+
+def _speckled_square(size: int) -> np.ndarray:
+    clean = render(ShapeSpec.square(((size - 1) / 2, (size - 1) / 2), 0.4 * size), size, size)
+    return _speckled(clean, np.random.default_rng(size))
+
+
+def test_speckled_render_is_labelled(labelling):
+    image = _speckled_square(512)
+    classify_raster(image)
+    assert labelling.calls == 1
+    assert_spans_match_oracle(binarize(image))
+
+
+def _peak_mib(fn, *args):
+    fn(*args)  # first call: let numpy set up its caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_proved_path_allocates_no_second_mask():
+    image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
+    # The 1 MiB threshold mask and one reversed copy of the object's box
+    # (0.15 MiB); a labelled box and a kept mask took 3.2 MiB.
+    assert _peak_mib(classify_raster, image) < 1.5
+
+
+def test_labelled_path_peaks_no_higher_than_isolate_object():
+    image = _speckled_square(512)
+
+    def old_path(img):
+        return old_isolate_object(binarize(img))
+
+    assert _peak_mib(classify_raster, image) <= _peak_mib(old_path, image)
+
+
+def _staged(image):
+    """Features of the mask path, or the stage and message of its error."""
+    try:
+        mask = isolate_object(binarize(image))
+    except ValueError as err:
+        return None, ("segmentation", f"segmentation: {err}")
+    try:
+        return build_features(mask), None
+    except ValueError as err:
+        return None, ("feature extraction", f"feature extraction: {err}")
+
+
+def test_sweep_cases_match_the_mask_path():
+    seen = set()
+    for name, image in cases():
+        expected, expected_error = _staged(image)
+        try:
+            _, features = classify_raster(image)
+        except StageError as err:
+            assert (err.stage, str(err)) == expected_error, name
+            seen.add(err.stage)
+            continue
+        assert expected_error is None, name
+        assert np.array_equal(features.corners, expected.corners), name
+        assert features.corners.dtype == expected.corners.dtype
+        assert features.distances == expected.distances, name
+        assert features.sd == expected.sd, name
+        assert features.area_px == expected.area_px, name
+        assert features.poly_area == expected.poly_area, name
+    assert seen == {"segmentation", "feature extraction"}

@@ -14,6 +14,7 @@ from shapeid import (
     otsu_threshold,
     render,
 )
+from shapeid.segment import object_spans, row_spans
 
 
 def test_binarize_fixed_threshold():
@@ -41,7 +42,7 @@ def test_binarize_fixed_checks_the_image():
         binarize(np.array([[0.5, 200.7]]), 100)
 
 
-@pytest.mark.parametrize("stage", [isolate_object, build_features, boundary])
+@pytest.mark.parametrize("stage", [isolate_object, object_spans, row_spans, build_features, boundary])
 def test_mask_stages_reject_a_mask_that_is_not_2d(stage):
     with pytest.raises(ValueError, match=r"expected a 2-D mask, got shape \(4, 5, 3\)"):
         stage(np.ones((4, 5, 3), dtype=bool))
