@@ -13,9 +13,7 @@ and returns the kept component as a mask.
 Both counting steps avoid a per-pixel ``int64`` copy.  The Otsu histogram
 of a two-level image (every pixel at its minimum or its maximum, as in a
 clean render) is counted by comparing the pixels with those two levels,
-block by block; the first block is checked against its own levels before
-the image's extremes are scanned, so most images with a third level are
-turned away after one block.  An image with a third level is counted two pixels at a
+block by block.  An image with a third level is counted two pixels at a
 time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
 row and column sums fold into the 256-bin histogram.  Component sizes are
 counted into an ``int64`` table from the foreground's labels only, not
@@ -58,36 +56,19 @@ _COMPARE_BLOCK = 1 << 16
 def _two_level_histogram(flat: np.ndarray) -> np.ndarray | None:
     """Histogram of ``flat`` if every pixel is its minimum or maximum, else ``None``.
 
-    The first block is checked against its own levels before the whole
-    image's minimum and maximum are taken, so an image with a third level
-    there costs one block's scans.  Gives up at the first block holding a
-    third level.
+    Gives up at the first block holding a third level.
     """
-    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
-
-    def counts(block, lo, hi):
-        out = equal[:len(block)]
-        return np.count_nonzero(np.equal(block, lo, out=out)), np.count_nonzero(np.equal(block, hi, out=out))
-
-    head = flat[:_COMPARE_BLOCK]
-    head_lo, head_hi = head.min(), head.max()
-    lows, highs = counts(head, head_lo, head_hi) if head_lo < head_hi else (len(head), 0)
-    if lows + highs != len(head):
-        return None
     lo, hi = flat.min(), flat.max()
-    # A level of the first block strictly between the image's extremes is
-    # a third level, even if every later block holds only those two.
-    if head_lo not in (lo, hi) or head_hi not in (lo, hi):
-        return None
     hist = np.zeros(256, dtype=np.int64)
     if lo == hi:
         hist[lo] = len(flat)
         return hist
-    hist[head_lo] += lows
-    hist[head_hi] += highs
-    for start in range(_COMPARE_BLOCK, len(flat), _COMPARE_BLOCK):
+    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
+    for start in range(0, len(flat), _COMPARE_BLOCK):
         block = flat[start:start + _COMPARE_BLOCK]
-        lows, highs = counts(block, lo, hi)
+        out = equal[:len(block)]
+        lows = np.count_nonzero(np.equal(block, lo, out=out))
+        highs = np.count_nonzero(np.equal(block, hi, out=out))
         if lows + highs != len(block):
             return None
         hist[lo] += lows
@@ -270,18 +251,17 @@ def object_spans(mask: np.ndarray) -> Spans:
 
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
-    run overlaps the columns of the next.  An empty row, or a first or last
-    row of several runs, rejects the proof before the other rows are read.
-    Otherwise the box is labelled and the spans are read from the kept
-    label, cropped to its own rows and columns; no mask of the input's
-    shape is made.
+    run overlaps the columns of the next.  An empty row rejects the proof
+    before the rows are read.  Otherwise the box is labelled and the spans
+    are read from the kept label, cropped to its own rows and columns; no
+    mask of the input's shape is made.
     """
     m = check_mask(mask)
     rows, box = _foreground_box(m)
     top, left = box[0].start, box[1].start
-    # The empty-row and end-row tests only reject early: the whole box's
-    # test below fails on either.
-    if len(rows) == box[0].stop - top and _run_ends(m[rows[[0, -1]], box[1]]):
+    # The empty-row test only rejects early: the one-run test below fails
+    # on an empty row too.
+    if len(rows) == box[0].stop - top:
         ends = _run_ends(m[box])
         if ends:
             first, last = ends

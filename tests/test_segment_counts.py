@@ -305,31 +305,3 @@ def test_isolate_peak_with_a_large_foreground_share():
     assert 0.43 < mask.mean() < 0.45
     assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
     assert _peak_mib(isolate_object, mask) < 1.8
-
-
-def _blocks(*levels_per_block):
-    """One row of whole comparison blocks; each block's pixels alternate
-    between its given levels."""
-    return np.concatenate([
-        np.resize(np.array(levels, dtype=np.uint8), _BLOCK) for levels in levels_per_block
-    ]).reshape(1, -1)
-
-
-@pytest.mark.parametrize("image, two_level", [
-    # The first block all background: still counted by comparison.
-    (_blocks((30,), (30, 210), (210,)), True),
-    (_blocks((210,), (30,), (30, 210)), True),
-    (_blocks((30,), (30,)), True),
-    # The first block's levels are not the image's extremes, though every
-    # later block holds only those two.
-    (_blocks((100, 255), (0, 255)), False),
-    (_blocks((100, 255), (100, 0)), False),
-    (_blocks((100,), (0, 255)), False),
-    # A third level inside the first block.
-    (_blocks((0, 100, 255), (0, 255)), False),
-])
-def test_first_block_levels_are_checked_against_the_extremes(image, two_level):
-    flat = image.ravel()
-    assert (segment._two_level_histogram(flat) is not None) == two_level
-    assert np.array_equal(segment._histogram(image), old_histogram(image))
-    assert _threshold_outcome(otsu_threshold, image) == _threshold_outcome(old_otsu_threshold, image)
