@@ -6,18 +6,23 @@ diagonal speckle never bridges into the object.
 The pipeline takes the object as row spans (``Spans``: each row's first
 and last column and its pixel count), not as a mask.  ``object_spans``
 proves from the spans alone that the foreground is one component when
-every row of its bounding box is one run overlapping the next, and labels
-the box only when that proof fails.  ``isolate_object`` always labels,
-and returns the kept component as a mask.
+every row of its bounding box is one run overlapping the next.  When that
+proof fails, and always in ``isolate_object``, the box is labelled by
+``_largest_runs`` over its row runs, not its pixels: one pass finds the
+runs, a binary search finds the runs each one touches in the row above,
+and union-find joins them.  Past the first pass, its work grows with the
+number of runs, not with the box: a clean or lightly speckled object has
+a few per row, but a box of dense noise or fine stripes, with hundreds
+of thousands, labels several times slower than a pixel labeller would.
+``object_spans`` reduces the kept runs to one span per row, and
+``isolate_object`` paints them into a mask.
 
-Both counting steps avoid a per-pixel ``int64`` copy.  The Otsu histogram
-of a two-level image (every pixel at its minimum or its maximum, as in a
+The Otsu histogram avoids a per-pixel ``int64`` copy.  The histogram of
+a two-level image (every pixel at its minimum or its maximum, as in a
 clean render) is counted by comparing the pixels with those two levels,
 block by block.  An image with a third level is counted two pixels at a
 time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
-row and column sums fold into the 256-bin histogram.  Component sizes are
-counted into an ``int64`` table from the foreground's labels only, not
-from the background zeros around them.
+row and column sums fold into the 256-bin histogram.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .pgm import check_image
 
@@ -40,8 +44,6 @@ __all__ = [
     "otsu_threshold",
     "row_spans",
 ]
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 #: Most pixel pairs one pass of the Otsu histogram counts into its
 #: ``int32`` table.  Each pass is folded into the ``int64`` histogram, so
@@ -180,58 +182,97 @@ def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.argmax(axis=1), rows.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
 
 
-def _spans(ys: np.ndarray, rows: np.ndarray, left) -> Spans:
-    """``Spans`` of ``rows``, the non-empty rows ``ys`` of a mask cropped to
-    start at column ``left``."""
-    first, last = _row_ends(rows)
-    # An intp total keeps no int copy of the rows.
-    count = np.add.reduce(rows, axis=1, dtype=np.intp)
-    return Spans(ys, left + first, left + last, count)
-
-
 def row_spans(mask: np.ndarray) -> Spans:
     """``Spans`` of every non-empty row of a mask, whatever its components."""
     m = check_mask(mask)
     ys, (_, cols) = _foreground_box(m)
-    return _spans(ys, m[ys, cols], cols.start)
+    rows = m[ys, cols]
+    first, last = _row_ends(rows)
+    # An intp total keeps no int copy of the rows.
+    count = np.add.reduce(rows, axis=1, dtype=np.intp)
+    return Spans(ys, cols.start + first, cols.start + last, count)
 
 
-def _label_largest(m: np.ndarray, box: tuple[slice, slice]) -> tuple[np.ndarray, int]:
-    """Labels of ``m[box]``, the foreground's bounding box, and the label
-    of its largest 4-connected component.
+def _largest_runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, first columns and last columns of the runs of the largest
+    4-connected component of a 2-D ``bool`` array, in row-major order.
 
-    Component sizes are counted over the foreground's labels alone (a label
-    is non-zero exactly there).  Size ties resolve to the component whose
-    first pixel comes earliest in row-major order (the same order inside
-    the box as in the whole mask).
+    Components are labelled over row runs, not pixels.  Each row gets a
+    ``False`` column at its end, so in the flattened rows of ``width``
+    slots the runs start and end at alternate changes of value, and a
+    run's start ``s`` and end ``e`` (exclusive) lie in one row.  The runs
+    one row up that touch a run are those ending after ``s - width`` and
+    starting before ``e - width``; no run of another row lies between
+    them.  Runs are joined by union-find: each root is hooked to the
+    smallest root it touches, then pointers are jumped to their roots,
+    until no edge joins two trees.  Every hook points to an earlier run,
+    so a root is its component's first run, and size ties resolve to the
+    component whose first pixel comes earliest in row-major order.
     """
-    labels, count = ndimage.label(m[box], structure=_FOUR_CONNECTED)
-    keep = 1
-    if count > 1:
-        # add.at indexes with the int32 labels as they are; bincount
-        # would first copy them to intp.
-        sizes = np.zeros(count + 1, dtype=np.int64)
-        np.add.at(sizes, labels[m[box]], np.int64(1))
-        # ndimage.label numbers the components in row-major order of their
-        # first pixel, so the first largest size is the earliest tied one.
-        keep = int(sizes[1:].argmax()) + 1
-    return labels, keep
+    h, w = box.shape
+    width = w + 1
+    # int32 run indices halve the labeller's arrays wherever they fit.
+    dtype = np.int32 if h * width < 2**31 else np.intp
+    # Where each pixel differs from the one before it, the extra column
+    # and the row's first pixel each read against a False pixel.
+    changes = np.empty((h, width), dtype=bool)
+    changes[:, 0] = box[:, 0]
+    np.not_equal(box[:, 1:], box[:, :-1], out=changes[:, 1:w])
+    changes[:, w] = box[:, w - 1]
+    ends = np.flatnonzero(changes).astype(dtype)
+    del changes
+    start, end = ends[0::2], ends[1::2]
+    lo = np.searchsorted(end, start - width, side="right").astype(dtype)
+    touched = np.searchsorted(start, end - width).astype(dtype) - lo
+    # One edge from each run to each run it touches one row up: a run's
+    # k-th edge goes to run lo + k.
+    below = np.repeat(np.arange(len(start), dtype=dtype), touched)
+    first_edge = np.cumsum(touched, dtype=dtype) - touched
+    above = np.arange(len(below), dtype=dtype) + np.repeat(lo - first_edge, touched)
+    del lo, touched, first_edge
+    root = np.arange(len(start), dtype=dtype)
+    while True:
+        a, b = root[below], root[above]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # Float sizes are exact: a box holds far fewer than 2**53 pixels.
+    sizes = np.bincount(root, weights=end - start, minlength=len(start))
+    kept = root == sizes.argmax()
+    start, end = start[kept], end[kept]
+    rows = start // width
+    return rows, start - rows * width, end - 1 - rows * width
 
 
 def isolate_object(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
-    Only the bounding box of the foreground is labelled; the kept
-    component is written into a new ``bool`` mask of the input's shape.
-    Size ties resolve to the component whose first pixel comes earliest in
-    row-major order.
+    Only the bounding box of the foreground is labelled, by its row runs
+    (``_largest_runs``); the kept runs are painted into a new ``bool`` mask
+    of the input's shape.  Size ties resolve to the component whose first
+    pixel comes earliest in row-major order.
     """
     m = check_mask(mask)
     _, box = _foreground_box(m)
-    labels, keep = _label_largest(m, box)
-    out = np.zeros(m.shape, dtype=bool)
-    np.equal(labels, keep, out=out[box])
-    return out
+    rows, first, last = _largest_runs(m[box])
+    # In the flattened mask, gaps and kept runs alternate from a gap at the
+    # first pixel to one at the last, so the mask repeats False and True
+    # over their lengths (a gap between two rows can be empty).
+    start = (box[0].start + rows.astype(np.intp)) * m.shape[1] + box[1].start + first
+    edges = np.empty(2 * len(rows) + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, m.size
+    edges[1:-1:2] = start
+    edges[2:-1:2] = start + (last - first + 1)
+    kept = np.zeros(len(edges) - 1, dtype=bool)
+    kept[1::2] = True
+    return np.repeat(kept, np.diff(edges)).reshape(m.shape)
 
 
 def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -252,9 +293,9 @@ def object_spans(mask: np.ndarray) -> Spans:
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
     run overlaps the columns of the next.  An empty row rejects the proof
-    before the rows are read.  Otherwise the box is labelled and the spans
-    are read from the kept label, cropped to its own rows and columns; no
-    mask of the input's shape is made.
+    before the rows are read.  Otherwise the box is labelled by its row
+    runs (``_largest_runs``) and the kept runs are reduced to one span per
+    row; no label raster or kept mask is made.
     """
     m = check_mask(mask)
     rows, box = _foreground_box(m)
@@ -267,13 +308,17 @@ def object_spans(mask: np.ndarray) -> Spans:
             first, last = ends
             if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
                 return Spans(rows, left + first, left + last, last - first + 1)
-    labels, keep = _label_largest(m, box)
-    kept = labels == keep
-    del labels  # freed before the spans are read
-    ys = np.flatnonzero(kept.any(axis=1))
-    xs = np.flatnonzero(kept.any(axis=0))
-    # One component: every row between its first and last is non-empty.
-    return _spans(top + ys, kept[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1], left + xs[0])
+    ys, first, last = _largest_runs(m[box])
+    # The runs are in row-major order: a row's first run holds its first
+    # column and its last run its last.
+    heads = np.flatnonzero(np.diff(ys, prepend=-1))
+    tails = np.append(heads[1:], len(ys)) - 1
+    return Spans(
+        (top + ys[heads]).astype(np.intp),
+        (left + first[heads]).astype(np.intp),
+        (left + last[tails]).astype(np.intp),
+        np.add.reduceat(last - first + 1, heads, dtype=np.intp),
+    )
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:

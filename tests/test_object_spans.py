@@ -86,6 +86,7 @@ def assert_spans_match_oracle(mask):
     assert np.array_equal(np.concatenate([spans.ys, spans.ys]), extremes[:, 1])
     assert np.array_equal(spans.count, np.count_nonzero(kept[spans.ys], axis=1))
     assert int(spans.count.sum()) == area_px
+    assert np.array_equal(isolate_object(mask), kept)
     # The same rows as the new isolate_object's mask read by row_spans.
     assert all(np.array_equal(a, b) for a, b in zip(spans, row_spans(isolate_object(mask))))
 
@@ -112,6 +113,25 @@ def _mask(text: str) -> np.ndarray:
     return np.array([[c == "#" for c in row] for row in text.split()], dtype=bool)
 
 
+def _comb(teeth: int, height: int) -> np.ndarray:
+    m = np.zeros((height, 2 * teeth - 1), dtype=bool)
+    m[:, ::2] = True
+    m[-1] = True
+    return m
+
+
+def _serpentine(rows: int, width: int) -> np.ndarray:
+    m = np.zeros((rows, width), dtype=bool)
+    m[::2] = True
+    m[1::4, -1] = True
+    m[3::4, 0] = True
+    return m
+
+
+def _noise(share: float, side: int = 256) -> np.ndarray:
+    return np.random.default_rng(int(100 * share)).random((side, side)) < share
+
+
 # name: (mask, whether the proof holds without labelling)
 CRAFTED = {
     "diagonal-pixels": (_mask("#. .#"), False),
@@ -134,24 +154,34 @@ CRAFTED = {
     "salt-below-last-row": (_mask("###.. ###.. ....#"), False),
     "salt-touching-first-row": (_mask("..#.. ###.. ###.."), True),
     "staircase": (_mask("##... .##.. ..##. ...##"), True),
+    # Masks of many runs, for the run labeller: a comb of 512 one-pixel
+    # teeth joined along its last row, full rows joined at alternate ends
+    # (one run per row; each column holds many in the transposed views),
+    # and random noise below, near and above the percolation threshold.
+    "comb": (_comb(teeth=512, height=32), False),
+    "serpentine": (_serpentine(rows=63, width=64), True),
+    "noise-30": (_noise(0.3), False),
+    "noise-50": (_noise(0.5), False),
+    "noise-60": (_noise(0.6), False),
 }
 
 
-class _CountingNdimage:
-    """``scipy.ndimage`` with its ``label`` calls counted."""
+class _CountingLabeller:
+    """``segment._largest_runs`` with its calls counted."""
 
     def __init__(self):
         self.calls = 0
+        self._label = segment._largest_runs
 
-    def label(self, *args, **kwargs):
+    def __call__(self, box):
         self.calls += 1
-        return ndimage.label(*args, **kwargs)
+        return self._label(box)
 
 
 @pytest.fixture
 def labelling(monkeypatch):
-    counter = _CountingNdimage()
-    monkeypatch.setattr(segment, "ndimage", counter)
+    counter = _CountingLabeller()
+    monkeypatch.setattr(segment, "_largest_runs", counter)
     return counter
 
 
@@ -220,6 +250,12 @@ def test_labelled_path_peaks_no_higher_than_isolate_object():
         return old_isolate_object(binarize(img))
 
     assert _peak_mib(classify_raster, image) <= _peak_mib(old_path, image)
+
+
+def test_labelled_path_peak_on_a_speckled_square():
+    # The threshold mask (0.25 MiB) and the labeller's one box-sized pass
+    # (0.25 MiB); labelling the box's pixels took 1.51 MiB.
+    assert _peak_mib(classify_raster, _speckled_square(512)) < 0.8
 
 
 def _staged(image):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapeid
 from helpers import largest_component_mask
 from shapeid import (
     ShapeSpec,
@@ -15,6 +20,8 @@ from shapeid import (
     render,
 )
 from shapeid.segment import object_spans, row_spans
+
+SRC = str(Path(shapeid.__file__).resolve().parents[1])
 
 
 def test_binarize_fixed_threshold():
@@ -132,6 +139,16 @@ def test_isolate_tie_breaks_to_first_row_major():
     expect = np.zeros_like(mask)
     expect[0, 0:2] = True
     assert np.array_equal(out, expect)
+
+
+def test_importing_shapeid_loads_no_scipy():
+    # Components are labelled by their row runs in numpy; scipy serves
+    # the tests as an oracle only.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import shapeid, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_isolate_empty_mask():

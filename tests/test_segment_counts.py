@@ -2,9 +2,9 @@
 
 ``otsu_threshold`` counts a two-level image's histogram by comparison
 and any other image's from ``uint16`` pixel pairs into an ``int32``
-table, and ``isolate_object`` counts component sizes over the
-foreground's labels only.  Each is checked here against the previous
-whole-array ``bincount``, kept verbatim as the oracle, and against the
+table, and ``isolate_object`` labels components by their row runs.  Each
+is checked here against the previous whole-array ``bincount`` over
+``scipy.ndimage`` labels, kept verbatim as the oracle, and against the
 memory it was rewritten to save.
 """
 
@@ -217,8 +217,8 @@ def test_otsu_peak_does_not_grow_with_the_image(size):
 
 def test_isolate_peak_below_int64_copy_of_labels():
     # About 16% foreground, as in the speckle_512 benchmark workload: the
-    # sizes are counted from an int64 copy of the foreground's labels, so
-    # the peak grows with the foreground share, not with the raster.
+    # run labeller's arrays grow with the number of runs, not with the
+    # raster.
     rng = np.random.default_rng(512)
     clean = render(ShapeSpec.square((255.5, 255.5), 200, fg=200, bg=50), 512, 512)
     noisy = np.clip(np.rint(clean + rng.normal(0.0, 20.0, clean.shape)), 0, 255).astype(np.uint8)
@@ -296,9 +296,9 @@ def test_comparison_count_matches_bincount(image):
 
 
 def test_isolate_peak_with_a_large_foreground_share():
-    # 44% foreground: 15% random speckle plus a 300x300 block.  Sizes are
-    # counted from the int32 labels without an intp copy; the count
-    # through bincount peaked at 2.47 MiB here, this one at 1.66 MiB.
+    # 44% foreground: 15% random speckle plus a 300x300 block, 22,256
+    # runs.  The run labeller peaks at 1.01 MiB here with int32 run
+    # indices and at 1.33 MiB with intp; pixel labels took 1.65 MiB.
     rng = np.random.default_rng(44)
     mask = rng.random((512, 512)) < 0.15
     mask[106:406, 106:406] = True
