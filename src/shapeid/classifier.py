@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .geometry import FeatureVector, fit_hemisphere
 
 __all__ = [
@@ -100,7 +98,6 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     sd = float(features.sd)
     area_px = float(features.area_px)
     poly_area = float(features.poly_area)
-    corners = np.asarray(features.corners, dtype=float)
 
     degen_eps = tol.degen_eps
     if degen_eps is None:
@@ -128,7 +125,7 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     diagonals_eq = _eq(diagonals[0], diagonals[1], tol.rel_eps)
     bulge_ok = bulge <= 1 + tol.area_eps
 
-    fit = fit_hemisphere(corners)
+    fit = fit_hemisphere(features.corners)
     half_disk_area = 0.5 * math.pi * fit.radius**2 if fit is not None else None
     hemisphere_match = fit is not None and _eq(
         area_px, half_disk_area, tol.area_eps

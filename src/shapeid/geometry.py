@@ -9,13 +9,14 @@ pairwise corner distance to zero and marks the set as degenerate for the
 classifier.  All choices resolve ties by scan order, so extraction is
 deterministic.
 
-Features are computed from an object's row spans (``segment.Spans``):
-its pixel area is their total count, and its hull is that of each row's
-first and last pixel.  Every hull comes from one numpy routine,
-``_convex_path``, which prunes a path of column extremes to the hull's
-vertices.  The corner search reduces the triangle areas over all vertex
-triples in blocks of at most ``_BLOCK`` values, with no Python loop per
-vertex.
+Every point set is integer pixel coordinates.  Features are computed
+from an object's row spans (``segment.Spans``): its pixel area is their
+pixel total, its hull is that of each row's first and last pixel, and
+its polygon area is the one the corner search found for the corners it
+chose.  Every hull comes from one numpy routine, ``_convex_path``, which
+prunes a path of column extremes to the hull's vertices.  The corner
+search reduces the triangle areas over all vertex triples in blocks of
+at most ``_BLOCK`` values, with no Python loop per vertex.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class FeatureVector:
     ``corners`` is a (4, 2) array of (x, y) pixel coordinates in
     counterclockwise order; ``distances`` holds the six pairwise corner
     distances in ``CORNER_PAIRS`` order and ``sd`` their minimum.
-    ``area_px`` counts foreground pixels; ``poly_area`` is the shoelace
-    area of the corner polygon after merging coincident picks.
+    ``area_px`` counts foreground pixels; ``poly_area`` is the area of the
+    corner polygon, in which a repeated pick adds nothing.
     """
 
     corners: np.ndarray
@@ -85,18 +86,24 @@ class HemisphereFit:
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Strictly convex hull (collinear points dropped), by ``_convex_path``.
 
-    Returns hull vertices in counterclockwise order starting from the
-    lexicographically smallest point, with the input's dtype.  Degenerate
-    inputs yield fewer than three vertices.  Integer coordinates must span
-    less than 2**31, so that the turn test is exact; else ``ValueError``.
+    ``points`` is an (N, 2) array of integer pixel coordinates, signed or
+    unsigned; any other dtype or shape raises ``ValueError``.  Returns hull
+    vertices in counterclockwise order starting from the lexicographically
+    smallest point, with the input's dtype.  Degenerate inputs yield fewer
+    than three vertices.  The coordinates must span less than 2**31, so
+    that the turn test is exact; else ``ValueError``.
     """
-    pts = np.unique(np.asarray(points), axis=0)  # sorts by x, then y
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "iu" or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(
+            f"expected an (N, 2) array of integer coordinates, got {pts.dtype} of shape {pts.shape}"
+        )
+    pts = np.unique(pts, axis=0)  # sorts by x, then y
     if len(pts) == 0:
         return pts
-    if pts.dtype.kind in "iu":
-        span = max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
-        if span >= 1 << 31:
-            raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
+    span = max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+    if span >= 1 << 31:
+        raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
     new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
     lower = pts[np.r_[True, new]]
     upper = pts[np.r_[new, True]][::-1]
@@ -116,10 +123,7 @@ def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
     first or last column's copies merged, is the monotone chain's (Andrew
     1979) output.  Integer turns are exact in int64 relative to ``path[0]``.
     """
-    if path.dtype.kind in "iu":
-        work = path.astype(np.int64) - path[0].astype(np.int64)
-    else:
-        work = path.astype(np.float64)
+    work = path.astype(np.int64) - path[0].astype(np.int64)
     while len(work) > 2:
         ahead = work[2:] - work[:-2]
         side = work[1:-1] - work[:-2]
@@ -188,17 +192,19 @@ def _scan_group(x, y, whole, g0: int, g1: int):
 
 
 def _best_triangle_and_quad(hull: np.ndarray):
-    """Max-area triangle and max-area quadrilateral over hull vertices.
+    """Max-area triangle and max-area quadrilateral over the vertices of an
+    integer hull from ``convex_hull`` or ``_span_hull``.
 
     Returns ``(tri2, tri_idx, quad2, quad_idx)`` where the areas are twice
-    the polygon area (exact integers for integer input).  The h x h x h
-    tensor of triangle areas is reduced over its last index in bounded
-    blocks, a group of first indices at a time (``_scan_group``).  The
-    triangle is the first ``(i, j, k)`` in scan order with the largest
-    absolute area.  The quad search treats each pair ``(i, j)`` as a
-    diagonal and adds the largest areas on both sides.  For each ``i`` the
-    first best ``j`` counts, and only if it has vertices on both sides;
-    the first such ``i`` with the largest sum wins.
+    the polygon area, as exact ``int``.  The h x h x h tensor of triangle
+    areas is reduced over its last index in bounded blocks, a group of
+    first indices at a time (``_scan_group``).  The triangle is the first
+    ``(i, j, k)`` in scan order with the largest absolute area.  The quad
+    search treats each pair ``(i, j)`` as a diagonal and adds the largest
+    areas on both sides.  For each ``i`` the first best ``j`` counts, and
+    only if it has vertices on both sides; the first such ``i`` with the
+    largest sum wins.  A three-vertex hull has no such pair, so its
+    triangle is the hull itself, ``(0, 1, 2)``.
     """
     pts = hull.astype(np.int64)
     n = len(pts)
@@ -239,22 +245,25 @@ def _too_few_points(count: int) -> str:
 
 
 def extract_corners(points: np.ndarray) -> np.ndarray:
-    """Pick four corner points from the convex hull of a point set.
+    """Pick four corner points from the convex hull of integer pixel
+    coordinates (``convex_hull``'s input).
 
     Returns the vertices of the maximum-area quadrilateral when it beats
     the maximum-area triangle by the ``QUAD_GAIN`` factor; otherwise the
     triangle vertices with one repeated (a degenerate fourth corner).
-    Raises ``ValueError`` for fewer than three points or a fully collinear
-    set.
+    Raises ``ValueError`` for fewer than three points, a fully collinear
+    set, or points ``convex_hull`` rejects.
     """
     pts = np.asarray(points)
-    if len(pts) < 3:
+    # A 0-d input has no length; convex_hull rejects it by its shape.
+    if pts.ndim and len(pts) < 3:
         raise ValueError(_too_few_points(len(pts)))
-    return _corners_of_hull(convex_hull(pts))
+    return _corners_of_hull(convex_hull(pts))[0]
 
 
-def _corners_of_hull(hull: np.ndarray) -> np.ndarray:
-    """``extract_corners`` once the hull is known.
+def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
+    """``extract_corners`` once the hull is known, with twice the area of
+    the chosen quadrilateral or triangle (an exact ``int``).
 
     The triangle and quadrilateral come from ``_best_triangle_and_quad``,
     which holds at most ``_BLOCK`` triangle areas at a time, so its memory
@@ -263,13 +272,10 @@ def _corners_of_hull(hull: np.ndarray) -> np.ndarray:
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
 
-    if len(hull) == 3:
-        tri = hull
-    else:
-        tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
-        if quad_idx is not None and quad2 > QUAD_GAIN * tri2:
-            return order_counterclockwise(hull[list(quad_idx)])
-        tri = hull[list(tri_idx)]
+    tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
+    if quad_idx is not None and quad2 > QUAD_GAIN * tri2:
+        return order_counterclockwise(hull[list(quad_idx)]), quad2
+    tri = hull[list(tri_idx)]
 
     # Three real corners: repeat the vertex farthest from the other two.
     totals = [
@@ -277,7 +283,7 @@ def _corners_of_hull(hull: np.ndarray) -> np.ndarray:
         for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     ]
     dup = tri[int(np.argmax(totals))]
-    return order_counterclockwise(np.vstack([tri, dup]))
+    return order_counterclockwise(np.vstack([tri, dup])), tri2
 
 
 def order_counterclockwise(points: np.ndarray) -> np.ndarray:
@@ -373,21 +379,23 @@ def _span_hull(spans: Spans) -> np.ndarray:
 
 def features_of_spans(spans: Spans) -> FeatureVector:
     """Corners of the convex hull of one object's ``Spans`` -> distances
-    and areas; ``area_px`` is the spans' pixel count."""
-    area_px = int(spans.count.sum())
+    and areas.  ``area_px`` is the spans' pixel total; ``poly_area`` is
+    half the doubled area the corner search found for its polygon, which
+    equals ``polygon_area(corners)`` on these integer corners."""
+    area_px = spans.area
     # boundary() of these pixels has fewer than three points exactly when
     # there are fewer than three pixels, so this is the count
     # extract_corners would see.
     if area_px < 3:
         raise ValueError(_too_few_points(area_px))
-    corners = _corners_of_hull(_span_hull(spans))
+    corners, area2 = _corners_of_hull(_span_hull(spans))
     d, sd = pairwise_distances(corners)
     return FeatureVector(
         corners=corners,
         distances=tuple(float(x) for x in d),
         sd=sd,
         area_px=area_px,
-        poly_area=polygon_area(corners),
+        poly_area=area2 / 2,
     )
 
 

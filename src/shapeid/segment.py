@@ -4,18 +4,19 @@ All connectivity is 4-connected, for components and boundaries alike, so
 diagonal speckle never bridges into the object.
 
 The pipeline takes the object as row spans (``Spans``: each row's first
-and last column and its pixel count), not as a mask.  ``object_spans``
-proves from the spans alone that the foreground is one component when
-every row of its bounding box is one run overlapping the next.  When that
-proof fails, and always in ``isolate_object``, the box is labelled by
-``_largest_runs`` over its row runs, not its pixels: one pass finds the
-runs, a binary search finds the runs each one touches in the row above,
-and union-find joins them.  Past the first pass, its work grows with the
-number of runs, not with the box: a clean or lightly speckled object has
-a few per row, but a box of dense noise or fine stripes, with hundreds
-of thousands, labels several times slower than a pixel labeller would.
-``object_spans`` reduces the kept runs to one span per row, and
-``isolate_object`` paints them into a mask.
+and last column, and the object's pixel total), not as a mask.
+``object_spans`` proves from the spans alone that the foreground is one
+component when every row of its bounding box is one run overlapping the
+next.  When that proof fails, and always in ``isolate_object``, the box
+is labelled by ``_largest_runs`` over its row runs, not its pixels: one
+pass finds the runs, a binary search finds the runs each one touches in
+the row above, and union-find joins them.  Past the first pass, its work
+grows with the number of runs, not with the box: a clean or lightly
+speckled object has a few per row, but a box of dense noise or fine
+stripes, with hundreds of thousands, labels several times slower than a
+pixel labeller would.  ``object_spans`` reduces the kept runs to one
+span per row and sums their lengths, and ``isolate_object`` paints them
+into a mask.
 
 The Otsu histogram avoids a per-pixel ``int64`` copy.  The histogram of
 a two-level image (every pixel at its minimum or its maximum, as in a
@@ -158,12 +159,13 @@ def check_mask(mask: np.ndarray) -> np.ndarray:
 
 class Spans(NamedTuple):
     """Foreground rows ``ys``, top to bottom, with each row's ``first`` and
-    ``last`` foreground column and its pixel ``count`` (all ``intp``)."""
+    ``last`` foreground column (all ``intp``), and the ``area``, the number
+    of foreground pixels in all the rows."""
 
     ys: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    count: np.ndarray
+    area: int
 
 
 def _foreground_box(m: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
@@ -188,9 +190,7 @@ def row_spans(mask: np.ndarray) -> Spans:
     ys, (_, cols) = _foreground_box(m)
     rows = m[ys, cols]
     first, last = _row_ends(rows)
-    # An intp total keeps no int copy of the rows.
-    count = np.add.reduce(rows, axis=1, dtype=np.intp)
-    return Spans(ys, cols.start + first, cols.start + last, count)
+    return Spans(ys, cols.start + first, cols.start + last, int(np.count_nonzero(rows)))
 
 
 def _largest_runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,15 +275,16 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     return np.repeat(kept, np.diff(edges)).reshape(m.shape)
 
 
-def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_row_ends`` of a 2-D ``bool`` array if each of its rows is one run,
-    else ``None``.  A row's count is at most the width of its span, so the
-    totals are equal only if every row's are (an empty row reads as a span
-    of the whole width)."""
+def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """``_row_ends`` of a 2-D ``bool`` array and its pixel total if each of
+    its rows is one run, else ``None``.  A row's count is at most the width
+    of its span, so the totals are equal only if every row's are (an empty
+    row reads as a span of the whole width)."""
     first, last = _row_ends(rows)
-    if np.count_nonzero(rows) != np.sum(last - first + 1):
+    total = int(np.count_nonzero(rows))
+    if total != np.sum(last - first + 1):
         return None
-    return first, last
+    return first, last, total
 
 
 def object_spans(mask: np.ndarray) -> Spans:
@@ -294,8 +295,9 @@ def object_spans(mask: np.ndarray) -> Spans:
     when its bounding box has no empty row, every row is one run, and each
     run overlaps the columns of the next.  An empty row rejects the proof
     before the rows are read.  Otherwise the box is labelled by its row
-    runs (``_largest_runs``) and the kept runs are reduced to one span per
-    row; no label raster or kept mask is made.
+    runs (``_largest_runs``), the kept runs are reduced to one span per
+    row, and their lengths are summed to the pixel total; no label raster
+    or kept mask is made.
     """
     m = check_mask(mask)
     rows, box = _foreground_box(m)
@@ -305,9 +307,9 @@ def object_spans(mask: np.ndarray) -> Spans:
     if len(rows) == box[0].stop - top:
         ends = _run_ends(m[box])
         if ends:
-            first, last = ends
+            first, last, total = ends
             if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
-                return Spans(rows, left + first, left + last, last - first + 1)
+                return Spans(rows, left + first, left + last, total)
     ys, first, last = _largest_runs(m[box])
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.
@@ -317,7 +319,7 @@ def object_spans(mask: np.ndarray) -> Spans:
         (top + ys[heads]).astype(np.intp),
         (left + first[heads]).astype(np.intp),
         (left + last[tails]).astype(np.intp),
-        np.add.reduceat(last - first + 1, heads, dtype=np.intp),
+        int(np.sum(last - first + 1)),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from shapeid import (
     binarize,
     boundary,
     build_features,
+    convex_hull,
     extract_corners,
     fit_hemisphere,
     isolate_object,
@@ -50,6 +52,37 @@ def test_extract_corners_errors():
         extract_corners(np.array([(0, 0), (5, 5)]))
     with pytest.raises(ValueError, match="degenerate boundary"):
         extract_corners(np.array([(i, 2 * i) for i in range(5)]))
+
+
+# Point sets off the (N, 2) integer contract of convex_hull and
+# extract_corners.
+OFF_CONTRACT = {
+    # Truncated to int64, this square gave four (0, 0) corners.
+    "fractional-floats": np.array([[0, 0], [0.5, 0], [0.5, 0.5], [0, 0.5]]),
+    # Came back as a three-column "hull".
+    "three-columns": np.array([[0, 0, 1], [5, 0, 2], [5, 5, 3], [0, 5, 4]]),
+    "bool": np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=bool),
+    # Failed inside numpy with a TypeError.
+    "one-dimensional": np.arange(6),
+    # Had no length, so extract_corners raised TypeError.
+    "scalar": np.array(5),
+}
+
+
+@pytest.mark.parametrize("name", OFF_CONTRACT)
+def test_points_off_the_integer_contract_raise(name):
+    pts = OFF_CONTRACT[name]
+    message = re.escape(f"integer coordinates, got {pts.dtype} of shape {pts.shape}")
+    with pytest.raises(ValueError, match=message):
+        convex_hull(pts)
+    with pytest.raises(ValueError, match=message):
+        extract_corners(pts)
+
+
+def test_integer_contract_keeps_the_short_input_messages():
+    assert convex_hull(np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
+    with pytest.raises(ValueError, match="too few points: corner extraction needs >= 3, got 2"):
+        extract_corners(np.array([[0.5, 0.5], [1.5, 0.5]]))
 
 
 def test_pairwise_unit_square():

@@ -12,18 +12,26 @@ search is kept here verbatim as the oracle; the old hull is
 """
 
 import inspect
+import math
 import sys
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeid import ShapeSpec, convex_hull, render
 from shapeid import geometry
-from shapeid.geometry import _best_triangle_and_quad, _corners_of_hull, _span_hull
+from shapeid.geometry import (
+    _best_triangle_and_quad,
+    _corners_of_hull,
+    _span_hull,
+    features_of_spans,
+    order_counterclockwise,
+    polygon_area,
+)
 from shapeid.segment import row_spans
 from test_hull_from_mask import old_convex_hull, old_row_extremes
 
@@ -131,11 +139,61 @@ def test_search_matches_loop_on_random_hulls(hull):
     assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(hull=_random_hulls().filter(lambda h: len(h) >= 4), shift=st.floats(0.0, 0.99))
-def test_search_truncates_float_hulls_like_the_loop(hull, shift):
-    floats = hull.astype(np.float64) + shift
-    assert _best_triangle_and_quad(floats) == old_best_triangle_and_quad(floats)
+def old_triangle_corners(hull: np.ndarray) -> np.ndarray:
+    """``_corners_of_hull`` of a three-vertex hull before the corner search
+    covered that case: the hull itself, with the vertex farthest from the
+    other two repeated."""
+    tri = hull
+
+    # Three real corners: repeat the vertex farthest from the other two.
+    totals = [
+        math.dist(tri[a], tri[b]) + math.dist(tri[a], tri[c])
+        for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    ]
+    dup = tri[int(np.argmax(totals))]
+    return order_counterclockwise(np.vstack([tri, dup]))
+
+
+def _random_triangles(count: int, seed: int) -> list:
+    """Three-vertex hulls of random integer triples, small and large, so
+    that isosceles and right triangles (tied totals) occur often."""
+    rng = np.random.default_rng(seed)
+    hulls = []
+    while len(hulls) < count:
+        reach = int(rng.choice([3, 10, 2000]))
+        hull = convex_hull(rng.integers(-reach, reach + 1, (3, 2)))
+        if len(hull) == 3:
+            hulls.append(hull)
+    return hulls
+
+
+def test_search_picks_the_old_corners_of_random_triangles():
+    for hull in _random_triangles(2000, seed=13):
+        corners, area2 = _corners_of_hull(hull)
+        assert np.array_equal(corners, old_triangle_corners(hull)), hull.tolist()
+        tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
+        assert (tri_idx, quad2, quad_idx) == ((0, 1, 2), -1, None)
+        assert area2 == tri2
+
+
+_point = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=st.lists(_point, min_size=3, max_size=3), shift=st.integers(-(2**20), 2**20))
+def test_search_picks_the_old_corners_of_hypothesis_triangles(pts, shift):
+    hull = convex_hull(np.array(pts, dtype=np.int64) + shift)
+    assume(len(hull) == 3)
+    corners, _ = _corners_of_hull(hull)
+    assert np.array_equal(corners, old_triangle_corners(hull))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hull=_random_hulls().filter(lambda h: len(h) >= 3), shift=st.integers(-(2**20), 2**20))
+def test_search_area_is_the_corner_polygon_area(hull, shift):
+    corners, area2 = _corners_of_hull(hull + shift)
+    assert type(area2) is int
+    assert area2 / 2 == polygon_area(corners)
 
 
 @st.composite
@@ -193,6 +251,18 @@ def test_pruned_hull_matches_unpruned(mask):
     every_pixel = np.argwhere(mask)[:, ::-1].astype(np.int64)
     assert np.array_equal(pruned, convex_hull(every_pixel))
     assert np.array_equal(pruned, old_convex_hull(every_pixel))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask=st.one_of(_rough_masks(), _rendered_masks()))
+def test_poly_area_is_the_corner_polygon_area(mask):
+    assume(np.count_nonzero(mask) >= 3)
+    try:
+        features = features_of_spans(row_spans(mask))
+    except ValueError as err:  # every pixel on one line
+        assert str(err) == "degenerate boundary: all points collinear"
+        return
+    assert features.poly_area == polygon_area(features.corners)
 
 
 def test_pruning_keeps_only_few_points_of_a_long_edge():
