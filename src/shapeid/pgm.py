@@ -6,10 +6,13 @@ for either value of ``b``.  The parser accepts ``#`` comments and arbitrary
 whitespace between header tokens; parse errors report the byte offset of
 the offending input.
 
-P2 pixel data is read and written in bulk with numpy.  Pixel data the
-bulk reader cannot take as it is (comments, digit runs of four or more,
-too few or too many values, values above 255) goes to a token loop,
-which gives the same result and the same errors.
+P2 pixel data is read by digit arithmetic in numpy, in blocks of
+``_P2_BLOCK`` bytes, and written in bulk; no Python object is made per
+pixel.  Pixel data the bulk reader cannot take as it is (comments, any
+byte but digits and whitespace, digit runs of four or more, too few or
+too many values, values above 255) goes to a token loop, which gives the
+same result and the same errors.  Tokens of up to three digits, leading
+zeros included, take the bulk path.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
-#: Byte classes for the bulk P2 check: digits become ``0``, whitespace
-#: becomes a space and every other byte ``x``.
-_P2_CLASSES = bytes(
-    0x30 if 0x30 <= b <= 0x39 else 0x20 if b in _WHITESPACE else 0x78
-    for b in range(256)
-)
+#: Bytes of P2 pixel data the bulk reader takes per numpy pass, which
+#: bounds its working memory apart from the image it returns.
+_P2_BLOCK = 1 << 14
 #: ``_P2_DIGITS[v]`` is the decimal text of ``v`` padded with NUL bytes
 #: to three, for writing P2 without a Python object per pixel.
 _P2_DIGITS = np.array(
@@ -98,27 +98,66 @@ def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8)
 
 
+def _p2_block_values(block: np.ndarray) -> np.ndarray | None:
+    """The values of the P2 pixel tokens in ``block``, a ``uint8`` view
+    that no token crosses, or ``None`` if it holds any byte but digits and
+    whitespace, a digit run of four or more, or a value above 255.  Each
+    value is read at its token's last digit, from that digit and the two
+    before it.
+    """
+    # Less '0', digits are 0..9, a space wraps to 240 and \t..\r to 217..221.
+    d = np.subtract(block, 0x30, dtype=np.uint8)
+    digit = d <= 9
+    if not (digit | (d == 240) | (np.subtract(d, 217, dtype=np.uint8) <= 4)).all():
+        return None
+    pairs = digit[1:] & digit[:-1]
+    if (pairs[2:] & pairs[:-2]).any():
+        return None
+    d *= digit
+    # tens[i] is the number the digits at i-1 and i make, or 0 at a
+    # separator, so a token ending at i reads d[i] + 10 tens[i-1].
+    tens = d.copy()
+    tens[1:] += np.multiply(d[:-1], 10, dtype=np.uint8)
+    tens *= digit
+    value = d.astype(np.uint16)
+    value[1:] += np.multiply(tens[:-1], 10, dtype=np.uint16)
+    # A token ends at a digit followed by a separator; the block's last
+    # byte is followed by one, or by the end of the data.
+    ends = digit.copy()
+    np.greater(digit[:-1], digit[1:], out=ends[:-1])
+    found = np.compress(ends, value)
+    if len(found) and found.max() > 255:
+        return None
+    return found
+
+
 def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
-    """Read the P2 pixel data ``data[pos:]`` in one numpy call.
+    """Read the P2 pixel data ``data[pos:]`` by digit arithmetic in numpy,
+    about ``_P2_BLOCK`` bytes at a time.
 
     Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
     need the token loop: any byte but digits and whitespace, a digit run of
-    four or more (numpy wraps such values into ``uint16``), whitespace only
-    (numpy reads it as one 0), other than ``count`` values, or a value above
-    255.  No Python object is made per token.
+    four or more, other than ``count`` values, or a value above 255.  The
+    bytes are not copied, and no Python object is made per token.
     """
-    classes = data.translate(_P2_CLASSES)
-    if (
-        classes.find(b"x", pos) >= 0
-        or classes.find(b"0000", pos) >= 0
-        or classes.find(b"0", pos) < 0
-    ):
-        return None
-    del classes  # a copy of the file: free it before numpy allocates
-    values = np.fromstring(data[pos:], dtype=np.uint16, sep=" ")
-    if values.size != count or values.max() > 255:
-        return None
-    return values.astype(np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8)[pos:]
+    n = len(raw)
+    out = np.empty(count, dtype=np.uint8)
+    filled = start = 0
+    while start < n:
+        # End the block after the digit run its cut lands in, so that the
+        # next block starts on a separator.  Four digits past the cut make
+        # a run the four-digit check rejects, so look no further.
+        stop = min(start + _P2_BLOCK, n)
+        cut = data[pos + stop : pos + stop + 4]
+        stop += len(cut) - len(cut.lstrip(b"0123456789"))
+        found = _p2_block_values(raw[start:stop])
+        if found is None or filled + len(found) > count:
+            return None
+        out[filled : filled + len(found)] = found
+        filled += len(found)
+        start = stop
+    return out if filled == count else None
 
 
 def load_pgm(data: bytes) -> np.ndarray:
@@ -148,18 +187,19 @@ def load_pgm(data: bytes) -> np.ndarray:
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise PgmParseError("expected a single whitespace byte after maxval", pos)
         pos += 1
-        payload = data[pos : pos + count]
-        if len(payload) < count:
+        if len(data) - pos < count:
             raise PgmParseError(
-                f"pixel payload holds {len(payload)} bytes, header promises {count}",
+                f"pixel payload holds {len(data) - pos} bytes, header promises {count}",
                 len(data),
             )
-        flat = np.frombuffer(payload, dtype=np.uint8, count=count)
+        # A view of ``data`` is read-only, so copy it; the P2 parsers
+        # already return new arrays.
+        flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).copy()
     else:
         flat = _p2_bulk(data, pos, count)
         if flat is None:
             flat = _p2_tokens(data, pos, count)
-    return flat.reshape(height, width).copy()
+    return flat.reshape(height, width)
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

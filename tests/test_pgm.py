@@ -125,3 +125,13 @@ def test_ascii_data_after_last_pixel_ignored(tail):
 def test_ascii_separator_bytes(sep):
     data = sep.join([b"P2", b"2 2", b"255", b"1", b"2", b"3", b"4"]) + sep
     assert load_pgm(data).tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_loaded_image_is_writable_and_apart_from_the_bytes(binary):
+    data = write_pgm(np.arange(12, dtype=np.uint8).reshape(3, 4), binary=binary)
+    image = load_pgm(data)
+    assert image.flags.writeable
+    assert not np.shares_memory(image, np.frombuffer(data, dtype=np.uint8))
+    image[0, 0] = 99
+    assert load_pgm(data)[0, 0] == 0

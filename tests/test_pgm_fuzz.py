@@ -5,6 +5,7 @@ The P2 bulk parser must agree with the token loop it stands in for, and
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeid import PgmParseError, load_pgm, write_pgm
+from shapeid import pgm as pgm_module
 from shapeid.pgm import _p2_bulk, _p2_tokens
 
 # Bytes that matter to the parsers: digits, the six separators, the comment
@@ -106,9 +108,7 @@ def test_load_returns_image_or_parse_error(data):
     assert image.ndim == 2
 
 
-@settings(max_examples=300)
-@given(shape=_SHAPES, data=st.data())
-def test_bulk_p2_matches_token_loop(shape, data):
+def _check_bulk_against_tokens(shape, data):
     height, width = shape
     count = height * width
     header = b"P2\n%d %d\n255" % (width, height)
@@ -120,6 +120,22 @@ def test_bulk_p2_matches_token_loop(shape, data):
         assert _outcome(load_pgm, pgm) == reference
     if bulk is not None:
         assert reference == ("array", bulk.reshape(height, width).tolist())
+
+
+@settings(max_examples=300)
+@given(shape=_SHAPES, data=st.data())
+def test_bulk_p2_matches_token_loop(shape, data):
+    _check_bulk_against_tokens(shape, data)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+@settings(max_examples=100)
+@given(shape=_SHAPES, data=st.data())
+def test_bulk_p2_matches_token_loop_in_small_blocks(block, shape, data):
+    # The bodies drawn above are far shorter than a real block, so cut them
+    # into blocks of a few bytes to put tokens and digit runs on the cuts.
+    with mock.patch.object(pgm_module, "_P2_BLOCK", block):
+        _check_bulk_against_tokens(shape, data)
 
 
 def _join_p2(arr: np.ndarray) -> bytes:
