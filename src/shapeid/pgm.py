@@ -8,11 +8,13 @@ the offending input.
 
 P2 pixel data is read by digit arithmetic in numpy, in blocks of
 ``_P2_BLOCK`` bytes, and written in bulk; no Python object is made per
-pixel.  Pixel data the bulk reader cannot take as it is (comments, any
-byte but digits and whitespace, digit runs of four or more, too few or
-too many values, values above 255) goes to a token loop, which gives the
-same result and the same errors.  Tokens of up to three digits, leading
-zeros included, take the bulk path.
+pixel.  Pixel data the bulk reader cannot take as it is (comments or
+any byte but digits and whitespace before the last pixel, such a byte
+right after a digit, digit runs of four or more, too few or too many
+values, values above 255) goes to a token loop, which gives the same
+result and the same errors.  Tokens of up to three digits, leading zeros
+included, take the bulk path, and so does a comment after the last
+pixel.
 """
 
 from __future__ import annotations
@@ -98,21 +100,27 @@ def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8)
 
 
-def _p2_block_values(block: np.ndarray) -> np.ndarray | None:
-    """The values of the P2 pixel tokens in ``block``, a ``uint8`` view
-    that no token crosses, or ``None`` if it holds any byte but digits and
-    whitespace, a digit run of four or more, or a value above 255.  Each
-    value is read at its token's last digit, from that digit and the two
-    before it.
+def _p2_block_values(block: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """The values of the P2 pixel tokens in ``block[:end]``, a ``uint8``
+    view that no token crosses, and ``end``, the index of the block's first
+    byte that is neither a digit nor whitespace, or its length.  The values
+    are ``None`` if that prefix holds a digit run of four or more or a value
+    above 255.  Each value is read at its token's last digit, from that
+    digit and the two before it.
     """
     # Less '0', digits are 0..9, a space wraps to 240 and \t..\r to 217..221.
     d = np.subtract(block, 0x30, dtype=np.uint8)
     digit = d <= 9
-    if not (digit | (d == 240) | (np.subtract(d, 217, dtype=np.uint8) <= 4)).all():
-        return None
+    known = digit | (d == 240) | (np.subtract(d, 217, dtype=np.uint8) <= 4)
+    end = len(block)
+    if not known.all():
+        end = int(known.argmin())
+        d, digit = d[:end], digit[:end]
+    # Freed before the arrays below, so the block's peak does not grow.
+    del known
     pairs = digit[1:] & digit[:-1]
     if (pairs[2:] & pairs[:-2]).any():
-        return None
+        return None, end
     d *= digit
     # tens[i] is the number the digits at i-1 and i make, or 0 at a
     # separator, so a token ending at i reads d[i] + 10 tens[i-1].
@@ -121,14 +129,15 @@ def _p2_block_values(block: np.ndarray) -> np.ndarray | None:
     tens *= digit
     value = d.astype(np.uint16)
     value[1:] += np.multiply(tens[:-1], 10, dtype=np.uint16)
-    # A token ends at a digit followed by a separator; the block's last
-    # byte is followed by one, or by the end of the data.
+    # A token ends at a digit followed by a separator; the prefix's last
+    # byte is followed by one, by a byte that ends the token as a comment
+    # does or makes it no number, or by the end of the data.
     ends = digit.copy()
     np.greater(digit[:-1], digit[1:], out=ends[:-1])
     found = np.compress(ends, value)
     if len(found) and found.max() > 255:
-        return None
-    return found
+        return None, end
+    return found, end
 
 
 def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
@@ -136,9 +145,12 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
     about ``_P2_BLOCK`` bytes at a time.
 
     Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
-    need the token loop: any byte but digits and whitespace, a digit run of
-    four or more, other than ``count`` values, or a value above 255.  The
-    bytes are not copied, and no Python object is made per token.
+    need the token loop: a digit run of four or more, other than ``count``
+    values, a value above 255, or any byte but digits and whitespace before
+    the ``count``-th value or right after a digit.  The token loop reads
+    nothing past its ``count``-th token, so after the last value a comment,
+    or a byte after whitespace, ends the data as its end does.  The bytes
+    are not copied, and no Python object is made per token.
     """
     raw = np.frombuffer(data, dtype=np.uint8)[pos:]
     n = len(raw)
@@ -151,11 +163,16 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
         stop = min(start + _P2_BLOCK, n)
         cut = data[pos + stop : pos + stop + 4]
         stop += len(cut) - len(cut.lstrip(b"0123456789"))
-        found = _p2_block_values(raw[start:stop])
+        found, end = _p2_block_values(raw[start:stop])
         if found is None or filled + len(found) > count:
             return None
         out[filled : filled + len(found)] = found
         filled += len(found)
+        if end < stop - start:
+            at = start + end
+            if filled == count and (raw[at] == _COMMENT or int(raw[at - 1]) in _WHITESPACE):
+                return out
+            return None
         start = stop
     return out if filled == count else None
 

@@ -18,12 +18,15 @@ pixel labeller would.  ``object_spans`` reduces the kept runs to one
 span per row and sums their lengths, and ``isolate_object`` paints them
 into a mask.
 
-The Otsu histogram avoids a per-pixel ``int64`` copy.  The histogram of
-a two-level image (every pixel at its minimum or its maximum, as in a
-clean render) is counted by comparing the pixels with those two levels,
-block by block.  An image with a third level is counted two pixels at a
-time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
-row and column sums fold into the 256-bin histogram.
+Otsu's threshold of a two-level image (every pixel at its minimum or its
+maximum, as in a clean render) is its lower level plus one, so no
+histogram is counted for it: the pixels are compared with the two
+levels block by block, and ``binarize`` writes the comparison above the
+lower level straight into the mask it returns.  Only an image with a
+third level is counted into a histogram, two pixels at a time, as
+``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
+column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
+is made.
 """
 
 from __future__ import annotations
@@ -51,47 +54,63 @@ __all__ = [
 #: no bin, row sum or column sum of the table can overflow.
 _PAIRS_PER_PASS = 1 << 29
 
-#: Most pixels one comparison of the two-level count covers, so that its
-#: ``bool`` buffer stays at 64 KiB whatever the image's size.
+#: Most pixels one comparison of the two-level test covers, so that the
+#: scratch buffer of ``otsu_threshold`` stays at 64 KiB whatever the
+#: image's size.
 _COMPARE_BLOCK = 1 << 16
 
 
-def _two_level_histogram(flat: np.ndarray) -> np.ndarray | None:
-    """Histogram of ``flat`` if every pixel is its minimum or maximum, else ``None``.
+def _two_level_threshold(img: np.ndarray, mask: np.ndarray | None = None) -> int | None:
+    """Otsu's threshold ``lo + 1`` of a checked image if every pixel is
+    its minimum ``lo`` or its maximum ``hi``, else ``None``.
 
-    Gives up at the first block holding a third level.
+    The image is read in blocks of at most ``_COMPARE_BLOCK`` pixels, whole
+    rows where they fit.  In each, the pixels equal to ``hi`` are counted,
+    then those above ``lo``.  Both comparisons are written to the block's
+    place in ``mask``, so that on a return of ``lo + 1`` it holds
+    ``img > lo``, the foreground; without a mask they go to a scratch
+    buffer of one block.  The counts differ in the first block holding a
+    third level, where the test stops.  No copy of the image is made.  A
+    single level has no two classes to separate, so it raises
+    ``ValueError``.
+
+    With ``a`` pixels at ``lo`` and ``b`` at ``hi``, every threshold in
+    ``(lo, hi]`` splits the histogram into the same two classes: weights
+    ``a`` and ``b``, masses ``a lo`` and ``b hi``.  These are integers
+    below 2**53 for any image of fewer than 2**45 pixels, so they are exact
+    in ``float64``, and ``a lo / a`` and ``b hi / b`` round to the exact
+    means ``lo`` and ``hi``.  The
+    between-class variance is therefore the same float at every such
+    threshold, and any other threshold leaves a class empty; variance ties
+    resolve low, so Otsu's threshold is ``lo + 1``.
     """
-    lo, hi = flat.min(), flat.max()
-    hist = np.zeros(256, dtype=np.int64)
+    lo, hi = img.min(), img.max()
     if lo == hi:
-        hist[lo] = len(flat)
-        return hist
-    equal = np.empty(min(len(flat), _COMPARE_BLOCK), dtype=bool)
-    for start in range(0, len(flat), _COMPARE_BLOCK):
-        block = flat[start:start + _COMPARE_BLOCK]
-        out = equal[:len(block)]
-        lows = np.count_nonzero(np.equal(block, lo, out=out))
-        highs = np.count_nonzero(np.equal(block, hi, out=out))
-        if lows + highs != len(block):
-            return None
-        hist[lo] += lows
-        hist[hi] += highs
-    return hist
+        raise ValueError("degenerate histogram: single distinct intensity")
+    height, width = img.shape
+    rows, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
+    scratch = np.empty(min(img.size, _COMPARE_BLOCK), dtype=bool) if mask is None else None
+    for top in range(0, height, rows):
+        for left in range(0, width, cols):
+            block = img[top:top + rows, left:left + cols]
+            if scratch is None:
+                out = mask[top:top + rows, left:left + cols]
+            else:
+                out = scratch[:block.size].reshape(block.shape)
+            highs = np.count_nonzero(np.equal(block, hi, out=out))
+            if np.count_nonzero(np.greater(block, lo, out=out)) != highs:
+                return None
+    return int(lo) + 1
 
 
 def _histogram(image: np.ndarray) -> np.ndarray:
     """Counts of the intensities 0..255 of a ``uint8``-castable image.
 
-    A two-level image is counted by comparison (``_two_level_histogram``).
-    Otherwise pixel pairs ``(a, b)``, viewed as one ``uint16``, are counted
-    into a 256x256 table; ``a`` is the table's row or column depending on
-    byte order, so adding both axis sums counts each pixel once either way.
+    Pixel pairs ``(a, b)``, viewed as one ``uint16``, are counted into a
+    256x256 table; ``a`` is the table's row or column depending on byte
+    order, so adding both axis sums counts each pixel once either way.
     """
     flat = np.ascontiguousarray(image, dtype=np.uint8).ravel()
-    # The comparison buffer is freed on return, before the pair table exists.
-    hist = _two_level_histogram(flat)
-    if hist is not None:
-        return hist
     hist = np.zeros(256, dtype=np.int64)
     pairs = flat[: len(flat) - len(flat) % 2].view(np.uint16)
     table = np.zeros(65536, dtype=np.int32)
@@ -108,19 +127,10 @@ def _histogram(image: np.ndarray) -> np.ndarray:
     return hist
 
 
-def otsu_threshold(image: np.ndarray) -> int:
-    """Threshold maximizing between-class histogram variance.
-
-    Returns ``t`` such that foreground is ``intensity >= t``; variance ties
-    resolve toward the lower threshold.  An image with a single distinct
-    intensity has no two classes to separate.  The input must pass
-    ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
-    else ``ValueError``.  The histogram is counted in pixel pairs (see the
-    module docstring).
-    """
-    hist = _histogram(check_image(image)).astype(np.float64)
-    if np.count_nonzero(hist) < 2:
-        raise ValueError("degenerate histogram: single distinct intensity")
+def _histogram_threshold(image: np.ndarray) -> int:
+    """Otsu's threshold of a checked image of at least three levels, from
+    its full histogram."""
+    hist = _histogram(image).astype(np.float64)
     weight = np.cumsum(hist)
     mass = np.cumsum(hist * np.arange(256))
     w0 = weight[:-1]
@@ -132,16 +142,41 @@ def otsu_threshold(image: np.ndarray) -> int:
     return int(np.argmax(variance)) + 1
 
 
+def otsu_threshold(image: np.ndarray) -> int:
+    """Threshold maximizing between-class histogram variance.
+
+    Returns ``t`` such that foreground is ``intensity >= t``; variance ties
+    resolve toward the lower threshold.  An image with a single distinct
+    intensity has no two classes to separate.  The input must pass
+    ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
+    else ``ValueError``.  A two-level image's threshold is its lower level
+    plus one (``_two_level_threshold``), found by comparison in blocks of
+    64 Ki pixels; only an image with a third level is counted into a
+    histogram (see the module docstring).
+    """
+    img = check_image(image)
+    t = _two_level_threshold(img)
+    return _histogram_threshold(img) if t is None else t
+
+
 def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
     """Foreground mask: ``intensity >= t`` with ``t`` fixed or from Otsu.
 
-    The image must pass ``pgm.check_image`` for either method.
+    The image must pass ``pgm.check_image`` for either method.  With
+    Otsu, a two-level image's mask is the comparison that found its
+    threshold, written block by block into the mask returned.
     """
     img = check_image(image)
     if isinstance(threshold, str):
         if threshold != "otsu":
             raise ValueError(f"unknown threshold method {threshold!r}")
-        t = otsu_threshold(img)
+        mask = np.empty(img.shape, dtype=bool)
+        if _two_level_threshold(img, mask) is not None:
+            return mask
+        # A third level: the half-written mask is dropped before the pair
+        # table is made.
+        del mask
+        t = _histogram_threshold(img)
     else:
         t = int(threshold)
         if not 0 <= t <= 255:

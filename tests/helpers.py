@@ -1,4 +1,4 @@
-"""Shared oracles and generators for the test suite.
+"""Shared oracles, generators and the source-mutant helper for the test suite.
 
 Everything here is deliberately independent of the library internals:
 flood fill by explicit BFS, polygon area by centroid fan, point-in-region
@@ -6,8 +6,11 @@ by scalar math, so the tests cross-check rather than mirror the
 implementation.
 """
 
+import inspect
 import itertools
 import math
+import sys
+import types
 from collections import deque
 
 import numpy as np
@@ -95,3 +98,19 @@ def worst_corner_error(corners, true_vertices):
         max(math.dist(corners[i], true_vertices[p[i]]) for i in range(len(corners)))
         for p in itertools.permutations(range(len(true_vertices)))
     )
+
+
+def source_mutant(module, old: str, new: str) -> dict:
+    """``module`` of the package with one source fragment replaced, as a
+    module namespace, for mutation checks."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType(f"{module.__name__}_mutant")
+    mutant.__package__ = module.__package__
+    # dataclass() looks its class's module up in sys.modules.
+    sys.modules[mutant.__name__] = mutant
+    try:
+        exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    finally:
+        del sys.modules[mutant.__name__]
+    return mutant.__dict__

@@ -11,17 +11,15 @@ search is kept here verbatim as the oracle; the old hull is
 ``old_convex_hull``.
 """
 
-import inspect
 import math
-import sys
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import source_mutant
 from shapeid import ShapeSpec, convex_hull, render
 from shapeid import geometry
 from shapeid.geometry import (
@@ -276,21 +274,6 @@ def test_pruning_keeps_only_few_points_of_a_long_edge():
 # plausible mistake, and the comparisons above must then find a case that
 # differs.
 
-def _mutant(old: str, new: str) -> dict:
-    """geometry with one source fragment replaced, as a module namespace."""
-    source = inspect.getsource(geometry)
-    assert source.count(old) == 1, old
-    module = types.ModuleType("shapeid._geometry_mutant")
-    module.__package__ = "shapeid"
-    # dataclass() looks its class's module up in sys.modules.
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(source.replace(old, new), geometry.__file__, "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module.__dict__
-
-
 _MUTANT_MASKS = [
     render(spec, 64, 64) > 0
     for spec in (
@@ -317,7 +300,7 @@ _MUTANT_MASKS = [
 def test_prune_mutants_are_caught(old, new):
     # Both callers of the prune must see the mistake: the spans' hull, and
     # convex_hull on the same points against the old monotone chain.
-    mutant = _mutant(old, new)
+    mutant = source_mutant(geometry, old, new)
     assert any(
         not np.array_equal(mutant["_span_hull"](row_spans(m)), convex_hull(old_row_extremes(m)))
         for m in _MUTANT_MASKS
@@ -345,7 +328,7 @@ def test_prune_mutants_are_caught(old, new):
     ("int(cross.argmin())", "len(cross) - 1 - int(cross[::-1].argmin())"),
 ])
 def test_search_mutants_are_caught(old, new):
-    mutant = _mutant(old, new)
+    mutant = source_mutant(geometry, old, new)
     assert any(mutant["_best_triangle_and_quad"](h) != old_best_triangle_and_quad(h) for h in TIED_HULLS)
 
 

@@ -54,6 +54,10 @@ _BULK_CASES = {
     "separator blocks between tokens": lambda b: b"\n1" + b" " * (3 * b) + b"2\r\n3",
     "trailing whitespace": lambda b: b" 1 2 3" + b" \n\t\x0b\x0c\r" * b,
     "leading zeros": lambda b: b" " * max(b - 1, 1) + b"007 08 000",
+    # The token loop reads nothing past the last pixel.
+    "a comment after the last pixel": lambda b: b" 1 2 3" + b" " * b + b"# end\n",
+    "a comment right after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3#x 9\n",
+    "a byte starting a token after the last pixel": lambda b: b" 1 2 3" + b"\n" * b + b"x\n",
 }
 
 
@@ -75,6 +79,8 @@ _TOKEN_LOOP_CASES = {
     "too few tokens": lambda b: b" 1" + b" " * (2 * b) + b"2\n",
     "a value above 255 in a later block": lambda b: b" 1 2" + b" " * (2 * b) + b"256\n",
     "a comment in a later block": lambda b: b" 1 2" + b" " * (2 * b) + b"#x\n3\n",
+    "a byte right after the last pixel": lambda b: b" 1 2" + b" " * (2 * b) + b"3x\n",
+    "a comment before the last pixel": lambda b: b" 1 2 #\n3" + b" " * b + b"#\n",
     "whitespace only": lambda b: b" \n" * (2 * b + 1),
     "empty": lambda b: b"",
 }
@@ -134,3 +140,43 @@ def test_large_p2_load_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def _p2_file(image: np.ndarray) -> tuple[bytes, int]:
+    data = write_pgm(image, binary=False)
+    return data, data.index(b"255") + 3
+
+
+def test_comment_after_the_last_pixel_keeps_the_bulk_path():
+    image = render(corpus()[0][1], 256, 256)
+    data, pos = _p2_file(image)
+    data += b"# end\n"
+    bulk = _p2_bulk(data, pos, image.size)
+    assert bulk is not None
+    assert np.array_equal(bulk, _p2_tokens(data, pos, image.size))
+    assert np.array_equal(load_pgm(data), image)
+
+
+def test_byte_glued_to_the_last_pixel_is_the_token_loops_error():
+    image = render(corpus()[0][1], 256, 256)
+    image[-1, -1] = 8
+    data, pos = _p2_file(image)
+    assert data.endswith(b" 8\n")
+    data = data[:-1] + b"x\n"
+    assert _p2_bulk(data, pos, image.size) is None
+    with pytest.raises(PgmParseError, match="non-numeric pixel token b'8x'") as err:
+        load_pgm(data)
+    with pytest.raises(PgmParseError) as reference:
+        _p2_tokens(data, pos, image.size)
+    assert (str(err.value), err.value.offset) == (str(reference.value), reference.value.offset)
+    assert err.value.offset == len(data) - 3
+
+
+def test_comment_between_pixels_takes_the_token_loop():
+    image = render(corpus()[0][1], 256, 256)
+    data, pos = _p2_file(image)
+    middle = data.index(b"\n", pos + len(data) // 2)
+    data = data[:middle] + b" # a comment\n" + data[middle:]
+    assert _p2_bulk(data, pos, image.size) is None
+    assert np.array_equal(_p2_tokens(data, pos, image.size), image.ravel())
+    assert np.array_equal(load_pgm(data), image)

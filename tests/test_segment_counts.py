@@ -1,11 +1,13 @@
 """The segment layer's counting steps against the code they replaced.
 
-``otsu_threshold`` counts a two-level image's histogram by comparison
-and any other image's from ``uint16`` pixel pairs into an ``int32``
-table, and ``isolate_object`` labels components by their row runs.  Each
-is checked here against the previous whole-array ``bincount`` over
-``scipy.ndimage`` labels, kept verbatim as the oracle, and against the
-memory it was rewritten to save.
+``otsu_threshold`` and ``binarize`` take a two-level image's threshold
+as its lower level plus one, found by comparing its pixels with the two
+levels block by block, and count any other image's histogram from
+``uint16`` pixel pairs into an ``int32`` table; ``isolate_object``
+labels components by their row runs.  Each is checked here against the
+previous whole-array ``bincount`` Otsu and ``scipy.ndimage`` labels,
+kept verbatim as the oracles, against source mutants of the two-level
+test, and against the memory it was rewritten to save.
 """
 
 import tracemalloc
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from shapeid import ShapeSpec, binarize, isolate_object, otsu_threshold, render
+from helpers import source_mutant
+from shapeid import ShapeSpec, StageError, binarize, classify_raster, isolate_object, otsu_threshold, render
 from shapeid import segment
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -46,6 +49,10 @@ def old_otsu_threshold(image) -> int:
     mu1 = np.divide(mass[-1] - mass[:-1], w1, out=np.zeros(255), where=valid)
     variance = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -1.0)
     return int(np.argmax(variance)) + 1
+
+
+def _old_binarize(image):
+    return image >= old_otsu_threshold(image)
 
 
 def old_isolate_object(mask: np.ndarray) -> np.ndarray:
@@ -245,6 +252,35 @@ def test_otsu_peak_on_a_third_level_stays_flat(size):
     assert _peak_mib(otsu_threshold, image) < 0.35
 
 
+def _square(size):
+    image = np.full((size, size), 30, dtype=np.uint8)
+    image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
+    return image
+
+
+@pytest.mark.parametrize("size", [256, 1024])
+@pytest.mark.parametrize("view, slack", [("contiguous", 4096), ("transposed", 16384), ("int64", 4096)])
+def test_two_level_binarize_allocates_only_its_mask(size, view, slack):
+    image = _square(size)
+    image = {"contiguous": image, "transposed": image.T, "int64": image.astype(np.int64)}[view]
+    assert np.array_equal(binarize(image), image >= 31)
+    # The comparisons are written into the mask, straight from the image;
+    # neither the 64 KiB buffer otsu_threshold compares through nor a
+    # uint8 copy of the image would fit beside it.  numpy reads a strided
+    # image through a buffer of 8,192 elements.
+    assert _peak_mib(binarize, image) * 2**20 <= size * size + slack
+
+
+@pytest.mark.parametrize("size", [1024, 2048])
+def test_binarize_drops_its_mask_before_the_pair_table(size):
+    # A third level in the last block: the mask is written to the end,
+    # then dropped before the 0.25 MiB pair table is made.
+    image = _square(size)
+    image[-1, -1] = 200
+    assert np.array_equal(binarize(image), _old_binarize(image))
+    assert _peak_mib(binarize, image) * 2**20 < size * size + 65536
+
+
 @pytest.mark.parametrize("size", [256, 1024, 2048])
 def test_two_level_otsu_allocates_no_pair_table(size):
     image = np.full((size, size), 30, dtype=np.uint8)
@@ -266,7 +302,8 @@ def _block_images(draw):
     ))
     layout = draw(st.sampled_from(["row", "column", "rect"]))
     if layout == "rect":
-        width = draw(st.sampled_from([w for w in (2, 3, 7, 256) if n % w == 0] or [1]))
+        # Two rows wider than a block are cut into blocks along each row.
+        width = draw(st.sampled_from([w for w in (2, 3, 7, 256, n // 2) if w and n % w == 0] or [1]))
         shape = (n // width, width)
     else:
         shape = (1, n) if layout == "row" else (n, 1)
@@ -288,11 +325,71 @@ def _block_images(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(image=_block_images())
-def test_comparison_count_matches_bincount(image):
+def test_pair_count_matches_bincount_on_block_images(image):
     for view in _views(image):
         hist = segment._histogram(view)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, old_histogram(view))
+
+
+def _same_binarize(fn, image) -> bool:
+    got, want = _threshold_outcome(fn, image), _threshold_outcome(_old_binarize, image)
+    if isinstance(want, str):
+        return got == want
+    return isinstance(got, np.ndarray) and got.dtype == bool and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(image=_block_images())
+def test_two_level_threshold_matches_old_otsu(image):
+    for view in _views(image):
+        assert _threshold_outcome(otsu_threshold, view) == _threshold_outcome(old_otsu_threshold, view)
+        assert _same_binarize(binarize, view)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (256, 257), (2, _BLOCK + 1)])
+def test_constant_image_keeps_the_degenerate_message(shape):
+    image = np.full(shape, 77, dtype=np.uint8)
+    message = "degenerate histogram: single distinct intensity"
+    for fn in (old_otsu_threshold, otsu_threshold, binarize):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(image)
+    with pytest.raises(StageError, match=f"^segmentation: {message}$") as err:
+        classify_raster(image)
+    assert err.value.stage == "segmentation"
+
+
+def _third_level_images():
+    """Two-level images of three blocks and a bit, each with one pixel of a
+    third level in the first block, at a block edge or in the last block."""
+    n = 3 * _BLOCK + 5
+    flat = np.where(np.random.default_rng(15).random(n) < 0.3, 210, 30).astype(np.uint8)
+    yield flat.reshape(1, n).copy()
+    for at in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK, n - 1):
+        for level in (40, 120, 200):
+            image = flat.copy()
+            image[at] = level
+            yield image.reshape(1, n)
+
+
+# Mutation checks: each fragment of segment.py below is replaced by a
+# plausible mistake, and the comparisons above must then find a case that
+# differs.
+
+@pytest.mark.parametrize("old, new, binarize_sees_it", [
+    # the lower level as the threshold, not the level above it; binarize
+    # returns the mask it wrote, whatever the threshold
+    ("return int(lo) + 1", "return int(lo)", False),
+    # no count of the upper level: every image passes as two-level
+    ("highs = np.count_nonzero(np.equal(block, hi, out=out))",
+     "highs = np.count_nonzero(np.greater(block, lo, out=out))", True),
+])
+def test_two_level_mutants_are_caught(old, new, binarize_sees_it):
+    mutant = source_mutant(segment, old, new)
+    images = list(_third_level_images())
+    assert any(mutant["otsu_threshold"](image) != old_otsu_threshold(image) for image in images)
+    if binarize_sees_it:
+        assert any(not _same_binarize(mutant["binarize"], image) for image in images)
 
 
 def test_isolate_peak_with_a_large_foreground_share():
