@@ -10,11 +10,10 @@ P2 pixel data is read by digit arithmetic in numpy, in blocks of
 ``_P2_BLOCK`` bytes, and written in bulk; no Python object is made per
 pixel.  Pixel data the bulk reader cannot take as it is (comments or
 any byte but digits and whitespace before the last pixel, such a byte
-right after a digit, digit runs of four or more, too few or too many
-values, values above 255) goes to a token loop, which gives the same
-result and the same errors.  Tokens of up to three digits, leading zeros
-included, take the bulk path, and so does a comment after the last
-pixel.
+right after a digit, digit runs of four or more, too few values, values
+above 255) goes to a token loop, which gives the same result and the same
+errors.  Tokens of up to three digits, leading zeros included, take the
+bulk path, and so do a comment or further tokens after the last pixel.
 """
 
 from __future__ import annotations
@@ -145,12 +144,13 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
     about ``_P2_BLOCK`` bytes at a time.
 
     Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
-    need the token loop: a digit run of four or more, other than ``count``
-    values, a value above 255, or any byte but digits and whitespace before
-    the ``count``-th value or right after a digit.  The token loop reads
-    nothing past its ``count``-th token, so after the last value a comment,
-    or a byte after whitespace, ends the data as its end does.  The bytes
-    are not copied, and no Python object is made per token.
+    need the token loop: a digit run of four or more or a value above 255
+    in a block read, fewer than ``count`` values, or any byte but digits and
+    whitespace before the ``count``-th value or right after a digit.  The
+    token loop reads nothing past its ``count``-th token, so after the last
+    value a comment, or a byte after whitespace, ends the data as its end
+    does, and a further token shows that whitespace ended the last value.
+    The bytes are not copied, and no Python object is made per token.
     """
     raw = np.frombuffer(data, dtype=np.uint8)[pos:]
     n = len(raw)
@@ -164,8 +164,11 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
         cut = data[pos + stop : pos + stop + 4]
         stop += len(cut) - len(cut.lstrip(b"0123456789"))
         found, end = _p2_block_values(raw[start:stop])
-        if found is None or filled + len(found) > count:
+        if found is None:
             return None
+        if filled + len(found) > count:
+            out[filled:] = found[: count - filled]
+            return out
         out[filled : filled + len(found)] = found
         filled += len(found)
         if end < stop - start:

@@ -3,9 +3,12 @@
 A pixel is foreground exactly when its center (integer coordinates) lies
 inside the closed continuous region; there is no anti-aliasing, so pixel
 counts track the analytic areas and renders are reproducible bit for bit.
-Curved solids project to a base polygon plus elliptical caps: a cylinder
-is a rectangle with half-ellipse caps on top and bottom, a cone a triangle
-with a cap under its base edge.
+Every shape is described once, by ``_parts``, as a convex polygon plus
+axis-aligned half-ellipse caps: a polygonal kind is its polygon alone, a
+cylinder a rectangle with caps on top and bottom, a cone a triangle with
+a cap under its base edge, and a hemisphere one cap with no polygon.
+Rendering, the bounding box and the analytic area are all read from that
+description.
 """
 
 from __future__ import annotations
@@ -19,14 +22,19 @@ from .classifier import ShapeClass
 
 __all__ = ["ShapeSpec", "analytic_area", "corpus", "polygon_vertices", "render"]
 
-_POLYGON_KINDS = (
-    ShapeClass.RECTANGLE,
-    ShapeClass.SQUARE,
-    ShapeClass.RHOMBUS,
-    ShapeClass.KITE,
-    ShapeClass.TRIANGLE,
-)
-_BULGED = (ShapeClass.CYLINDER, ShapeClass.CONE)
+#: The parameters each kind is built from, in ``ShapeSpec`` field names.
+_PARAMETERS = {
+    ShapeClass.RECTANGLE: ("width", "height"),
+    ShapeClass.CYLINDER: ("width", "height"),
+    ShapeClass.SQUARE: ("side",),
+    ShapeClass.RHOMBUS: ("side", "diagonal_ratio"),
+    ShapeClass.KITE: ("diag_long", "diag_short", "cross_fraction"),
+    ShapeClass.TRIANGLE: ("base", "height"),
+    ShapeClass.CONE: ("base", "height"),
+    ShapeClass.HEMISPHERE: ("radius",),
+}
+#: The largest bulge of each bulged kind, as a fraction of its height.
+_BULGE_LIMITS = {ShapeClass.CYLINDER: 0.15, ShapeClass.CONE: 0.25}
 
 
 @dataclass(frozen=True)
@@ -96,25 +104,13 @@ class ShapeSpec:
 
 
 def _dimensions(spec: ShapeSpec) -> dict:
-    kind = spec.kind
-    if kind in (ShapeClass.RECTANGLE, ShapeClass.CYLINDER):
-        dims = {"width": spec.width, "height": spec.height}
-    elif kind is ShapeClass.SQUARE:
-        dims = {"side": spec.side}
-    elif kind is ShapeClass.RHOMBUS:
-        dims = {"side": spec.side, "diagonal_ratio": spec.diagonal_ratio}
-    elif kind is ShapeClass.KITE:
-        dims = {"diag_long": spec.diag_long, "diag_short": spec.diag_short,
-                "cross_fraction": spec.cross_fraction}
-    elif kind in (ShapeClass.TRIANGLE, ShapeClass.CONE):
-        dims = {"base": spec.base, "height": spec.height}
-    elif kind is ShapeClass.HEMISPHERE:
-        dims = {"radius": spec.radius}
-    else:
-        raise ValueError(f"cannot render shape kind {kind!r}")
+    names = _PARAMETERS.get(spec.kind)
+    if names is None:
+        raise ValueError(f"cannot render shape kind {spec.kind!r}")
+    dims = {name: getattr(spec, name) for name in names}
     for name, value in dims.items():
         if value is None:
-            raise ValueError(f"{kind.value} requires parameter {name!r}")
+            raise ValueError(f"{spec.kind.value} requires parameter {name!r}")
     return dims
 
 
@@ -125,74 +121,85 @@ def _rotated(local: np.ndarray, spec: ShapeSpec) -> np.ndarray:
     return rot + np.asarray(spec.center, dtype=float)
 
 
-def polygon_vertices(spec: ShapeSpec) -> np.ndarray:
-    """Continuous vertices of the polygonal kinds (rotated, absolute).
+def _parts(spec: ShapeSpec) -> tuple:
+    """The shape as a convex polygon and a list of half-ellipse caps.
 
-    For the cone this is the triangle part, before the base cap.
+    The polygon is as ``polygon_vertices`` gives it, or ``None`` for the
+    hemisphere.  A cap ``(cx, edge_y, rx, ry, below)`` is the half of the
+    ellipse with center ``(cx, edge_y)`` and semi-axes ``rx``, ``ry`` on one
+    side of its flat edge at ``edge_y``: larger y if ``below``, else smaller.
+    Caps are axis-aligned, so a shape with caps is never rotated.
     """
-    kind = spec.kind
-    dims = _dimensions(spec)
-    if kind in (ShapeClass.RECTANGLE, ShapeClass.SQUARE):
+    kind, dims, bulge = spec.kind, _dimensions(spec), spec.bulge
+    cx, cy = spec.center
+    caps = []
+    if kind is ShapeClass.HEMISPHERE:
+        r = dims["radius"]
+        return None, [(cx, cy, r, r, True)]
+    if kind in (ShapeClass.RECTANGLE, ShapeClass.SQUARE, ShapeClass.CYLINDER):
         w = dims.get("width", dims.get("side"))
         h = dims.get("height", dims.get("side"))
-        local = np.array([(-w / 2, -h / 2), (w / 2, -h / 2),
-                          (w / 2, h / 2), (-w / 2, h / 2)])
+        local = [(-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2), (-w / 2, h / 2)]
+        if kind is ShapeClass.CYLINDER:
+            caps = [(cx, cy - h / 2, w / 2, bulge, False),
+                    (cx, cy + h / 2, w / 2, bulge, True)]
     elif kind is ShapeClass.RHOMBUS:
         q = dims["diagonal_ratio"]
         if not 0 < q <= 1:
             raise ValueError(f"diagonal_ratio must be in (0, 1], got {q}")
         d1 = 2 * dims["side"] / math.hypot(1, q)
         d2 = q * d1
-        local = np.array([(-d1 / 2, 0), (0, -d2 / 2), (d1 / 2, 0), (0, d2 / 2)])
+        local = [(-d1 / 2, 0), (0, -d2 / 2), (d1 / 2, 0), (0, d2 / 2)]
     elif kind is ShapeClass.KITE:
         d1, d2, f = dims["diag_long"], dims["diag_short"], dims["cross_fraction"]
         if not 0 < f < 1:
             raise ValueError(f"cross_fraction must be in (0, 1), got {f}")
         cross_x = -d1 / 2 + f * d1
-        local = np.array([(-d1 / 2, 0), (cross_x, -d2 / 2),
-                          (d1 / 2, 0), (cross_x, d2 / 2)])
-    elif kind in (ShapeClass.TRIANGLE, ShapeClass.CONE):
-        b, h = dims["base"], dims["height"]
-        # The cone's bounding box includes the cap, so the triangle part
-        # sits `bulge/2` above the box center.
-        shift = spec.bulge / 2 if kind is ShapeClass.CONE else 0.0
-        local = np.array([(0, -h / 2 - shift), (b / 2, h / 2 - shift),
-                          (-b / 2, h / 2 - shift)])
+        local = [(-d1 / 2, 0), (cross_x, -d2 / 2), (d1 / 2, 0), (cross_x, d2 / 2)]
     else:
-        raise ValueError(f"{kind.value} has no polygon vertices")
-    return _rotated(local, spec)
+        b, h = dims["base"], dims["height"]
+        # The cone's bounding box includes its cap, so the triangle part
+        # sits `bulge/2` above the box center.
+        shift = bulge / 2 if kind is ShapeClass.CONE else 0.0
+        base_y = h / 2 - shift
+        local = [(0, -h / 2 - shift), (b / 2, base_y), (-b / 2, base_y)]
+        if kind is ShapeClass.CONE:
+            caps = [(cx, cy + base_y, b / 2, bulge, True)]
+    return _rotated(np.array(local), spec), caps
 
 
-def _bounding_box(spec: ShapeSpec) -> tuple:
-    kind = spec.kind
-    cx, cy = spec.center
-    if kind is ShapeClass.HEMISPHERE:
-        r = spec.radius
-        return cx - r, cy, cx + r, cy + r
-    if kind is ShapeClass.CYLINDER:
-        w, h, b = spec.width, spec.height, spec.bulge
-        return cx - w / 2, cy - h / 2 - b, cx + w / 2, cy + h / 2 + b
-    verts = polygon_vertices(spec)
-    x0, y0 = verts.min(axis=0)
-    x1, y1 = verts.max(axis=0)
-    if kind is ShapeClass.CONE:
-        y1 += spec.bulge
-    return x0, y0, x1, y1
+def polygon_vertices(spec: ShapeSpec) -> np.ndarray:
+    """Continuous vertices of the shape's polygon (rotated, absolute).
+
+    For the cylinder this is its rectangle, for the cone its triangle,
+    both without their caps; the hemisphere has none.
+    """
+    polygon, _ = _parts(spec)
+    if polygon is None:
+        raise ValueError(f"{spec.kind.value} has no polygon vertices")
+    return polygon
 
 
-def _validate(spec: ShapeSpec, width: int, height: int) -> None:
-    dims = _dimensions(spec)
-    for name, value in dims.items():
-        if name in ("diagonal_ratio", "cross_fraction"):
-            continue
-        if value < 8:
+def _bounding_box(polygon, caps) -> tuple:
+    xs, ys = ([], []) if polygon is None else (list(polygon[:, 0]), list(polygon[:, 1]))
+    for cx, edge_y, rx, ry, below in caps:
+        xs += [cx - rx, cx + rx]
+        ys += [edge_y, edge_y + ry if below else edge_y - ry]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _validate(spec: ShapeSpec, width: int, height: int) -> tuple:
+    """Check ``spec`` for a ``width`` x ``height`` raster; return its parts."""
+    for name, value in _dimensions(spec).items():
+        if name not in ("diagonal_ratio", "cross_fraction") and value < 8:
             raise ValueError(f"{spec.kind.value} {name} must be >= 8 px, got {value}")
-    if spec.rotation != 0 and spec.kind not in _POLYGON_KINDS:
+    polygon, caps = _parts(spec)
+    if spec.rotation != 0 and caps:
         raise ValueError(f"rotation is not supported for {spec.kind.value}")
-    if spec.kind in _BULGED:
+    limit = _BULGE_LIMITS.get(spec.kind)
+    if limit is not None:
         if spec.bulge <= 0:
             raise ValueError(f"{spec.kind.value} requires a positive bulge")
-        limit = 0.15 if spec.kind is ShapeClass.CYLINDER else 0.25
         if spec.bulge > limit * spec.height:
             raise ValueError(
                 f"{spec.kind.value} bulge {spec.bulge} exceeds"
@@ -204,28 +211,36 @@ def _validate(spec: ShapeSpec, width: int, height: int) -> None:
         raise ValueError("fg and bg intensities must lie in [0, 255]")
     if spec.fg == spec.bg:
         raise ValueError("fg and bg intensities must differ")
-    x0, y0, x1, y1 = _bounding_box(spec)
+    x0, y0, x1, y1 = _bounding_box(polygon, caps)
     if x0 < 2 or y0 < 2 or x1 > width - 3 or y1 > height - 3:
         raise ValueError(
             f"shape bounding box ({x0:.1f},{y0:.1f})..({x1:.1f},{y1:.1f})"
             f" leaves less than the 2 px margin in a {width}x{height} raster"
         )
+    return polygon, caps
 
 
 def _fill_convex(vertices: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    pos = neg = True
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        cross = (x2 - x1) * (ys - y1) - (y2 - y1) * (xs - x1)
-        pos &= cross >= 0
-        neg &= cross <= 0
+    # Combining a Python bool with an array is many times slower than
+    # combining two arrays, so start from arrays.
+    pos = np.ones(np.broadcast_shapes(xs.shape, ys.shape), dtype=bool)
+    neg = pos.copy()
+    for (x1, y1), (x2, y2) in zip(vertices, np.roll(vertices, -1, axis=0)):
+        # The edge's cross product is a - b.  A float difference is zero
+        # only where its operands are equal, so comparing a with b gives
+        # its sign exactly, without an (h, w) float array.
+        a = (x2 - x1) * (ys - y1)
+        b = (y2 - y1) * (xs - x1)
+        pos &= a >= b
+        neg &= a <= b
     return pos | neg
 
 
 def _half_ellipse(xs, ys, cx, edge_y, rx, ry, below: bool) -> np.ndarray:
-    inside = ((xs - cx) / rx) ** 2 + ((ys - edge_y) / ry) ** 2 <= 1.0
+    # Multiplied out rather than divided by rx and ry, so no quotient is
+    # rounded: a hemisphere at an integer center lights the same pixels as
+    # the circle test dx^2 + dy^2 <= r^2.
+    inside = ((xs - cx) * ry) ** 2 + ((ys - edge_y) * rx) ** 2 <= (rx * ry) ** 2
     return inside & (ys >= edge_y if below else ys <= edge_y)
 
 
@@ -233,55 +248,27 @@ def render(spec: ShapeSpec, width: int, height: int) -> np.ndarray:
     """Rasterize ``spec`` into a ``(height, width)`` uint8 image."""
     if width < 1 or height < 1:
         raise ValueError(f"raster dimensions must be >= 1, got {width}x{height}")
-    _validate(spec, width, height)
+    polygon, caps = _validate(spec, width, height)
     # A (height, 1) column and a (1, width) row: every predicate broadcasts.
     ys, xs = (a.astype(float) for a in np.ogrid[0:height, 0:width])
-    cx, cy = spec.center
-    kind = spec.kind
-
-    if kind is ShapeClass.HEMISPHERE:
-        r = spec.radius
-        inside = ((xs - cx) ** 2 + (ys - cy) ** 2 <= r * r) & (ys >= cy)
-    elif kind is ShapeClass.CYLINDER:
-        w, h, b = spec.width, spec.height, spec.bulge
-        inside = (np.abs(xs - cx) <= w / 2) & (np.abs(ys - cy) <= h / 2)
-        inside |= _half_ellipse(xs, ys, cx, cy - h / 2, w / 2, b, below=False)
-        inside |= _half_ellipse(xs, ys, cx, cy + h / 2, w / 2, b, below=True)
-    elif kind is ShapeClass.CONE:
-        verts = polygon_vertices(spec)
-        inside = _fill_convex(verts, xs, ys)
-        base_y = cy + spec.height / 2 - spec.bulge / 2
-        inside |= _half_ellipse(xs, ys, cx, base_y, spec.base / 2, spec.bulge,
-                                below=True)
+    if polygon is None:
+        inside = np.zeros((height, width), dtype=bool)
     else:
-        inside = _fill_convex(polygon_vertices(spec), xs, ys)
-
+        inside = _fill_convex(polygon, xs, ys)
+    for cap in caps:
+        inside |= _half_ellipse(xs, ys, *cap)
     return np.where(inside, np.uint8(spec.fg), np.uint8(spec.bg))
 
 
 def analytic_area(spec: ShapeSpec) -> float:
     """Continuous area of the filled region, for pixel-count cross-checks."""
-    kind = spec.kind
-    dims = _dimensions(spec)
-    if kind is ShapeClass.RECTANGLE:
-        return dims["width"] * dims["height"]
-    if kind is ShapeClass.SQUARE:
-        return dims["side"] ** 2
-    if kind is ShapeClass.RHOMBUS:
-        q = dims["diagonal_ratio"]
-        d1 = 2 * dims["side"] / math.hypot(1, q)
-        return d1 * (q * d1) / 2
-    if kind is ShapeClass.KITE:
-        return dims["diag_long"] * dims["diag_short"] / 2
-    if kind is ShapeClass.TRIANGLE:
-        return dims["base"] * dims["height"] / 2
-    if kind is ShapeClass.HEMISPHERE:
-        return math.pi * dims["radius"] ** 2 / 2
-    if kind is ShapeClass.CYLINDER:
-        return dims["width"] * dims["height"] + math.pi * (dims["width"] / 2) * spec.bulge
-    if kind is ShapeClass.CONE:
-        return dims["base"] * dims["height"] / 2 + math.pi * (dims["base"] / 2) * spec.bulge / 2
-    raise ValueError(f"cannot compute area for {kind!r}")
+    polygon, caps = _parts(spec)
+    area = 0.0
+    if polygon is not None:
+        # Taken about a vertex, which keeps the products small.
+        x, y = (polygon - polygon[0]).T
+        area = abs(x @ np.roll(y, -1) - y @ np.roll(x, -1)) / 2
+    return float(area + sum(math.pi * rx * ry / 2 for _, _, rx, ry, _ in caps))
 
 
 def corpus(width: int = 256, height: int = 256) -> list:

@@ -58,6 +58,8 @@ _BULK_CASES = {
     "a comment after the last pixel": lambda b: b" 1 2 3" + b" " * b + b"# end\n",
     "a comment right after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3#x 9\n",
     "a byte starting a token after the last pixel": lambda b: b" 1 2 3" + b"\n" * b + b"x\n",
+    "an extra token in a later block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"4\n",
+    "extra tokens right after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3 4 5\n",
 }
 
 
@@ -75,7 +77,6 @@ _TOKEN_LOOP_CASES = {
     "five digits over the cut": lambda b: b" " * max(b - 1, 1) + b"10000 4 5\n",
     "four digits over the cut": lambda b: b" " * max(b - 1, 1) + b"0001 4 5\n",
     "four digits before the cut": lambda b: b" " * max(b - 4, 1) + b"0001 4 5\n",
-    "an extra token in a later block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"4\n",
     "too few tokens": lambda b: b" 1" + b" " * (2 * b) + b"2\n",
     "a value above 255 in a later block": lambda b: b" 1 2" + b" " * (2 * b) + b"256\n",
     "a comment in a later block": lambda b: b" 1 2" + b" " * (2 * b) + b"#x\n3\n",
@@ -155,6 +156,16 @@ def test_comment_after_the_last_pixel_keeps_the_bulk_path():
     assert bulk is not None
     assert np.array_equal(bulk, _p2_tokens(data, pos, image.size))
     assert np.array_equal(load_pgm(data), image)
+
+
+def test_extra_tokens_after_the_last_pixel_keep_the_bulk_path():
+    image = render(corpus()[0][1], 256, 256)
+    data, pos = _p2_file(image)
+    for tail in (b"0\n", b"7 8 9\n" * 100):
+        bulk = _p2_bulk(data + tail, pos, image.size)
+        assert bulk is not None
+        assert np.array_equal(bulk, _p2_tokens(data + tail, pos, image.size))
+        assert np.array_equal(load_pgm(data + tail), image)
 
 
 def test_byte_glued_to_the_last_pixel_is_the_token_loops_error():

@@ -2,8 +2,11 @@
 
 ``render`` evaluates every shape predicate on a ``(height, 1)`` column of
 y coordinates and a ``(1, width)`` row of x coordinates instead of two
-``(height, width)`` grids.  The grid version is kept here verbatim as the
-oracle; the two must agree bit for bit.
+``(height, width)`` grids, and it fills every shape as a convex polygon
+plus half-ellipse caps, its cap test multiplied out and its polygon edges
+compared rather than subtracted.  The grid version, with its per-kind
+branches and its divided cap test, is kept here verbatim as the oracle;
+the two must agree bit for bit.
 """
 
 import dataclasses
@@ -11,8 +14,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shapeid import ShapeClass, corpus, polygon_vertices, render
-from shapeid.synth import _half_ellipse, _validate
+from shapeid import ShapeClass, ShapeSpec, corpus, polygon_vertices, render
+from shapeid.synth import _validate
 
 _POLYGONS = ("rectangle", "square", "rhombus", "kite", "triangle")
 
@@ -28,6 +31,11 @@ def old_fill_convex(vertices, xs, ys):
         pos &= cross >= 0
         neg &= cross <= 0
     return pos | neg
+
+
+def _half_ellipse(xs, ys, cx, edge_y, rx, ry, below: bool) -> np.ndarray:
+    inside = ((xs - cx) / rx) ** 2 + ((ys - edge_y) / ry) ** 2 <= 1.0
+    return inside & (ys >= edge_y if below else ys <= edge_y)
 
 
 def old_render(spec, width, height):
@@ -83,3 +91,21 @@ def test_rotated_polygon_render_matches_full_grid(name, size):
     base = dict(corpus(size, size))[name]
     for angle in range(0, 90, 5):
         _assert_same_render(dataclasses.replace(base, rotation=float(angle)), size, size)
+
+
+@pytest.mark.parametrize("radius", [13, 26, 39, 52])
+def test_hemisphere_at_an_integer_center_matches_full_grid(radius):
+    # The divided cap test lights four pixels too many or too few here.
+    for center in ((64.0, 40.0), (63.0, 41.0), (63.5, 40.0)):
+        _assert_same_render(ShapeSpec.hemisphere(center, radius), 128, 128)
+
+
+@pytest.mark.parametrize("size", [48, 300])
+@pytest.mark.parametrize("fraction", [0.01, 0.04, 0.1, 0.15, 0.2, 0.25])
+def test_curved_solids_at_other_bulges_match_full_grid(fraction, size):
+    base = dict(corpus(size, size))
+    for name, limit in (("cylinder", 0.15), ("cone", 0.25)):
+        if fraction <= limit:
+            spec = base[name]
+            spec = dataclasses.replace(spec, bulge=fraction * spec.height)
+            _assert_same_render(spec, size, size)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shapeid import ShapeClass, ShapeSpec, analytic_area, corpus, render
+from shapeid import ShapeClass, ShapeSpec, analytic_area, corpus, polygon_vertices, render
 
 CENTER = (127.5, 127.5)
 
@@ -91,12 +91,43 @@ def test_pixel_count_tracks_analytic_area():
         assert abs(count - analytic_area(spec)) / analytic_area(spec) < 0.02
 
 
+_CLOSED_FORM_AREAS = [
+    (ShapeSpec.rectangle(CENTER, 120, 80), 120 * 80),
+    (ShapeSpec.square(CENTER, 100), 100 * 100),
+    # Diagonals 2 * 100 / hypot(1, 0.75) = 160 and 0.75 * 160 = 120.
+    (ShapeSpec.rhombus(CENTER, 100, 0.75), 160 * 120 / 2),
+    (ShapeSpec.kite(CENTER, 160, 80, 0.375), 160 * 80 / 2),
+    (ShapeSpec.triangle(CENTER, 100, 100), 100 * 100 / 2),
+    (ShapeSpec.hemisphere((127.5, 102.5), 50), math.pi * 50**2 / 2),
+    (ShapeSpec.cylinder(CENTER, 100, 120, 15), 100 * 120 + math.pi * 50 * 15),
+    (ShapeSpec.cone(CENTER, 110, 100, 12), 110 * 100 / 2 + math.pi * 55 * 12 / 2),
+]
+
+
 def test_analytic_area_formulas():
-    assert analytic_area(ShapeSpec.rhombus(CENTER, 100, 0.75)) == pytest.approx(9600.0)
-    assert analytic_area(ShapeSpec.kite(CENTER, 160, 80, 0.375)) == pytest.approx(6400.0)
-    assert analytic_area(ShapeSpec.cone(CENTER, 110, 100, 12)) == pytest.approx(
-        5500 + math.pi * 55 * 12 / 2
-    )
+    for spec, expected in _CLOSED_FORM_AREAS:
+        assert analytic_area(spec) == pytest.approx(expected, rel=1e-12), spec.kind
+        # The area does not depend on where the shape sits.
+        moved = dataclasses.replace(spec, center=(121.37, 130.91))
+        assert analytic_area(moved) == pytest.approx(expected, rel=1e-12), spec.kind
+
+
+def test_curved_solids_have_their_polygon_without_caps():
+    cylinder = polygon_vertices(ShapeSpec.cylinder(CENTER, 100, 120, 15))
+    assert cylinder.tolist() == [[77.5, 67.5], [177.5, 67.5], [177.5, 187.5], [77.5, 187.5]]
+    # The cone's triangle sits bulge / 2 above the center of its box.
+    cone = polygon_vertices(ShapeSpec.cone(CENTER, 110, 100, 12))
+    assert cone.tolist() == [[127.5, 71.5], [182.5, 171.5], [72.5, 171.5]]
+    with pytest.raises(ValueError, match="Hemisphere has no polygon vertices"):
+        polygon_vertices(ShapeSpec.hemisphere((127.5, 102.5), 50))
+
+
+def test_rotated_polygon_keeps_its_area():
+    for spec, _ in _CLOSED_FORM_AREAS[:5]:
+        upright = analytic_area(spec)
+        for angle in range(5, 360, 5):
+            rotated = dataclasses.replace(spec, rotation=float(angle))
+            assert analytic_area(rotated) == pytest.approx(upright, rel=1e-12), rotated
 
 
 @pytest.mark.parametrize(
@@ -107,6 +138,8 @@ def test_analytic_area_formulas():
         (ShapeSpec.cylinder(CENTER, 100, 120, 20), "exceeds"),
         (ShapeSpec.cone(CENTER, 110, 100, 30), "exceeds"),
         (ShapeSpec.hemisphere((127.5, 100.5), 50, rotation=15.0), "rotation"),
+        (ShapeSpec.cylinder(CENTER, 100, 120, 15, rotation=15.0), "rotation"),
+        (ShapeSpec.cone(CENTER, 110, 100, 12, rotation=15.0), "rotation"),
         (ShapeSpec.square(CENTER, 100, bulge=5.0), "bulge"),
         (ShapeSpec.square(CENTER, 100, fg=0, bg=0), "differ"),
         (ShapeSpec.cylinder(CENTER, 100, 120, 0), "positive bulge"),
