@@ -1,22 +1,27 @@
 """Tolerance-rule classifier mapping corner features to a shape label.
 
-The rules fire in a fixed order and the first match wins:
+The rules are one ordered table in ``classify``.  The first rule that
+holds decides the label, by the first of its outcomes that holds:
 
 1. degenerate corners -- the smallest pairwise corner distance is tiny and
    unique, so only three real corners exist: ``Cone`` when the pixel area
    exceeds the corner polygon (curved cap), else ``Triangle``.
-2. four equal sides -- ``Square`` when the diagonals also match, else
-   ``Rhombus``.
+2. four equal sides, with a pixel area that does not exceed the corner
+   polygon -- ``Square`` when the diagonals also match, else ``Rhombus``.
 3. half-disk area -- an axis-aligned corner pair defines a center and
    radius whose half-disk area matches the pixel count: ``Hemisphere``.
-4. two equal side pairs -- equal diagonals give ``Rectangle`` (pixel area
-   matches the side product) or ``Cylinder`` (area excess from elliptical
-   caps); unequal diagonals give ``Kite``.
+4. two equal side pairs -- with equal diagonals, ``Rectangle`` when the
+   pixel area matches the side product and does not exceed the corner
+   polygon, else ``Unknown`` unless it exceeds the polygon, which makes
+   it a ``Cylinder`` (area excess from elliptical caps); with unequal
+   diagonals, ``Unknown`` when the pixel area exceeds the corner polygon,
+   else ``Kite``.
 
-Anything else is ``Unknown``.  Sides and diagonals are read off the
-counterclockwise corner order: opposite corners are diagonal pairs,
-adjacent corners are sides.  All comparisons are relative, so labels are
-invariant under translation and uniform scaling.
+If no rule holds the label is ``Unknown``.  ``evidence["rules"]`` records
+whether each rule holds, in table order.  Sides and diagonals are read
+off the counterclockwise corner order: opposite corners are diagonal
+pairs, adjacent corners are sides.  All comparisons are relative, so
+labels are invariant under translation and uniform scaling.
 """
 
 from __future__ import annotations
@@ -91,9 +96,10 @@ def _eq(a: float, b: float, eps: float) -> bool:
 
 
 def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
-    """Label a feature vector with the first matching rule."""
+    """Label a feature vector by the first rule of the table that holds."""
     if tol is None:
         tol = Tolerances()
+    eps, area_eps = tol.rel_eps, tol.area_eps
     d = [float(x) for x in features.distances]
     sd = float(features.sd)
     area_px = float(features.area_px)
@@ -103,40 +109,59 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
     if degen_eps is None:
         degen_eps = max(3.0, 0.05 * max(d))
     bulge = area_px / poly_area if poly_area > 0 else math.inf
+    # Not each other's negation: a NaN bulge is neither flat nor capped.
+    flat = bulge <= 1 + area_eps
+    capped = bulge > 1 + area_eps
 
     # Corner order is counterclockwise, so in the canonical pair order
     # (01, 02, 03, 12, 13, 23) the diagonals are pairs 02 and 13.
     sides = [d[0], d[3], d[5], d[2]]
     diagonals = [d[1], d[4]]
+    diagonals_eq = _eq(diagonals[0], diagonals[1], eps)
+    lo = sorted(sides)
+    a, b = (lo[0] + lo[1]) / 2, (lo[2] + lo[3]) / 2
 
     min_index = d.index(min(d))
-    sd_unique = not any(
-        _eq(x, sd, tol.rel_eps) for i, x in enumerate(d) if i != min_index
-    )
-    degenerate = sd <= degen_eps and sd_unique
-
-    lo = sorted(sides)
-    paired = (
-        _eq(lo[0], lo[1], tol.rel_eps)
-        and _eq(lo[2], lo[3], tol.rel_eps)
-        and not _eq((lo[0] + lo[1]) / 2, (lo[2] + lo[3]) / 2, tol.rel_eps)
-    )
-    all_sides_eq = _eq(min(sides), max(sides), tol.rel_eps)
-    diagonals_eq = _eq(diagonals[0], diagonals[1], tol.rel_eps)
-    bulge_ok = bulge <= 1 + tol.area_eps
+    sd_unique = not any(_eq(x, sd, eps) for i, x in enumerate(d) if i != min_index)
 
     fit = fit_hemisphere(features.corners)
     half_disk_area = 0.5 * math.pi * fit.radius**2 if fit is not None else None
-    hemisphere_match = fit is not None and _eq(
-        area_px, half_disk_area, tol.area_eps
-    )
 
-    rules = {
-        "degenerate_corners": degenerate,
-        "equal_sides": all_sides_eq and bulge_ok,
-        "half_disk_area": hemisphere_match,
-        "paired_sides": paired,
-    }
+    # (name, holds, outcomes), in firing order.  Under the first rule that
+    # holds, the first (condition, label, note) whose condition holds wins.
+    # A condition states only what sets its outcome apart from those after
+    # it, and each rule's last condition is True.
+    rules = (
+        ("degenerate_corners", sd <= degen_eps and sd_unique, (
+            (capped, ShapeClass.CONE, "area exceeds corner triangle: curved cap present"),
+            (True, ShapeClass.TRIANGLE, "area matches corner triangle: no cap"),
+        )),
+        ("equal_sides", _eq(min(sides), max(sides), eps) and flat, (
+            (diagonals_eq, ShapeClass.SQUARE, "diagonals equal"),
+            (True, ShapeClass.RHOMBUS, "diagonals differ"),
+        )),
+        ("half_disk_area", fit is not None and _eq(area_px, half_disk_area, area_eps), (
+            (True, ShapeClass.HEMISPHERE, None),
+        )),
+        ("paired_sides",
+         _eq(lo[0], lo[1], eps) and _eq(lo[2], lo[3], eps) and not _eq(a, b, eps), (
+            (diagonals_eq and flat and _eq(area_px, a * b, area_eps), ShapeClass.RECTANGLE,
+             "area matches side product"),
+            (diagonals_eq and not capped, ShapeClass.UNKNOWN,
+             "equal diagonals but area matches neither rectangle nor capped rectangle"),
+            (diagonals_eq, ShapeClass.CYLINDER, "area exceeds corner rectangle: curved caps present"),
+            (not flat, ShapeClass.UNKNOWN, "unequal diagonals but area exceeds corner polygon"),
+            (True, ShapeClass.KITE, "unequal diagonals with flat silhouette"),
+        )),
+    )
+    label, note = ShapeClass.UNKNOWN, None
+    for _, holds, outcomes in rules:
+        if holds:
+            for condition, label, note in outcomes:
+                if condition:
+                    break
+            break
+
     evidence = {
         "sides": sides,
         "diagonals": diagonals,
@@ -153,46 +178,10 @@ def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:
             "axis": fit.axis,
             "half_disk_area": half_disk_area,
         },
-        "rules": rules,
-        "notes": [],
+        "rules": {name: holds for name, holds, _ in rules},
+        "notes": [] if note is None else [note],
     }
-    notes = evidence["notes"]
-
-    if degenerate:
-        if bulge > 1 + tol.area_eps:
-            notes.append("area exceeds corner triangle: curved cap present")
-            return Verdict(ShapeClass.CONE, evidence)
-        notes.append("area matches corner triangle: no cap")
-        return Verdict(ShapeClass.TRIANGLE, evidence)
-
-    if rules["equal_sides"]:
-        if diagonals_eq:
-            notes.append("diagonals equal")
-            return Verdict(ShapeClass.SQUARE, evidence)
-        notes.append("diagonals differ")
-        return Verdict(ShapeClass.RHOMBUS, evidence)
-
-    if hemisphere_match:
-        return Verdict(ShapeClass.HEMISPHERE, evidence)
-
-    if paired:
-        a = (lo[0] + lo[1]) / 2
-        b = (lo[2] + lo[3]) / 2
-        if diagonals_eq:
-            if bulge_ok and _eq(area_px, a * b, tol.area_eps):
-                notes.append("area matches side product")
-                return Verdict(ShapeClass.RECTANGLE, evidence)
-            if bulge > 1 + tol.area_eps:
-                notes.append("area exceeds corner rectangle: curved caps present")
-                return Verdict(ShapeClass.CYLINDER, evidence)
-            notes.append("equal diagonals but area matches neither rectangle nor capped rectangle")
-        elif bulge_ok:
-            notes.append("unequal diagonals with flat silhouette")
-            return Verdict(ShapeClass.KITE, evidence)
-        else:
-            notes.append("unequal diagonals but area exceeds corner polygon")
-
-    return Verdict(ShapeClass.UNKNOWN, evidence)
+    return Verdict(label, evidence)
 
 
 def explain(verdict: Verdict) -> str:

@@ -10,10 +10,12 @@ P2 pixel data is read by digit arithmetic in numpy, in blocks of
 ``_P2_BLOCK`` bytes, and written in bulk; no Python object is made per
 pixel.  Pixel data the bulk reader cannot take as it is (comments or
 any byte but digits and whitespace before the last pixel, such a byte
-right after a digit, digit runs of four or more, too few values, values
-above 255) goes to a token loop, which gives the same result and the same
-errors.  Tokens of up to three digits, leading zeros included, take the
-bulk path, and so do a comment or further tokens after the last pixel.
+right after a digit, too few values, and up to the last pixel, digit runs
+of four or more or values above 255) goes to a token loop, which gives
+the same result and the same errors.  Tokens of up to three digits,
+leading zeros included, take the bulk path.  Like the token loop, the
+bulk reader reads nothing after the last pixel but the byte that ends it,
+so whatever follows that byte takes the bulk path too.
 """
 
 from __future__ import annotations
@@ -99,13 +101,14 @@ def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8)
 
 
-def _p2_block_values(block: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _p2_block_values(block: np.ndarray, need: int) -> tuple[np.ndarray | None, int]:
     """The values of the P2 pixel tokens in ``block[:end]``, a ``uint8``
-    view that no token crosses, and ``end``, the index of the block's first
-    byte that is neither a digit nor whitespace, or its length.  The values
-    are ``None`` if that prefix holds a digit run of four or more or a value
-    above 255.  Each value is read at its token's last digit, from that
-    digit and the two before it.
+    view that no token crosses, and ``end``: the index right after the
+    ``need``-th token if the block holds that many, else the index of its
+    first byte that is neither a digit nor whitespace, or its length.  The
+    values are ``None`` if that prefix holds a digit run of four or more or
+    a value above 255.  Each value is read at its token's last digit, from
+    that digit and the two before it.
     """
     # Less '0', digits are 0..9, a space wraps to 240 and \t..\r to 217..221.
     d = np.subtract(block, 0x30, dtype=np.uint8)
@@ -117,9 +120,6 @@ def _p2_block_values(block: np.ndarray) -> tuple[np.ndarray | None, int]:
         d, digit = d[:end], digit[:end]
     # Freed before the arrays below, so the block's peak does not grow.
     del known
-    pairs = digit[1:] & digit[:-1]
-    if (pairs[2:] & pairs[:-2]).any():
-        return None, end
     d *= digit
     # tens[i] is the number the digits at i-1 and i make, or 0 at a
     # separator, so a token ending at i reads d[i] + 10 tens[i-1].
@@ -134,7 +134,12 @@ def _p2_block_values(block: np.ndarray) -> tuple[np.ndarray | None, int]:
     ends = digit.copy()
     np.greater(digit[:-1], digit[1:], out=ends[:-1])
     found = np.compress(ends, value)
-    if len(found) and found.max() > 255:
+    if len(found) >= need:
+        # The block holds the last value needed: check nothing after it.
+        end = int(np.flatnonzero(ends)[need - 1]) + 1
+        found, digit = found[:need], digit[:end]
+    pairs = digit[1:] & digit[:-1]
+    if (pairs[2:] & pairs[:-2]).any() or (len(found) and found.max() > 255):
         return None, end
     return found, end
 
@@ -145,12 +150,11 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
 
     Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
     need the token loop: a digit run of four or more or a value above 255
-    in a block read, fewer than ``count`` values, or any byte but digits and
-    whitespace before the ``count``-th value or right after a digit.  The
-    token loop reads nothing past its ``count``-th token, so after the last
-    value a comment, or a byte after whitespace, ends the data as its end
-    does, and a further token shows that whitespace ended the last value.
-    The bytes are not copied, and no Python object is made per token.
+    up to the ``count``-th value, fewer than ``count`` values, any byte but
+    digits and whitespace before the ``count``-th value, or a byte right
+    after it that is neither whitespace nor ``#``.  Like the token loop, it
+    reads nothing past that byte.  The bytes are not copied, and no Python
+    object is made per token.
     """
     raw = np.frombuffer(data, dtype=np.uint8)[pos:]
     n = len(raw)
@@ -159,25 +163,23 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
     while start < n:
         # End the block after the digit run its cut lands in, so that the
         # next block starts on a separator.  Four digits past the cut make
-        # a run the four-digit check rejects, so look no further.
+        # a run the four-digit check rejects, or one after the last value
+        # that is never read, so look no further.
         stop = min(start + _P2_BLOCK, n)
         cut = data[pos + stop : pos + stop + 4]
         stop += len(cut) - len(cut.lstrip(b"0123456789"))
-        found, end = _p2_block_values(raw[start:stop])
+        found, end = _p2_block_values(raw[start:stop], count - filled)
         if found is None:
             return None
-        if filled + len(found) > count:
-            out[filled:] = found[: count - filled]
-            return out
         out[filled : filled + len(found)] = found
         filled += len(found)
-        if end < stop - start:
+        if filled == count:
             at = start + end
-            if filled == count and (raw[at] == _COMMENT or int(raw[at - 1]) in _WHITESPACE):
-                return out
+            return out if at == n or raw[at] == _COMMENT or int(raw[at]) in _WHITESPACE else None
+        if end < stop - start:
             return None
         start = stop
-    return out if filled == count else None
+    return None
 
 
 def load_pgm(data: bytes) -> np.ndarray:

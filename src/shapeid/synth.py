@@ -8,7 +8,8 @@ axis-aligned half-ellipse caps: a polygonal kind is its polygon alone, a
 cylinder a rectangle with caps on top and bottom, a cone a triangle with
 a cap under its base edge, and a hemisphere one cap with no polygon.
 Rendering, the bounding box and the analytic area are all read from that
-description.
+description, and the predicates are evaluated only on the pixels inside
+the bounding box.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def _bounding_box(polygon, caps) -> tuple:
 
 
 def _validate(spec: ShapeSpec, width: int, height: int) -> tuple:
-    """Check ``spec`` for a ``width`` x ``height`` raster; return its parts."""
+    """Check ``spec`` for a ``width`` x ``height`` raster; return its
+    polygon, its caps and its bounding box ``(x0, y0, x1, y1)``."""
     for name, value in _dimensions(spec).items():
         if name not in ("diagonal_ratio", "cross_fraction") and value < 8:
             raise ValueError(f"{spec.kind.value} {name} must be >= 8 px, got {value}")
@@ -217,7 +219,7 @@ def _validate(spec: ShapeSpec, width: int, height: int) -> tuple:
             f"shape bounding box ({x0:.1f},{y0:.1f})..({x1:.1f},{y1:.1f})"
             f" leaves less than the 2 px margin in a {width}x{height} raster"
         )
-    return polygon, caps
+    return polygon, caps, (x0, y0, x1, y1)
 
 
 def _fill_convex(vertices: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -248,16 +250,20 @@ def render(spec: ShapeSpec, width: int, height: int) -> np.ndarray:
     """Rasterize ``spec`` into a ``(height, width)`` uint8 image."""
     if width < 1 or height < 1:
         raise ValueError(f"raster dimensions must be >= 1, got {width}x{height}")
-    polygon, caps = _validate(spec, width, height)
-    # A (height, 1) column and a (1, width) row: every predicate broadcasts.
-    ys, xs = (a.astype(float) for a in np.ogrid[0:height, 0:width])
+    polygon, caps, (x0, y0, x1, y1) = _validate(spec, width, height)
+    # Only pixels in the bounding box can be inside.  A column of its rows'
+    # y and a row of its columns' x: every predicate broadcasts.
+    box = slice(math.floor(y0), math.ceil(y1) + 1), slice(math.floor(x0), math.ceil(x1) + 1)
+    ys, xs = (a.astype(float) for a in np.ogrid[box])
     if polygon is None:
-        inside = np.zeros((height, width), dtype=bool)
+        inside = np.zeros((ys.size, xs.size), dtype=bool)
     else:
         inside = _fill_convex(polygon, xs, ys)
     for cap in caps:
         inside |= _half_ellipse(xs, ys, *cap)
-    return np.where(inside, np.uint8(spec.fg), np.uint8(spec.bg))
+    image = np.full((height, width), spec.bg, dtype=np.uint8)
+    image[box][inside] = spec.fg
+    return image
 
 
 def analytic_area(spec: ShapeSpec) -> float:

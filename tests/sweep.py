@@ -7,8 +7,9 @@ with seeded Gaussian noise plus salt and pepper, whose third and further
 grey levels send Otsu's histogram through the pixel-pair count; and two
 images each stage must reject, a constant one (no threshold) and a
 two-pixel object (too few points for corners).  Each line holds the case name and
-either the label, corners and evidence ``classify_raster`` returns, or the
-stage and message of the ``StageError`` it raises.  Under ``"cli"`` it
+either the label, corners and evidence ``classify_raster`` returns with the
+``explain`` text of its verdict, or the stage and message of the
+``StageError`` it raises.  Under ``"cli"`` it
 also holds what ``shapeid classify --json`` makes of the case written as a
 P5 file: the exit code, then the JSON report without its run-dependent
 ``file`` and ``elapsed_ms`` fields, or the error text on stderr.
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from golden_features import _plain
-from shapeid import StageError, classify_raster, corpus, render, write_pgm
+from shapeid import StageError, classify_raster, corpus, explain, render, write_pgm
 from shapeid.cli import main as cli_main
 
 SIZES = (48, 64, 96, 128, 192, 256, 384, 512)
@@ -87,6 +88,7 @@ def outcome(image: np.ndarray) -> dict:
         "label": verdict.label.value,
         "corners": features.corners.tolist(),
         "evidence": _plain(verdict.evidence),
+        "explain": explain(verdict),
     }
 
 

@@ -60,6 +60,14 @@ _BULK_CASES = {
     "a byte starting a token after the last pixel": lambda b: b" 1 2 3" + b"\n" * b + b"x\n",
     "an extra token in a later block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"4\n",
     "extra tokens right after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3 4 5\n",
+    # Checks that hold up to the last pixel do not look past it, whether
+    # what follows it is in its block or in a later one.
+    "four digits after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3 1000\n",
+    "four digits after the last pixel's block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"1000\n",
+    "above 255 after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3 300\n",
+    "above 255 after the last pixel's block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"300\n",
+    "a non-digit after the last pixel": lambda b: b" " * max(b - 1, 1) + b"1 2 3 x\n",
+    "a non-digit after the last pixel's block": lambda b: b" 1 2 3" + b" " * (2 * b) + b"x\n",
 }
 
 
@@ -161,7 +169,9 @@ def test_comment_after_the_last_pixel_keeps_the_bulk_path():
 def test_extra_tokens_after_the_last_pixel_keep_the_bulk_path():
     image = render(corpus()[0][1], 256, 256)
     data, pos = _p2_file(image)
-    for tail in (b"0\n", b"7 8 9\n" * 100):
+    # The token loop never reads a tail; the bulk reader's four-digit,
+    # above-255 and non-digit checks must not see one either.
+    for tail in (b"0\n", b"7 8 9\n" * 100, b"1000\n", b"300\n", b"\nx\n"):
         bulk = _p2_bulk(data + tail, pos, image.size)
         assert bulk is not None
         assert np.array_equal(bulk, _p2_tokens(data + tail, pos, image.size))

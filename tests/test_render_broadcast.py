@@ -1,10 +1,10 @@
 """``render`` on broadcast coordinates against the full-grid code it replaced.
 
-``render`` evaluates every shape predicate on a ``(height, 1)`` column of
-y coordinates and a ``(1, width)`` row of x coordinates instead of two
-``(height, width)`` grids, and it fills every shape as a convex polygon
-plus half-ellipse caps, its cap test multiplied out and its polygon edges
-compared rather than subtracted.  The grid version, with its per-kind
+``render`` evaluates every shape predicate on a column of y coordinates
+and a row of x coordinates that span only the shape's bounding box,
+instead of two ``(height, width)`` grids, and it fills every shape as a
+convex polygon plus half-ellipse caps, its cap test multiplied out and its
+polygon edges compared rather than subtracted.  The grid version, with its per-kind
 branches and its divided cap test, is kept here verbatim as the oracle;
 the two must agree bit for bit.
 """
@@ -89,8 +89,12 @@ def test_non_square_raster_matches_full_grid():
 @pytest.mark.parametrize("name", _POLYGONS)
 def test_rotated_polygon_render_matches_full_grid(name, size):
     base = dict(corpus(size, size))[name]
-    for angle in range(0, 90, 5):
-        _assert_same_render(dataclasses.replace(base, rotation=float(angle)), size, size)
+    cx, cy = base.center
+    # Off the corpus centre, the bounding box's ends fall between pixels.
+    for center in ((cx, cy), (cx + 0.37, cy - 0.21)):
+        for angle in range(0, 90, 5):
+            spec = dataclasses.replace(base, center=center, rotation=float(angle))
+            _assert_same_render(spec, size, size)
 
 
 @pytest.mark.parametrize("radius", [13, 26, 39, 52])
