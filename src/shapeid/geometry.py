@@ -15,8 +15,11 @@ pixel total, its hull is that of each row's first and last pixel, and
 its polygon area is the one the corner search found for the corners it
 chose.  Every hull comes from one numpy routine, ``_convex_path``, which
 prunes a path of column extremes to the hull's vertices.  The corner
-search reduces the triangle areas over all vertex triples in blocks of
-at most ``_BLOCK`` values, with no Python loop per vertex.
+search needs, for every diagonal of the hull, the largest triangle on
+each side.  Up to ``_LOOKUP_ABOVE`` hull vertices it takes all triangle
+areas, in blocks of at most ``_BLOCK`` values; above that it finds each
+largest triangle's third vertex by binary search on the hull's edge
+angles, in O(h**2 log h).  Neither loops over vertices in Python.
 """
 
 from __future__ import annotations
@@ -56,6 +59,16 @@ ALIGN_EPS = 2.0
 
 #: Most cross products the corner search holds at once (32 KiB of int64).
 _BLOCK = 4096
+
+#: Most hull vertices for which the corner search takes every triangle
+#: area (``_blocked_rows``); larger hulls use support lookups
+#: (``_support_rows``), which cost more numpy calls but O(h**2 log h)
+#: work instead of O(h**3).  Measured by ``tests/corner_crossover.py``.
+_LOOKUP_ABOVE = 16
+
+#: Hulls spanning this much or more keep the blocked search: below it the
+#: lookups are exact (see ``_support_rows``).
+_LOOKUP_SPAN = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,46 +160,121 @@ def _cross_rows(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _scan_group(x, y, whole, g0: int, g1: int):
-    """Triangle and quad candidates whose first index is in ``g0:g1``.
+def _blocked_rows(x: np.ndarray, y: np.ndarray):
+    """The blocked search: a function of ``(g0, g1)`` that returns
+    ``top`` and ``low`` of rows ``g0:g1`` (see ``_best_triangle_and_quad``).
 
-    ``cross[i, j, k] = C[i, j] + C[j, k] - C[i, k]`` is twice the signed
-    area of triangle ``(i, j, k)``.  Its largest and smallest values over
-    ``k`` are taken in blocks of no more than ``_BLOCK`` values.  ``whole``
-    is all of ``C`` when it fits in one block, else ``None`` and the rows
-    of ``C`` are made per block.  Returns the largest ``|cross|``, the flat
-    ``(i - g0, j)`` index of the first row holding it, and per ``i`` the
-    total of the first best diagonal ``(i, j)`` (``-1`` when one side of
-    it is empty) and that ``j``.
+    ``cross[i, j, k] = C[i, j] + C[j, k] - C[i, k]`` is reduced over ``k``
+    in blocks of no more than ``_BLOCK`` values, as many ``j`` at a time as
+    fit.  Rows of ``C`` are made at most a quarter block at a time, and
+    the group's own rows serve as all of ``C`` when the group is every row.
     """
     n = len(x)
-    rows = g1 - g0
-    ci = whole[g0:g1] if whole is not None else _cross_rows(x, y, g0, g1)
-    top = np.empty_like(ci)
-    low = np.empty_like(ci)
-    if whole is not None:
-        step_i, step_j = max(1, _BLOCK // (n * n)), n
-    else:
-        step_i, step_j = rows, max(1, _BLOCK // (rows * n))
-    buffer = np.empty((step_i, step_j, n), dtype=np.int64)
-    for i0 in range(0, rows, step_i):
-        i1 = min(rows, i0 + step_i)
-        for j0 in range(0, n, step_j):
-            j1 = min(n, j0 + step_j)
-            cj = whole[j0:j1] if whole is not None else _cross_rows(x, y, j0, j1)
-            block = buffer[:i1 - i0, :j1 - j0]
+
+    def rows(g0: int, g1: int):
+        count = g1 - g0
+        ci = _cross_rows(x, y, g0, g1)
+        top = np.empty_like(ci)
+        low = np.empty_like(ci)
+        step = max(1, _BLOCK // (max(count, 4) * n))
+        buffer = np.empty(count * step * n, dtype=np.int64)
+        for j0 in range(0, n, step):
+            j1 = min(n, j0 + step)
+            cj = ci[j0:j1] if count == n else _cross_rows(x, y, j0, j1)
+            # Contiguous, so that numpy buffers only the broadcast ci.
+            block = buffer[:count * (j1 - j0) * n].reshape(count, j1 - j0, n)
             np.copyto(block, cj)  # C[j, k], repeated over i
-            block -= ci[i0:i1, None, :]
-            block.max(axis=2, out=top[i0:i1, j0:j1])
-            block.min(axis=2, out=low[i0:i1, j0:j1])
-    top += ci
-    low += ci
+            block -= ci[:, None, :]
+            block.max(axis=2, out=top[:, j0:j1])
+            block.min(axis=2, out=low[:, j0:j1])
+        top += ci
+        low += ci
+        return top, low
+
+    return rows
+
+
+def _support_rows(x: np.ndarray, y: np.ndarray):
+    """The support lookup: ``_blocked_rows``'s function, with the extremes
+    over ``k`` found by binary search instead of taken over all ``k``.
+
+    On a convex polygon, ``cross[i, j, k]`` is smallest at the vertex
+    farthest right of the diagonal from ``i`` to ``j``: the vertex ``k``
+    whose incoming edge turns no further than the diagonal and whose
+    outgoing edge no less (Boyce, Dobkin, Drysdale & Guibas 1985).  It is
+    largest at the vertex that the reversed diagonal gives, whose angle is
+    the diagonal's plus pi.  The edges' angles, rotated to ascend from the
+    smallest and repeated plus 2 pi, are sorted, so ``searchsorted`` finds
+    that vertex for every diagonal of a group at once; ``cross`` is then
+    computed there.  At an edge parallel to the diagonal both of its ends
+    give the same value, so either may be found.
+
+    The caller passes only hulls that span less than ``_LOOKUP_SPAN``, and
+    that makes every step exact.  Two directions between points of such a
+    hull are integer vectors with components below ``M = _LOOKUP_SPAN``,
+    so if they differ, their angles differ by more than ``1 / (2 M**2)``
+    (the sine of the angle between them is their integer cross product
+    over their lengths), about 4.5e-13.  Every angle compared is below
+    3 pi, where a unit in the last place is 1.8e-15, and is off by at most
+    a few units: ``arctan2``'s rounding, then adding pi or 2 pi.  So each
+    comparison of a diagonal's angle with an edge's comes out as for the
+    exact angles, except at an exact tie, where either end of the edge
+    gives the same value.  And each coordinate product is below ``2**40``
+    and each value below ``2**42``, which float64 holds exactly, so
+    ``top`` and ``low`` equal the blocked search's values.
+    """
+    n = len(x)
+    x = x.astype(np.float64)
+    y = y.astype(np.float64)
+    ring = np.arange(3 * n + 1) % n
+    edge = np.arctan2(y[ring[1:n + 1]] - y, x[ring[1:n + 1]] - x)  # edge k leaves vertex k
+    start = int(edge.argmin())
+    turn = edge[ring[start:start + 2 * n]]
+    turn[n:] += 2 * np.pi
+    at = ring[start:start + 2 * n + 1]  # the vertex each searchsorted result names
+    ax, ay = x[at], y[at]
+
+    def farthest(angle, dx, dy):  # C[j, k] - C[i, k] at the vertex k found
+        k = turn.searchsorted(angle)
+        value = ay[k]
+        value *= dx
+        other = ax[k]
+        other *= dy
+        value -= other
+        return value
+
+    def rows(g0: int, g1: int):
+        xi = x[g0:g1, None]
+        yi = y[g0:g1, None]
+        dx = x - xi
+        dy = y - yi
+        angle = np.arctan2(dy, dx)
+        low = farthest(angle, dx, dy)
+        angle += np.pi
+        top = farthest(angle, dx, dy)
+        del angle  # one array fewer at the peak, while ci is made
+        ci = dy * xi  # C[i, j]
+        ci -= dx * yi
+        top += ci
+        low += ci
+        return top, low
+
+    return rows
+
+
+def _group_candidates(top: np.ndarray, low: np.ndarray):
+    """Triangle and quad candidates of a group of rows ``g0:g1``, from
+    ``top`` and ``low`` of those rows.  Returns the largest ``|cross|``,
+    the flat ``(i - g0, j)`` index of the first row holding it, and per
+    ``i`` the total of the first best diagonal ``(i, j)`` (``-1`` when one
+    side of it is empty) and that ``j``.
+    """
     # cross[i, j, i] == 0, so top >= 0 >= low.
     spread = np.maximum(top, -low)
     flat = int(spread.argmax())
     total = top - low
     j = total.argmax(axis=1)
-    at = np.arange(rows)
+    at = np.arange(len(top))
     both_sides = (top[at, j] > 0) & (low[at, j] < 0)
     return int(spread.flat[flat]), flat, np.where(both_sides, total[at, j], -1), j
 
@@ -196,32 +284,38 @@ def _best_triangle_and_quad(hull: np.ndarray):
     integer hull from ``convex_hull`` or ``_span_hull``.
 
     Returns ``(tri2, tri_idx, quad2, quad_idx)`` where the areas are twice
-    the polygon area, as exact ``int``.  The h x h x h tensor of triangle
-    areas is reduced over its last index in bounded blocks, a group of
-    first indices at a time (``_scan_group``).  The triangle is the first
-    ``(i, j, k)`` in scan order with the largest absolute area.  The quad
-    search treats each pair ``(i, j)`` as a diagonal and adds the largest
-    areas on both sides.  For each ``i`` the first best ``j`` counts, and
-    only if it has vertices on both sides; the first such ``i`` with the
-    largest sum wins.  A three-vertex hull has no such pair, so its
-    triangle is the hull itself, ``(0, 1, 2)``.
+    the polygon area, as exact ``int``.  ``cross[i, j, k]`` is twice the
+    signed area of triangle ``(i, j, k)``; ``top[i, j]`` and ``low[i, j]``
+    are its largest and smallest values over ``k``, found a group of first
+    indices ``i`` at a time.  Hulls of more than ``_LOOKUP_ABOVE`` vertices
+    that span less than ``_LOOKUP_SPAN`` find them by support lookups
+    (``_support_rows``), in O(h**2 log h); the rest by the blocked
+    O(h**3) search (``_blocked_rows``), faster on few vertices.  Both give
+    the same values, so everything after them, with its tie order, is
+    shared.  Each group's arrays hold at most a quarter of ``_BLOCK``
+    values.
+
+    The triangle is the first ``(i, j, k)`` in scan order with the largest
+    absolute area.  The quad search treats each pair ``(i, j)`` as a
+    diagonal and adds the largest areas on both sides.  For each ``i`` the
+    first best ``j`` counts, and only if it has vertices on both sides; the
+    first such ``i`` with the largest sum wins.  A three-vertex hull has no
+    such pair, so its triangle is the hull itself, ``(0, 1, 2)``.
     """
     pts = hull.astype(np.int64)
     n = len(pts)
     # Areas do not change under translation; this keeps the products small.
     x = pts[:, 0] - pts[0, 0]
     y = pts[:, 1] - pts[0, 1]
-    whole = _cross_rows(x, y, 0, n) if n * n <= _BLOCK else None
-    # All i's at once when C fits in a block.  Else few enough that each
-    # per-group array holds a quarter of a block: with a block and the
-    # buffer numpy fills to broadcast into it, under 128 KiB in all.
-    group = n if whole is not None else max(1, _BLOCK // (4 * n))
+    lookup = n > _LOOKUP_ABOVE and int((pts.max(axis=0) - pts.min(axis=0)).max()) < _LOOKUP_SPAN
+    search = _support_rows(x, y) if lookup else _blocked_rows(x, y)
+    group = min(n, max(1, _BLOCK // (4 * n)))
     tri2, tri_row = -1, None
     quad_sum = np.empty(n, dtype=np.int64)  # per i: best diagonal's total
     quad_j = np.empty(n, dtype=np.int64)  # per i: first j with that total
     for g0 in range(0, n, group):
         g1 = min(n, g0 + group)
-        value, flat, quad_sum[g0:g1], quad_j[g0:g1] = _scan_group(x, y, whole, g0, g1)
+        value, flat, quad_sum[g0:g1], quad_j[g0:g1] = _group_candidates(*search(g0, g1))
         if value > tri2:
             tri2 = value
             tri_row = divmod(g0 * n + flat, n)
@@ -265,9 +359,10 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
     """``extract_corners`` once the hull is known, with twice the area of
     the chosen quadrilateral or triangle (an exact ``int``).
 
-    The triangle and quadrilateral come from ``_best_triangle_and_quad``,
-    which holds at most ``_BLOCK`` triangle areas at a time, so its memory
-    stays bounded (under 128 KiB at 80 and 200 hull vertices).
+    The triangle and quadrilateral come from ``_best_triangle_and_quad``.
+    Whichever search it takes, it works on a group of diagonals at a time,
+    so its memory stays bounded: under 128 KiB at every hull size from 3
+    to 200 vertices.
     """
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
@@ -289,8 +384,9 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
 def order_counterclockwise(points: np.ndarray) -> np.ndarray:
     """Sort points by angle about their centroid (ties: radius, then index)."""
     pts = np.asarray(points)
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
+    # numpy rounds the centroid and the offsets, in the input's dtype; the
+    # keys are made from plain floats, faster than from numpy scalars.
+    rel = (pts - pts.mean(axis=0)).tolist()
     keys = sorted(
         range(len(pts)),
         key=lambda i: (
@@ -304,7 +400,7 @@ def order_counterclockwise(points: np.ndarray) -> np.ndarray:
 
 def pairwise_distances(corners: np.ndarray) -> tuple[np.ndarray, float]:
     """Six pairwise corner distances (canonical pair order) and their minimum."""
-    pts = np.asarray(corners, dtype=float)
+    pts = np.asarray(corners, dtype=float).tolist()
     d = np.array([math.dist(pts[i], pts[j]) for i, j in CORNER_PAIRS])
     return d, float(d.min())
 

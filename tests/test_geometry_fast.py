@@ -1,14 +1,15 @@
-"""The spans' hull and the blocked corner search against the code they
+"""The spans' hull and both corner searches against the code they
 replaced.
 
 The features prune the ends of an object's row spans to the hull's
 vertices with no sort (``_span_hull``), and ``_best_triangle_and_quad``
-reduces the h x h x h tensor of triangle areas in bounded blocks instead
-of looping over vertices.  Both must give the old results bit for bit,
-including which of several equal candidates wins.  The old per-vertex
-search is kept here verbatim as the oracle; the old hull is
-``convex_hull(old_row_extremes(mask))``, and the old monotone chain is
-``old_convex_hull``.
+finds the extreme triangle areas on each side of every diagonal either by
+taking them all in bounded blocks or, above ``_LOOKUP_ABOVE`` vertices, by
+support lookups, instead of looping over vertices.  Both must give the old
+results bit for bit, including which of several equal candidates wins.
+The old per-vertex search is kept here verbatim as the oracle; the old
+hull is ``convex_hull(old_row_extremes(mask))``, and the old monotone
+chain is ``old_convex_hull``.
 """
 
 import math
@@ -23,6 +24,8 @@ from helpers import source_mutant
 from shapeid import ShapeSpec, convex_hull, render
 from shapeid import geometry
 from shapeid.geometry import (
+    _LOOKUP_ABOVE,
+    _LOOKUP_SPAN,
     _best_triangle_and_quad,
     _corners_of_hull,
     _span_hull,
@@ -85,7 +88,8 @@ def octagon_hull(a: int, b: int) -> np.ndarray:
     return convex_hull(np.array(pts, dtype=np.int64))
 
 
-# Hulls with exact ties, on both sides of the one-block size (n * n <= 4096).
+# Hulls with exact ties, on both sides of the crossover (_LOOKUP_ABOVE) and
+# of the largest hull searched in one group of rows (32 vertices).
 TIED_HULLS = [
     convex_hull(np.array([[0, 0], [7, 0], [7, 3], [0, 3]])),
     convex_hull(np.array([[2, 1], [9, 1], [9, 1], [9, 6], [2, 6], [5, 1], [2, 4]])),
@@ -101,28 +105,67 @@ TIED_HULLS = [
 ]
 
 
+#: A ``_LOOKUP_ABOVE`` that sends every hull spanning less than
+#: ``_LOOKUP_SPAN`` to each search.
+FORCE_PATH = {"blocked": 1 << 30, "lookup": 0}
+
+
 def test_tied_hulls_have_the_intended_sizes():
     sizes = [len(h) for h in TIED_HULLS]
     assert sizes == [4, 4, 8, 8, 6, 5, 6, 8, 12, 16, 24, 32, 64, 68, 72, 96, 120]
 
 
+@pytest.mark.parametrize("path", ["chosen", *FORCE_PATH])
 @pytest.mark.parametrize("hull", TIED_HULLS, ids=[str(len(h)) for h in TIED_HULLS])
-def test_search_matches_loop_on_tied_hulls(hull):
+def test_search_matches_loop_on_tied_hulls(hull, path, monkeypatch):
+    if path in FORCE_PATH:
+        monkeypatch.setattr(geometry, "_LOOKUP_ABOVE", FORCE_PATH[path])
+    assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
+
+
+def _refuse(*args):
+    raise AssertionError("this search must not run here")
+
+
+# A multiple of four above the crossover: its regular hull with no phase
+# has the vertices (+-r, 0) and (0, +-r), so it spans exactly 2 r.
+_SYMMETRIC = 4 * (_LOOKUP_ABOVE // 4 + 1)
+
+
+@pytest.mark.parametrize("count, radius, phase, path", [
+    (_LOOKUP_ABOVE, 1000, 0.1, "blocked"),
+    (_LOOKUP_ABOVE + 1, 1000, 0.1, "lookup"),
+    (_SYMMETRIC, _LOOKUP_SPAN // 2 - 1, 0.0, "lookup"),
+    (_SYMMETRIC, _LOOKUP_SPAN // 2, 0.0, "blocked"),
+])
+def test_search_path_follows_hull_size_and_span(count, radius, phase, path, monkeypatch):
+    hull = regular_hull(count, radius, phase)
+    assert len(hull) == count
+    if phase == 0.0:
+        assert np.ptp(hull, axis=0).max() == 2 * radius
+    other = "_support_rows" if path == "blocked" else "_blocked_rows"
+    monkeypatch.setattr(geometry, other, _refuse)
     assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
 
 
 @st.composite
 def _random_hulls(draw):
-    """Hulls of 4 to about 120 vertices: rounded points on a jittered circle
-    or ellipse, a rounded regular polygon, or a random point cloud."""
-    kind = draw(st.sampled_from(["circle", "regular", "cloud"]))
+    """Hulls of 3 to about 150 vertices, on both sides of ``_LOOKUP_ABOVE``:
+    rounded points on a jittered circle or ellipse, one as wide as
+    ``_LOOKUP_SPAN`` give or take a few pixels, a rounded regular polygon,
+    or a random point cloud."""
+    kind = draw(st.sampled_from(["circle", "wide", "regular", "cloud"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "regular":
-        return regular_hull(draw(st.integers(4, 120)), draw(st.floats(3.0, 5000.0)), draw(st.floats(0.0, 1.0)))
-    if kind == "circle":
-        count = draw(st.integers(4, 140))
+        return regular_hull(draw(st.integers(3, 150)), draw(st.floats(3.0, 5000.0)), draw(st.floats(0.0, 1.0)))
+    if kind in ("circle", "wide"):
+        count = draw(st.integers(3, 150))
         t = np.sort(rng.uniform(0.0, 2 * np.pi, count))
-        rx, ry = draw(st.floats(20.0, 3000.0)), draw(st.floats(20.0, 3000.0))
+        if kind == "wide":  # with both ends of the x axis
+            t = np.r_[0.0, t[1:-1], np.pi]
+            rx, ry = (_LOOKUP_SPAN + draw(st.integers(-4, 4))) / 2, draw(st.floats(20.0, _LOOKUP_SPAN / 2))
+        else:
+            rx, ry = draw(st.floats(20.0, 3000.0)), draw(st.floats(20.0, 3000.0))
         jitter = rng.uniform(-1.0, 1.0, (count, 2)) * draw(st.floats(0.0, 2.0))
         pts = np.column_stack([rx * np.cos(t), ry * np.sin(t)]) + jitter
         pts = np.rint(pts).astype(np.int64) + draw(st.integers(-1000, 1000))
@@ -131,8 +174,8 @@ def _random_hulls(draw):
     return convex_hull(pts)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(hull=_random_hulls().filter(lambda h: len(h) >= 4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hull=_random_hulls().filter(lambda h: len(h) >= 3))
 def test_search_matches_loop_on_random_hulls(hull):
     assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
 
@@ -327,13 +370,17 @@ def test_prune_mutants_are_caught(old, new):
     ("int(cross.argmax())", "len(cross) - 1 - int(cross[::-1].argmax())"),
     ("int(cross.argmin())", "len(cross) - 1 - int(cross[::-1].argmin())"),
 ])
-def test_search_mutants_are_caught(old, new):
+@pytest.mark.parametrize("path", FORCE_PATH)
+def test_search_mutants_are_caught(old, new, path):
     mutant = source_mutant(geometry, old, new)
+    mutant["_LOOKUP_ABOVE"] = FORCE_PATH[path]
     assert any(mutant["_best_triangle_and_quad"](h) != old_best_triangle_and_quad(h) for h in TIED_HULLS)
 
 
-@pytest.mark.parametrize("count", [80, 200])
-def test_corner_search_memory_is_bounded(count):
+@pytest.mark.parametrize("path", FORCE_PATH)
+@pytest.mark.parametrize("count", range(3, 201))
+def test_corner_search_memory_is_bounded(count, path, monkeypatch):
+    monkeypatch.setattr(geometry, "_LOOKUP_ABOVE", FORCE_PATH[path])
     hull = regular_hull(count, 10_000.0, 0.1)
     assert len(hull) == count
     _corners_of_hull(hull)  # first call: let numpy set up its caches
