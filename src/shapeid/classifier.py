@@ -92,7 +92,9 @@ class Verdict:
 
 
 def _eq(a: float, b: float, eps: float) -> bool:
-    return abs(a - b) <= eps * max(a, b)
+    # An infinite a against a finite b would pass as inf <= eps * inf.
+    diff = abs(a - b)
+    return math.isfinite(diff) and diff <= eps * max(a, b)
 
 
 def classify(features: FeatureVector, tol: Tolerances | None = None) -> Verdict:

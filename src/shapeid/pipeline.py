@@ -12,7 +12,7 @@ import numpy as np
 from .classifier import Tolerances, Verdict, classify
 from .geometry import FeatureVector, features_of_spans
 from .pgm import check_image
-from .segment import binarize, object_spans
+from .segment import foreground_spans
 
 __all__ = ["StageError", "classify_raster"]
 
@@ -31,8 +31,8 @@ def classify_raster(
     tol: Tolerances | None = None,
     threshold="otsu",
 ) -> tuple[Verdict, FeatureVector]:
-    """Check the input, binarize, take the largest object's row spans,
-    extract features, classify."""
+    """Check the input, take the largest object's row spans under the
+    threshold, extract features, classify."""
     try:
         # In range, so its uint8 copy thresholds the same and the later
         # stages' own checks skip their range scans.
@@ -40,7 +40,7 @@ def classify_raster(
     except ValueError as err:
         raise StageError("input", str(err)) from err
     try:
-        spans = object_spans(binarize(image, threshold))
+        spans = foreground_spans(image, threshold)
     except ValueError as err:
         raise StageError("segmentation", str(err)) from err
     try:

@@ -4,13 +4,14 @@ All connectivity is 4-connected, for components and boundaries alike, so
 diagonal speckle never bridges into the object.
 
 The pipeline takes the object as row spans (``Spans``: each row's first
-and last column, and the object's pixel total), not as a mask.
-``object_spans`` proves from the spans alone that the foreground is one
-component when every row of its bounding box is one run overlapping the
-next.  When that proof fails, and always in ``isolate_object``, the box
-is labelled by ``_largest_runs`` over its row runs, not its pixels: one
-pass finds the runs, a binary search finds the runs each one touches in
-the row above, and union-find joins them.  Past the first pass, its work
+and last column, and the object's pixel total), not as a mask, from
+``foreground_spans``.  ``object_spans`` proves from the spans alone that
+the foreground is one component when every row of its bounding box is
+one run overlapping the next.  When that proof fails, and always in
+``isolate_object``, the box is labelled by ``_largest_runs`` over its
+row runs, not its pixels: one pass finds the runs, a binary search
+finds the runs each one touches in the row above, and union-find joins
+them.  Past the first pass, its work
 grows with the number of runs, not with the box: a clean or lightly
 speckled object has a few per row, but a box of dense noise or fine
 stripes, with hundreds of thousands, labels several times slower than a
@@ -20,10 +21,14 @@ into a mask.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
-histogram is counted for it: the pixels are compared with the two
-levels block by block, and ``binarize`` writes the comparison above the
-lower level straight into the mask it returns.  Only an image with a
-third level is counted into a histogram, two pixels at a time, as
+histogram is counted for it.  One pass over blocks of 64 Ki pixels,
+``_two_level``, proves the two levels from each block less the
+threshold, wrapped to ``uint8``.  ``binarize`` runs it in the memory of
+the mask it returns; ``foreground_spans`` runs it in a one-block buffer
+and gathers the rows that hold foreground, reads the columns from those
+rows, and compares only the foreground's bounding box with the
+threshold, so no mask of the image's size is made.  Only an image with
+a third level is counted into a histogram, two pixels at a time, as
 ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
 column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
 is made.
@@ -43,6 +48,7 @@ __all__ = [
     "binarize",
     "boundary",
     "check_mask",
+    "foreground_spans",
     "isolate_object",
     "object_spans",
     "otsu_threshold",
@@ -54,25 +60,28 @@ __all__ = [
 #: no bin, row sum or column sum of the table can overflow.
 _PAIRS_PER_PASS = 1 << 29
 
-#: Most pixels one comparison of the two-level test covers, so that the
-#: scratch buffer of ``otsu_threshold`` stays at 64 KiB whatever the
-#: image's size.
+#: Most pixels one block of the two-level test covers, so that its
+#: scratch buffer stays at 64 KiB whatever the image's size.
 _COMPARE_BLOCK = 1 << 16
 
 
-def _two_level_threshold(img: np.ndarray, mask: np.ndarray | None = None) -> int | None:
-    """Otsu's threshold ``lo + 1`` of a checked image if every pixel is
+def _two_level(img: np.ndarray, out: np.ndarray | None = None, row_least: np.ndarray | None = None) -> int | None:
+    """Otsu's threshold ``lo + 1`` of a checked image whose every pixel is
     its minimum ``lo`` or its maximum ``hi``, else ``None``.
 
     The image is read in blocks of at most ``_COMPARE_BLOCK`` pixels, whole
-    rows where they fit.  In each, the pixels equal to ``hi`` are counted,
-    then those above ``lo``.  Both comparisons are written to the block's
-    place in ``mask``, so that on a return of ``lo + 1`` it holds
-    ``img > lo``, the foreground; without a mask they go to a scratch
-    buffer of one block.  The counts differ in the first block holding a
-    third level, where the test stops.  No copy of the image is made.  A
-    single level has no two classes to separate, so it raises
-    ``ValueError``.
+    rows where they fit.  Each block less ``lo + 1`` is written, wrapping
+    modulo 256, to ``uint8`` memory: the block's place in ``out`` if given
+    (a C-contiguous array of the image's shape), else a scratch buffer of
+    one block.  There ``lo`` reads 255, ``hi`` reads ``hi - lo - 1`` and
+    any third level less, so a block has two levels exactly when its least
+    value is at least ``hi - lo - 1``; the test stops in the first block
+    holding a third level.  No copy of the image is made.  A single level
+    has no two classes to separate, so it raises ``ValueError``.
+
+    ``row_least``, if given, is a ``uint8`` array of ``height`` 255s.  The
+    least value of each row is gathered into it from the blocks that hold
+    foreground, so it stays 255 exactly where a row holds none.
 
     With ``a`` pixels at ``lo`` and ``b`` at ``hi``, every threshold in
     ``(lo, hi]`` splits the histogram into the same two classes: weights
@@ -84,23 +93,36 @@ def _two_level_threshold(img: np.ndarray, mask: np.ndarray | None = None) -> int
     threshold, and any other threshold leaves a class empty; variance ties
     resolve low, so Otsu's threshold is ``lo + 1``.
     """
-    lo, hi = img.min(), img.max()
+    lo, hi = int(img.min()), int(img.max())
     if lo == hi:
         raise ValueError("degenerate histogram: single distinct intensity")
+    floor = hi - lo - 1
     height, width = img.shape
     rows, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
-    scratch = np.empty(min(img.size, _COMPARE_BLOCK), dtype=bool) if mask is None else None
-    for top in range(0, height, rows):
-        for left in range(0, width, cols):
-            block = img[top:top + rows, left:left + cols]
-            if scratch is None:
-                out = mask[top:top + rows, left:left + cols]
-            else:
-                out = scratch[:block.size].reshape(block.shape)
-            highs = np.count_nonzero(np.equal(block, hi, out=out))
-            if np.count_nonzero(np.greater(block, lo, out=out)) != highs:
+    mem = np.empty(min(img.size, _COMPARE_BLOCK), dtype=np.uint8) if out is None else out.reshape(-1)
+    if row_least is not None:
+        # A block is whole rows or a piece of one row, so it fills one
+        # stretch of memory, and its rows start every ``cols`` bytes of it.
+        starts = np.arange(0, rows * cols, cols)
+    for r in range(0, height, rows):
+        for c in range(0, width, cols):
+            block = img[r:r + rows, c:c + cols]
+            at = 0 if out is None else r * width + c
+            flat = mem[at:at + block.size]
+            s = flat.reshape(block.shape)
+            if block.dtype != np.uint8:
+                # Subtracting from an int64 block into uint8 memory would
+                # cast through a buffer; the copy casts in place.
+                np.copyto(s, block, casting="unsafe")
+                block = s
+            np.subtract(block, lo + 1, out=s)
+            block_least = flat.min()
+            if block_least < floor:
                 return None
-    return int(lo) + 1
+            if block_least != 255 and row_least is not None:
+                band = row_least[r:r + rows]
+                np.minimum(band, np.minimum.reduceat(flat, starts[:len(s)]), out=band)
+    return lo + 1
 
 
 def _histogram(image: np.ndarray) -> np.ndarray:
@@ -150,38 +172,77 @@ def otsu_threshold(image: np.ndarray) -> int:
     intensity has no two classes to separate.  The input must pass
     ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
     else ``ValueError``.  A two-level image's threshold is its lower level
-    plus one (``_two_level_threshold``), found by comparison in blocks of
-    64 Ki pixels; only an image with a third level is counted into a
-    histogram (see the module docstring).
+    plus one (``_two_level``), found in blocks of 64 Ki pixels; only an
+    image with a third level is counted into a histogram (see the module
+    docstring).
     """
     img = check_image(image)
-    t = _two_level_threshold(img)
+    t = _two_level(img)
     return _histogram_threshold(img) if t is None else t
+
+
+def _fixed_threshold(threshold) -> int | None:
+    """The fixed threshold ``threshold`` names, or ``None`` for Otsu's."""
+    if isinstance(threshold, str):
+        if threshold != "otsu":
+            raise ValueError(f"unknown threshold method {threshold!r}")
+        return None
+    t = int(threshold)
+    if not 0 <= t <= 255:
+        raise ValueError(f"fixed threshold {t} outside [0, 255]")
+    return t
 
 
 def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
     """Foreground mask: ``intensity >= t`` with ``t`` fixed or from Otsu.
 
     The image must pass ``pgm.check_image`` for either method.  With
-    Otsu, a two-level image's mask is the comparison that found its
-    threshold, written block by block into the mask returned.
+    Otsu, a two-level image is tested block by block in the memory of the
+    mask returned, which then takes the foreground in place.
     """
     img = check_image(image)
-    if isinstance(threshold, str):
-        if threshold != "otsu":
-            raise ValueError(f"unknown threshold method {threshold!r}")
+    t = _fixed_threshold(threshold)
+    if t is None:
         mask = np.empty(img.shape, dtype=bool)
-        if _two_level_threshold(img, mask) is not None:
-            return mask
+        # lo reads 255 in the wrapped differences, every other level less.
+        if _two_level(img, mask.view(np.uint8)) is not None:
+            return np.not_equal(mask.view(np.uint8), 255, out=mask)
         # A third level: the half-written mask is dropped before the pair
         # table is made.
         del mask
         t = _histogram_threshold(img)
-    else:
-        t = int(threshold)
-        if not 0 <= t <= 255:
-            raise ValueError(f"fixed threshold {t} outside [0, 255]")
     return img >= t
+
+
+def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
+    """``object_spans(binarize(image, threshold))``, with the same
+    ``ValueError``s, and no mask of the image's size for a two-level image
+    under Otsu.
+
+    There the test of ``_two_level`` also finds the rows that hold
+    foreground, the columns are read from those rows, and only the box
+    they bound is compared with the threshold.  An image with a third level
+    goes from that test straight to its histogram, and it and a fixed
+    threshold get the whole mask.
+    """
+    img = check_image(image)
+    t = _fixed_threshold(threshold)
+    if t is None:
+        row_least = np.full(img.shape[0], 255, dtype=np.uint8)
+        t = _two_level(img, row_least=row_least)
+        if t is not None:
+            rows = np.flatnonzero(row_least != 255)
+            # The columns are read from the foreground's rows alone, fewer
+            # than the pass reads on an image of one block.
+            band = slice(rows[0], rows[-1] + 1)
+            cols = np.flatnonzero(img[band].max(axis=0) >= t)
+            box = band, slice(cols[0], cols[-1] + 1)
+            return _box_spans(img[box] >= t, rows, box)
+        # A third level: the row minima are dropped before the pair table
+        # is made.
+        del row_least
+        t = _histogram_threshold(img)
+    return object_spans(img >= t)
 
 
 def check_mask(mask: np.ndarray) -> np.ndarray:
@@ -336,16 +397,23 @@ def object_spans(mask: np.ndarray) -> Spans:
     """
     m = check_mask(mask)
     rows, box = _foreground_box(m)
+    return _box_spans(m[box], rows, box)
+
+
+def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
+    """``object_spans`` of a mask, from the mask's foreground bounding box
+    ``box``, the part ``m`` of the mask it covers, and the mask's non-empty
+    rows ``rows``, as ``_foreground_box`` gives them."""
     top, left = box[0].start, box[1].start
     # The empty-row test only rejects early: the one-run test below fails
     # on an empty row too.
-    if len(rows) == box[0].stop - top:
-        ends = _run_ends(m[box])
+    if len(rows) == len(m):
+        ends = _run_ends(m)
         if ends:
             first, last, total = ends
             if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
                 return Spans(rows, left + first, left + last, total)
-    ys, first, last = _largest_runs(m[box])
+    ys, first, last = _largest_runs(m)
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.
     heads = np.flatnonzero(np.diff(ys, prepend=-1))

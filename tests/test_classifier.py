@@ -65,6 +65,15 @@ def _degenerate_triangle_features(area_factor):
     )
 
 
+def test_infinite_pixel_area_is_labelled_as_a_huge_one():
+    # +inf used to pass every area tolerance (inf <= eps * inf), so these
+    # corners of a 100x50 rectangle came back Hemisphere.
+    corners = [(0, 0), (100, 0), (100, 50), (0, 50)]
+    huge = classify(make_features(corners, area_px=1e300, poly=5000.0))
+    infinite = classify(make_features(corners, area_px=math.inf, poly=5000.0))
+    assert huge.label is infinite.label is ShapeClass.CYLINDER
+
+
 def test_degenerate_triangle_rule():
     assert classify(_degenerate_triangle_features(1.0)).label is ShapeClass.TRIANGLE
 

@@ -1,8 +1,8 @@
 """The segment layer's counting steps against the code they replaced.
 
 ``otsu_threshold`` and ``binarize`` take a two-level image's threshold
-as its lower level plus one, found by comparing its pixels with the two
-levels block by block, and count any other image's histogram from
+as its lower level plus one, found by testing its pixels less the lower
+level plus one, wrapped to ``uint8``, block by block, and count any other image's histogram from
 ``uint16`` pixel pairs into an ``int32`` table; ``isolate_object``
 labels components by their row runs.  Each is checked here against the
 previous whole-array ``bincount`` Otsu and ``scipy.ndimage`` labels,
@@ -241,14 +241,14 @@ def test_isolate_peak_below_int64_copy_of_labels():
 
 @pytest.mark.parametrize("size", [256, 1024, 2048])
 def test_otsu_peak_on_a_third_level_stays_flat(size):
-    # One pixel of a third level in the last block: the comparison count
+    # One pixel of a third level in the last block: the two-level test
     # runs to the end, gives up, and the pair count runs after it.
     image = np.full((size, size), 30, dtype=np.uint8)
     image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
     image[-1, -1] = 200
     assert otsu_threshold(image) == old_otsu_threshold(image) == 31
     # The pair table and numpy's cast buffer took 0.320 MiB; the 64 KiB
-    # comparison buffer, if still alive next to them, would make 0.383.
+    # two-level scratch buffer, if still alive next to them, would make 0.383.
     assert _peak_mib(otsu_threshold, image) < 0.35
 
 
@@ -264,8 +264,8 @@ def test_two_level_binarize_allocates_only_its_mask(size, view, slack):
     image = _square(size)
     image = {"contiguous": image, "transposed": image.T, "int64": image.astype(np.int64)}[view]
     assert np.array_equal(binarize(image), image >= 31)
-    # The comparisons are written into the mask, straight from the image;
-    # neither the 64 KiB buffer otsu_threshold compares through nor a
+    # The two-level test is written into the mask's memory, straight from
+    # the image; neither the 64 KiB buffer otsu_threshold tests in nor a
     # uint8 copy of the image would fit beside it.  numpy reads a strided
     # image through a buffer of 8,192 elements.
     assert _peak_mib(binarize, image) * 2**20 <= size * size + slack
@@ -285,7 +285,8 @@ def test_binarize_drops_its_mask_before_the_pair_table(size):
 def test_two_level_otsu_allocates_no_pair_table(size):
     image = np.full((size, size), 30, dtype=np.uint8)
     image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
-    # The 64 KiB comparison buffer only; the pair table alone is 0.25 MiB.
+    # The 64 KiB two-level scratch buffer only; the pair table alone is
+    # 0.25 MiB.
     assert _peak_mib(otsu_threshold, image) < 0.1
 
 
@@ -294,7 +295,7 @@ _BLOCK = segment._COMPARE_BLOCK
 
 @st.composite
 def _block_images(draw):
-    """Constant and two-level images of up to three comparison blocks, some
+    """Constant and two-level images of up to three two-level blocks, some
     with one odd pixel in the first block, the last block or at a block edge."""
     n = draw(st.one_of(
         st.sampled_from([1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]),
@@ -379,10 +380,9 @@ def _third_level_images():
 @pytest.mark.parametrize("old, new, binarize_sees_it", [
     # the lower level as the threshold, not the level above it; binarize
     # returns the mask it wrote, whatever the threshold
-    ("return int(lo) + 1", "return int(lo)", False),
-    # no count of the upper level: every image passes as two-level
-    ("highs = np.count_nonzero(np.equal(block, hi, out=out))",
-     "highs = np.count_nonzero(np.greater(block, lo, out=out))", True),
+    ("return lo + 1", "return lo", False),
+    # no test of the block's least value: every image passes as two-level
+    ("if block_least < floor:", "if block_least < 0:", True),
 ])
 def test_two_level_mutants_are_caught(old, new, binarize_sees_it):
     mutant = source_mutant(segment, old, new)
