@@ -23,11 +23,14 @@ Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
 histogram is counted for it.  One pass over blocks of 64 Ki pixels,
 ``_two_level``, proves the two levels from each block less the
-threshold, wrapped to ``uint8``.  ``binarize`` runs it in the memory of
-the mask it returns; ``foreground_spans`` runs it in a one-block buffer
-and gathers the rows that hold foreground, reads the columns from those
-rows, and compares only the foreground's bounding box with the
-threshold, so no mask of the image's size is made.  Only an image with
+threshold, wrapped to ``uint8``, in a one-block buffer, and can gather
+the rows that hold foreground on the way.  ``foreground_spans`` takes
+every threshold, fixed or Otsu's, through one route: ``_foreground_box``
+finds the rows holding a value at or above it (from that pass when it
+ran, else from each row's greatest value), reads the columns from those
+rows, and only the box they bound is compared with the threshold, so no
+mask of the image's size is made.  The same finder gives a mask's box,
+read as ``uint8`` against 1.  Only an image with
 a third level is counted into a histogram, two pixels at a time, as
 ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
 column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
@@ -65,19 +68,19 @@ _PAIRS_PER_PASS = 1 << 29
 _COMPARE_BLOCK = 1 << 16
 
 
-def _two_level(img: np.ndarray, out: np.ndarray | None = None, row_least: np.ndarray | None = None) -> int | None:
+def _two_level(img: np.ndarray, row_least: np.ndarray | None = None) -> int | None:
     """Otsu's threshold ``lo + 1`` of a checked image whose every pixel is
     its minimum ``lo`` or its maximum ``hi``, else ``None``.
 
     The image is read in blocks of at most ``_COMPARE_BLOCK`` pixels, whole
     rows where they fit.  Each block less ``lo + 1`` is written, wrapping
-    modulo 256, to ``uint8`` memory: the block's place in ``out`` if given
-    (a C-contiguous array of the image's shape), else a scratch buffer of
-    one block.  There ``lo`` reads 255, ``hi`` reads ``hi - lo - 1`` and
-    any third level less, so a block has two levels exactly when its least
-    value is at least ``hi - lo - 1``; the test stops in the first block
-    holding a third level.  No copy of the image is made.  A single level
-    has no two classes to separate, so it raises ``ValueError``.
+    modulo 256, to a ``uint8`` scratch buffer of one block.  There ``lo``
+    reads 255, ``hi`` reads ``hi - lo - 1`` and any third level less, so a
+    block has two levels exactly when its least value is at least
+    ``hi - lo - 1``; the test stops in the first block holding a third
+    level.  No copy of the image is made, and the buffer is freed on
+    return.  A single level has no two classes to separate, so it raises
+    ``ValueError``.
 
     ``row_least``, if given, is a ``uint8`` array of ``height`` 255s.  The
     least value of each row is gathered into it from the blocks that hold
@@ -99,7 +102,7 @@ def _two_level(img: np.ndarray, out: np.ndarray | None = None, row_least: np.nda
     floor = hi - lo - 1
     height, width = img.shape
     rows, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
-    mem = np.empty(min(img.size, _COMPARE_BLOCK), dtype=np.uint8) if out is None else out.reshape(-1)
+    mem = np.empty(min(img.size, _COMPARE_BLOCK), dtype=np.uint8)
     if row_least is not None:
         # A block is whole rows or a piece of one row, so it fills one
         # stretch of memory, and its rows start every ``cols`` bytes of it.
@@ -107,8 +110,7 @@ def _two_level(img: np.ndarray, out: np.ndarray | None = None, row_least: np.nda
     for r in range(0, height, rows):
         for c in range(0, width, cols):
             block = img[r:r + rows, c:c + cols]
-            at = 0 if out is None else r * width + c
-            flat = mem[at:at + block.size]
+            flat = mem[:block.size]
             s = flat.reshape(block.shape)
             if block.dtype != np.uint8:
                 # Subtracting from an int64 block into uint8 memory would
@@ -187,7 +189,10 @@ def _fixed_threshold(threshold) -> int | None:
         if threshold != "otsu":
             raise ValueError(f"unknown threshold method {threshold!r}")
         return None
-    t = int(threshold)
+    try:
+        t = int(threshold)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"fixed threshold {threshold!r} is not an integer") from err
     if not 0 <= t <= 255:
         raise ValueError(f"fixed threshold {t} outside [0, 255]")
     return t
@@ -196,53 +201,39 @@ def _fixed_threshold(threshold) -> int | None:
 def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
     """Foreground mask: ``intensity >= t`` with ``t`` fixed or from Otsu.
 
-    The image must pass ``pgm.check_image`` for either method.  With
-    Otsu, a two-level image is tested block by block in the memory of the
-    mask returned, which then takes the foreground in place.
+    The image must pass ``pgm.check_image`` for either method.
     """
     img = check_image(image)
     t = _fixed_threshold(threshold)
-    if t is None:
-        mask = np.empty(img.shape, dtype=bool)
-        # lo reads 255 in the wrapped differences, every other level less.
-        if _two_level(img, mask.view(np.uint8)) is not None:
-            return np.not_equal(mask.view(np.uint8), 255, out=mask)
-        # A third level: the half-written mask is dropped before the pair
-        # table is made.
-        del mask
-        t = _histogram_threshold(img)
-    return img >= t
+    return img >= (otsu_threshold(img) if t is None else t)
 
 
 def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
     """``object_spans(binarize(image, threshold))``, with the same
-    ``ValueError``s, and no mask of the image's size for a two-level image
-    under Otsu.
+    ``ValueError``s, and no mask of the image's size.
 
-    There the test of ``_two_level`` also finds the rows that hold
-    foreground, the columns are read from those rows, and only the box
-    they bound is compared with the threshold.  An image with a third level
-    goes from that test straight to its histogram, and it and a fixed
-    threshold get the whole mask.
+    Only the foreground's bounding box is compared with the threshold.
+    For a two-level image under Otsu, the test of ``_two_level`` also finds
+    the rows that hold foreground; otherwise they are the rows whose
+    greatest value reaches the threshold.  The columns are read from those
+    rows.  An image with a third level goes from that test straight to its
+    histogram.
     """
     img = check_image(image)
     t = _fixed_threshold(threshold)
+    rows = None
     if t is None:
         row_least = np.full(img.shape[0], 255, dtype=np.uint8)
-        t = _two_level(img, row_least=row_least)
-        if t is not None:
+        t = _two_level(img, row_least)
+        if t is None:
+            # A third level: the row minima are dropped before the pair
+            # table is made.
+            del row_least
+            t = _histogram_threshold(img)
+        else:
             rows = np.flatnonzero(row_least != 255)
-            # The columns are read from the foreground's rows alone, fewer
-            # than the pass reads on an image of one block.
-            band = slice(rows[0], rows[-1] + 1)
-            cols = np.flatnonzero(img[band].max(axis=0) >= t)
-            box = band, slice(cols[0], cols[-1] + 1)
-            return _box_spans(img[box] >= t, rows, box)
-        # A third level: the row minima are dropped before the pair table
-        # is made.
-        del row_least
-        t = _histogram_threshold(img)
-    return object_spans(img >= t)
+    rows, box = _foreground_box(img, t, rows)
+    return _box_spans(img[box] >= t, rows, box)
 
 
 def check_mask(mask: np.ndarray) -> np.ndarray:
@@ -264,14 +255,18 @@ class Spans(NamedTuple):
     area: int
 
 
-def _foreground_box(m: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
-    """The non-empty rows of ``m`` and its foreground's bounding box."""
-    rows = np.flatnonzero(m.any(axis=1))
+def _foreground_box(a: np.ndarray, t: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """The rows of ``a`` holding a value of at least ``t``, unless given as
+    ``rows``, and the bounding box of those values.  A mask is read as its
+    ``uint8`` view with ``t`` 1."""
+    if rows is None:
+        rows = np.flatnonzero(a.max(axis=1, initial=0) >= t)
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
-    top, bottom = rows[0], rows[-1] + 1
-    cols = np.flatnonzero(m[top:bottom].any(axis=0))
-    return rows, (slice(top, bottom), slice(cols[0], cols[-1] + 1))
+    # The columns are read from the foreground's rows alone.
+    band = slice(rows[0], rows[-1] + 1)
+    cols = np.flatnonzero(a[band].max(axis=0) >= t)
+    return rows, (band, slice(cols[0], cols[-1] + 1))
 
 
 def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +278,7 @@ def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def row_spans(mask: np.ndarray) -> Spans:
     """``Spans`` of every non-empty row of a mask, whatever its components."""
     m = check_mask(mask)
-    ys, (_, cols) = _foreground_box(m)
+    ys, (_, cols) = _foreground_box(m.view(np.uint8), 1)
     rows = m[ys, cols]
     first, last = _row_ends(rows)
     return Spans(ys, cols.start + first, cols.start + last, int(np.count_nonzero(rows)))
@@ -356,7 +351,7 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     pixel comes earliest in row-major order.
     """
     m = check_mask(mask)
-    _, box = _foreground_box(m)
+    _, box = _foreground_box(m.view(np.uint8), 1)
     rows, first, last = _largest_runs(m[box])
     # In the flattened mask, gaps and kept runs alternate from a gap at the
     # first pixel to one at the last, so the mask repeats False and True
@@ -396,7 +391,7 @@ def object_spans(mask: np.ndarray) -> Spans:
     or kept mask is made.
     """
     m = check_mask(mask)
-    rows, box = _foreground_box(m)
+    rows, box = _foreground_box(m.view(np.uint8), 1)
     return _box_spans(m[box], rows, box)
 
 

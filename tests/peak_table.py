@@ -1,11 +1,13 @@
 """Traced allocation peak of ``classify_raster`` per corpus shape.
 
 For each of the eight reference shapes at 256x256 and 1024x1024, clean
-and speckled (Gaussian noise plus salt and pepper, as in the sweep), this
-prints as a Markdown table the ``tracemalloc`` peak of one call, taken
-after a first call has let numpy set up its caches.  A clean render has
-two grey levels, so only its object's bounding box is thresholded; a
-speckled one has more and takes the full-size mask:
+under Otsu and under a fixed threshold of 128, and speckled (Gaussian
+noise plus salt and pepper, as in the sweep), this prints as a Markdown
+table the ``tracemalloc`` peak of one call, taken after a first call has
+let numpy set up its caches.  Under every threshold only the
+foreground's bounding box is thresholded; a clean render's box is its
+object's, while a speckled image has foreground speckle near every edge,
+so its box spans the whole image:
 
     PYTHONPATH=src python tests/peak_table.py
 
@@ -25,11 +27,11 @@ from sweep import _speckled
 SIZES = (256, 1024)
 
 
-def _peak_mib(image: np.ndarray) -> float:
-    classify_raster(image)
+def _peak_mib(image: np.ndarray, threshold="otsu") -> float:
+    classify_raster(image, threshold=threshold)
     tracemalloc.start()
     try:
-        classify_raster(image)
+        classify_raster(image, threshold=threshold)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -37,7 +39,7 @@ def _peak_mib(image: np.ndarray) -> float:
 
 def main() -> None:
     print("Traced peak of `classify_raster`, MiB.\n")
-    columns = [f"{size}² {kind}" for size in SIZES for kind in ("clean", "speckled")]
+    columns = [f"{size}² {kind}" for size in SIZES for kind in ("clean", "clean, fixed 128", "speckled")]
     print("| shape | " + " | ".join(columns) + " |")
     print("| --- |" + " --- |" * len(columns))
     renders = {size: corpus(size, size) for size in SIZES}
@@ -46,7 +48,7 @@ def main() -> None:
         for size in SIZES:
             image = render(renders[size][index][1], size, size)
             speckled = _speckled(image, np.random.default_rng(size))
-            cells += [f"{_peak_mib(image):.3f}", f"{_peak_mib(speckled):.3f}"]
+            cells += [f"{_peak_mib(image):.3f}", f"{_peak_mib(image, 128):.3f}", f"{_peak_mib(speckled):.3f}"]
         print(f"| {name} | " + " | ".join(cells) + " |")
 
 

@@ -9,7 +9,8 @@ images each stage must reject, a constant one (no threshold) and a
 two-pixel object (too few points for corners).  Each line holds the case name and
 either the label, corners and evidence ``classify_raster`` returns with the
 ``explain`` text of its verdict, or the stage and message of the
-``StageError`` it raises.  Under ``"cli"`` it
+``StageError`` it raises.  Under ``"fixed_128"`` it holds the same for a
+fixed threshold of 128, and under ``"cli"`` it
 also holds what ``shapeid classify --json`` makes of the case written as a
 P5 file: the exit code, then the JSON report without its run-dependent
 ``file`` and ``elapsed_ms`` fields, or the error text on stderr.
@@ -78,10 +79,11 @@ def cases():
     yield "two-pixel/64", two_pixels
 
 
-def outcome(image: np.ndarray) -> dict:
-    """What ``classify_raster`` makes of one image, as JSON types."""
+def outcome(image: np.ndarray, threshold="otsu") -> dict:
+    """What ``classify_raster`` makes of one image under ``threshold``, as
+    JSON types."""
     try:
-        verdict, features = classify_raster(image)
+        verdict, features = classify_raster(image, threshold=threshold)
     except StageError as err:
         return {"stage": err.stage, "error": str(err)}
     return {
@@ -109,7 +111,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.pgm"
         for name, image in cases():
-            line = {"case": name, **outcome(image), "cli": cli_outcome(image, path)}
+            line = {"case": name, **outcome(image), "fixed_128": outcome(image, 128)}
+            line["cli"] = cli_outcome(image, path)
             sys.stdout.write(json.dumps(line) + "\n")
 
 

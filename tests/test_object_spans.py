@@ -238,8 +238,8 @@ def _peak_mib(fn, *args):
 
 def test_proved_path_allocates_no_second_mask():
     image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
-    # The 1 MiB threshold mask and one reversed copy of the object's box
-    # (0.15 MiB); a labelled box and a kept mask took 3.2 MiB.
+    # The box mask (0.15 MiB) and one reversed copy of it; a 1 MiB
+    # threshold mask, a labelled box and a kept mask took 3.2 MiB.
     assert _peak_mib(classify_raster, image) < 1.5
 
 
@@ -253,8 +253,9 @@ def test_labelled_path_peaks_no_higher_than_isolate_object():
 
 
 def test_labelled_path_peak_on_a_speckled_square():
-    # The threshold mask (0.25 MiB) and the labeller's one box-sized pass
-    # (0.25 MiB); labelling the box's pixels took 1.51 MiB.
+    # The box mask, here the whole image as speckle reaches every edge
+    # (0.25 MiB), and the labeller's one box-sized pass (0.25 MiB);
+    # labelling the box's pixels took 1.51 MiB.
     assert _peak_mib(classify_raster, _speckled_square(512)) < 0.8
 
 

@@ -25,9 +25,12 @@ def _line():
         (np.zeros((16, 16), dtype=np.uint8), "otsu", "segmentation"),
         (_line(), 300, "segmentation"),
         (_line(), "otsu", "feature extraction"),
+        (_line(), None, "segmentation"),
+        (_line(), [1], "segmentation"),
+        (_line(), float("inf"), "segmentation"),
     ],
     ids=["uint16-300", "negative-int16", "rgb", "float", "flat",
-         "fixed-300", "three-pixel-line"],
+         "fixed-300", "three-pixel-line", "fixed-none", "fixed-list", "fixed-inf"],
 )
 def test_stage_error_names_the_stage(image, threshold, stage):
     with pytest.raises(StageError) as info:
