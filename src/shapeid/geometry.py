@@ -20,6 +20,14 @@ each side.  Up to ``_LOOKUP_ABOVE`` hull vertices it takes all triangle
 areas, in blocks of at most ``_BLOCK`` values; above that it finds each
 largest triangle's third vertex by binary search on the hull's edge
 angles, in O(h**2 log h).  Neither loops over vertices in Python.
+
+At the typical image size this stage costs per numpy call, not per
+pixel, so it makes few of them (``tests/call_table.py`` counts them).
+Once the corner search has picked its three or four vertices, the rest
+runs on Python numbers, read with ``.tolist()``: the repeated corner of
+a triangle, the counterclockwise order and the six distances.  They are
+the floats numpy gave, because each is the same float operation in the
+same order.
 """
 
 from __future__ import annotations
@@ -120,11 +128,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
     lower = pts[np.r_[True, new]]
     upper = pts[np.r_[new, True]][::-1]
-    return _convex_path(np.concatenate([lower, upper]), len(lower))
+    # int64 wraps alike going in and out, and differences below 2**31
+    # come out exact whatever the dtype's range.
+    path = np.concatenate([lower, upper]).astype(np.int64)
+    return _convex_path(path, len(lower)).astype(pts.dtype, copy=False)
 
 
 def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
-    """Vertices of the convex hull of a path of column extremes.
+    """Vertices of the convex hull of an ``int64`` path of column extremes.
 
     The path holds each column's lowest point, columns (the first
     coordinate) ascending, then from ``path[split]`` each one's highest,
@@ -134,23 +145,30 @@ def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
     only between both chains).  All such points drop at once, until none
     does; the last column's two points stay.  The rest, with a one-point
     first or last column's copies merged, is the monotone chain's (Andrew
-    1979) output.  Integer turns are exact in int64 relative to ``path[0]``.
+    1979) output.  The turns are exact in int64 when the path spans less
+    than 2**31: each difference of two points, even if it wraps, is then
+    exact, and each product below 2**62.
     """
-    work = path.astype(np.int64) - path[0].astype(np.int64)
-    while len(work) > 2:
-        ahead = work[2:] - work[:-2]
-        side = work[1:-1] - work[:-2]
-        keep = np.ones(len(work), dtype=bool)
-        keep[1:-1] = side[:, 0] * ahead[:, 1] > side[:, 1] * ahead[:, 0]
+    marks = np.empty(len(path), dtype=bool)
+    while len(path) > 2:
+        ahead = path[2:] - path[:-2]
+        side = path[1:-1] - path[:-2]
+        keep = marks[:len(path)]
+        np.greater(side[:, 0] * ahead[:, 1], side[:, 1] * ahead[:, 0], out=keep[1:-1])
+        keep[0] = keep[-1] = True
         keep[split - 1:split + 1] = True
-        if keep.all():
+        kept = keep.cumsum()  # kept[split - 1] points stay before the split
+        if kept[-1] == len(path):
             break
-        split = int(np.count_nonzero(keep[:split]))
-        path, work = path[keep], work[keep]
-    keep = np.ones(len(path), dtype=bool)
-    keep[split] = (path[split] != path[split - 1]).any()
-    keep[-1] &= (path[-1] != path[0]).any()
-    return path[keep]
+        split = int(kept[split - 1])
+        path = path[keep]
+    # A one-point last column (low == high) or first column (back == front)
+    # is on the path twice; one copy stays.
+    low, high, back, front = path[[split - 1, split, -1, 0]].tolist()
+    stop = len(path) - (back == front)
+    if low == high:
+        return np.concatenate((path[:split], path[split + 1:stop]))
+    return path[:stop]
 
 
 def _cross_rows(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -174,8 +192,7 @@ def _blocked_rows(x: np.ndarray, y: np.ndarray):
     def rows(g0: int, g1: int):
         count = g1 - g0
         ci = _cross_rows(x, y, g0, g1)
-        top = np.empty_like(ci)
-        low = np.empty_like(ci)
+        top, low = extremes = np.empty((2, count, n), dtype=np.int64)
         step = max(1, _BLOCK // (max(count, 4) * n))
         buffer = np.empty(count * step * n, dtype=np.int64)
         for j0 in range(0, n, step):
@@ -183,12 +200,11 @@ def _blocked_rows(x: np.ndarray, y: np.ndarray):
             cj = ci[j0:j1] if count == n else _cross_rows(x, y, j0, j1)
             # Contiguous, so that numpy buffers only the broadcast ci.
             block = buffer[:count * (j1 - j0) * n].reshape(count, j1 - j0, n)
-            np.copyto(block, cj)  # C[j, k], repeated over i
+            block[...] = cj  # C[j, k], repeated over i
             block -= ci[:, None, :]
             block.max(axis=2, out=top[:, j0:j1])
             block.min(axis=2, out=low[:, j0:j1])
-        top += ci
-        low += ci
+        extremes += ci
         return top, low
 
     return rows
@@ -275,8 +291,9 @@ def _group_candidates(top: np.ndarray, low: np.ndarray):
     total = top - low
     j = total.argmax(axis=1)
     at = np.arange(len(top))
-    both_sides = (top[at, j] > 0) & (low[at, j] < 0)
-    return int(spread.flat[flat]), flat, np.where(both_sides, total[at, j], -1), j
+    quad = total[at, j]
+    quad[(top[at, j] <= 0) | (low[at, j] >= 0)] = -1  # one side is empty
+    return int(spread.flat[flat]), flat, quad, j
 
 
 def _best_triangle_and_quad(hull: np.ndarray):
@@ -302,17 +319,15 @@ def _best_triangle_and_quad(hull: np.ndarray):
     first such ``i`` with the largest sum wins.  A three-vertex hull has no
     such pair, so its triangle is the hull itself, ``(0, 1, 2)``.
     """
-    pts = hull.astype(np.int64)
-    n = len(pts)
+    n = len(hull)
     # Areas do not change under translation; this keeps the products small.
-    x = pts[:, 0] - pts[0, 0]
-    y = pts[:, 1] - pts[0, 1]
-    lookup = n > _LOOKUP_ABOVE and int((pts.max(axis=0) - pts.min(axis=0)).max()) < _LOOKUP_SPAN
+    x, y = rel = np.subtract(hull.T, hull[0, :, None], dtype=np.int64, order="C")
+    lookup = n > _LOOKUP_ABOVE and (rel.max(axis=1) - rel.min(axis=1)).max() < _LOOKUP_SPAN
     search = _support_rows(x, y) if lookup else _blocked_rows(x, y)
     group = min(n, max(1, _BLOCK // (4 * n)))
     tri2, tri_row = -1, None
-    quad_sum = np.empty(n, dtype=np.int64)  # per i: best diagonal's total
-    quad_j = np.empty(n, dtype=np.int64)  # per i: first j with that total
+    # Per i: the best diagonal's total, and the first j with that total.
+    quad_sum, quad_j = np.empty((2, n), dtype=np.int64)
     for g0 in range(0, n, group):
         g1 = min(n, g0 + group)
         value, flat, quad_sum[g0:g1], quad_j[g0:g1] = _group_candidates(*search(g0, g1))
@@ -362,46 +377,63 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
     The triangle and quadrilateral come from ``_best_triangle_and_quad``.
     Whichever search it takes, it works on a group of diagonals at a time,
     so its memory stays bounded: under 128 KiB at every hull size from 3
-    to 200 vertices.
+    to 200 vertices.  The picked vertices are then handled as Python
+    lists, and the corners are taken from the hull in their order.
     """
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
 
     tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
-    if quad_idx is not None and quad2 > QUAD_GAIN * tri2:
-        return order_counterclockwise(hull[list(quad_idx)]), quad2
-    tri = hull[list(tri_idx)]
+    four = quad_idx is not None and quad2 > QUAD_GAIN * tri2
+    picks = list(quad_idx if four else tri_idx)
+    points = hull[picks].tolist()
+    if not four:
+        # Three real corners: repeat the vertex farthest from the other two.
+        totals = [
+            math.dist(points[a], points[b]) + math.dist(points[a], points[c])
+            for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+        ]
+        far = max(range(3), key=totals.__getitem__)  # the first largest
+        picks.append(picks[far])
+        points.append(points[far])
+    return hull[[picks[k] for k in _counterclockwise(points)]], quad2 if four else tri2
 
-    # Three real corners: repeat the vertex farthest from the other two.
-    totals = [
-        math.dist(tri[a], tri[b]) + math.dist(tri[a], tri[c])
-        for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    ]
-    dup = tri[int(np.argmax(totals))]
-    return order_counterclockwise(np.vstack([tri, dup])), tri2
+
+def _counterclockwise(points: list) -> list:
+    """Indices that sort ``[x, y]`` points by angle about their centroid
+    (ties: radius, then index).  The centroid and the offsets are the floats
+    that numpy's ``mean`` and subtraction give for a ``float64`` or integer
+    array: the sums run in order from ``0.0``."""
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    cx = cy = 0.0
+    for x, y in zip(xs, ys):
+        cx += x
+        cy += y
+    cx /= len(points)
+    cy /= len(points)
+    rel = [(x - cx, y - cy) for x, y in zip(xs, ys)]
+    return sorted(
+        range(len(rel)),
+        key=lambda i: (math.atan2(rel[i][1], rel[i][0]), rel[i][0] ** 2 + rel[i][1] ** 2, i),
+    )
 
 
 def order_counterclockwise(points: np.ndarray) -> np.ndarray:
-    """Sort points by angle about their centroid (ties: radius, then index)."""
+    """Sort points by angle about their centroid (ties: radius, then index),
+    in ``float64`` (see ``_counterclockwise``)."""
     pts = np.asarray(points)
-    # numpy rounds the centroid and the offsets, in the input's dtype; the
-    # keys are made from plain floats, faster than from numpy scalars.
-    rel = (pts - pts.mean(axis=0)).tolist()
-    keys = sorted(
-        range(len(pts)),
-        key=lambda i: (
-            math.atan2(rel[i][1], rel[i][0]),
-            rel[i][0] ** 2 + rel[i][1] ** 2,
-            i,
-        ),
-    )
-    return pts[keys]
+    return pts[_counterclockwise(pts.tolist())]
+
+
+def _distances(points: list) -> tuple:
+    """Distances of the ``CORNER_PAIRS`` of four ``[x, y]`` points."""
+    return tuple(math.dist(points[i], points[j]) for i, j in CORNER_PAIRS)
 
 
 def pairwise_distances(corners: np.ndarray) -> tuple[np.ndarray, float]:
     """Six pairwise corner distances (canonical pair order) and their minimum."""
-    pts = np.asarray(corners, dtype=float).tolist()
-    d = np.array([math.dist(pts[i], pts[j]) for i, j in CORNER_PAIRS])
+    d = np.array(_distances(np.asarray(corners, dtype=float).tolist()))
     return d, float(d.min())
 
 
@@ -437,7 +469,7 @@ def fit_hemisphere(corners: np.ndarray) -> HemisphereFit | None:
     the center is the pair midpoint and the radius half its separation.
     Returns ``None`` when no pair qualifies.
     """
-    pts = np.asarray(corners, dtype=float)
+    pts = np.asarray(corners, dtype=float).tolist()
     best = None
     for i, j in CORNER_PAIRS:
         dx = abs(pts[i][0] - pts[j][0])
@@ -463,14 +495,19 @@ def _span_hull(spans: Spans) -> np.ndarray:
     pixels, in ``convex_hull``'s order and as ``int64``.
 
     Read as (y, x), the first columns top to bottom and then the last
-    columns bottom to top are a path for ``_convex_path``, with no sort.
-    Its clockwise result is reversed and rotated to start at the smallest
-    (x, y).
+    columns bottom to top are a path for ``_convex_path``, with no sort,
+    written into one ``int64`` array.  Its clockwise result is reversed
+    and rotated to start at the smallest (x, y).
     """
-    ys = np.concatenate([spans.ys, spans.ys[::-1]])
-    xs = np.concatenate([spans.first, spans.last[::-1]])
-    hull = _convex_path(np.column_stack([ys, xs]).astype(np.int64, copy=False), len(spans.ys))[::-1, ::-1]
-    return np.roll(hull, -np.lexsort(hull.T[::-1])[0], axis=0)
+    n = len(spans.ys)
+    path = np.empty((2 * n, 2), dtype=np.int64)
+    path[:n, 0] = spans.ys
+    path[n:, 0] = spans.ys[::-1]
+    path[:n, 1] = spans.first
+    path[n:, 1] = spans.last[::-1]
+    hull = _convex_path(path, n)[::-1, ::-1]
+    start = np.lexsort(hull.T[::-1])[0]
+    return np.concatenate((hull[start:], hull[:start]))
 
 
 def features_of_spans(spans: Spans) -> FeatureVector:
@@ -485,11 +522,11 @@ def features_of_spans(spans: Spans) -> FeatureVector:
     if area_px < 3:
         raise ValueError(_too_few_points(area_px))
     corners, area2 = _corners_of_hull(_span_hull(spans))
-    d, sd = pairwise_distances(corners)
+    distances = _distances(corners.tolist())
     return FeatureVector(
         corners=corners,
-        distances=tuple(float(x) for x in d),
-        sd=sd,
+        distances=distances,
+        sd=min(distances),
         area_px=area_px,
         poly_area=area2 / 2,
     )

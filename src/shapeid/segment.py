@@ -39,6 +39,8 @@ is made.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -184,18 +186,22 @@ def otsu_threshold(image: np.ndarray) -> int:
 
 
 def _fixed_threshold(threshold) -> int | None:
-    """The fixed threshold ``threshold`` names, or ``None`` for Otsu's."""
+    """The fixed threshold ``threshold`` names, or ``None`` for Otsu's.
+
+    A real number ``t`` in [0, 255] names its ceiling, the least level at
+    or above it, so that the foreground is ``intensity >= t`` whether or
+    not ``t`` is whole.  A ``bool``, or anything that is not a
+    ``numbers.Real``, is no threshold.
+    """
     if isinstance(threshold, str):
         if threshold != "otsu":
             raise ValueError(f"unknown threshold method {threshold!r}")
         return None
-    try:
-        t = int(threshold)
-    except (TypeError, OverflowError) as err:
-        raise ValueError(f"fixed threshold {threshold!r} is not an integer") from err
-    if not 0 <= t <= 255:
-        raise ValueError(f"fixed threshold {t} outside [0, 255]")
-    return t
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise ValueError(f"fixed threshold {threshold!r} is not an integer")
+    if not 0 <= threshold <= 255:  # NaN fails too
+        raise ValueError(f"fixed threshold {threshold} outside [0, 255]")
+    return math.ceil(threshold)
 
 
 def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
@@ -231,7 +237,7 @@ def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
             del row_least
             t = _histogram_threshold(img)
         else:
-            rows = np.flatnonzero(row_least != 255)
+            rows = (row_least != 255).nonzero()[0]
     rows, box = _foreground_box(img, t, rows)
     return _box_spans(img[box] >= t, rows, box)
 
@@ -260,19 +266,29 @@ def _foreground_box(a: np.ndarray, t: int, rows: np.ndarray | None = None) -> tu
     ``rows``, and the bounding box of those values.  A mask is read as its
     ``uint8`` view with ``t`` 1."""
     if rows is None:
-        rows = np.flatnonzero(a.max(axis=1, initial=0) >= t)
+        rows = (a.max(axis=1, initial=0) >= t).nonzero()[0]
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
     # The columns are read from the foreground's rows alone.
     band = slice(rows[0], rows[-1] + 1)
-    cols = np.flatnonzero(a[band].max(axis=0) >= t)
+    cols = (a[band].max(axis=0) >= t).nonzero()[0]
     return rows, (band, slice(cols[0], cols[-1] + 1))
 
 
 def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last ``True`` column of each row of a 2-D ``bool`` array;
-    an empty row reads as the first and the last column."""
-    return rows.argmax(axis=1), rows.shape[1] - 1 - rows[:, ::-1].argmax(axis=1)
+    an empty row reads as the first and the last column.
+
+    The last is the first ``True`` of the row reversed.  ``argmax`` copies
+    a reversed array, so it takes bands of at most ``_COMPARE_BLOCK``
+    pixels (whole rows) at a time."""
+    height, width = rows.shape
+    last = np.empty(height, dtype=np.intp)
+    step = max(1, _COMPARE_BLOCK // width)
+    for r in range(0, height, step):
+        rows[r:r + step, ::-1].argmax(axis=1, out=last[r:r + step])
+    np.subtract(width - 1, last, out=last)
+    return rows.argmax(axis=1), last
 
 
 def row_spans(mask: np.ndarray) -> Spans:
@@ -414,9 +430,9 @@ def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spa
     heads = np.flatnonzero(np.diff(ys, prepend=-1))
     tails = np.append(heads[1:], len(ys)) - 1
     return Spans(
-        (top + ys[heads]).astype(np.intp),
-        (left + first[heads]).astype(np.intp),
-        (left + last[tails]).astype(np.intp),
+        np.add(top, ys[heads], dtype=np.intp),
+        np.add(left, first[heads], dtype=np.intp),
+        np.add(left, last[tails], dtype=np.intp),
         int(np.sum(last - first + 1)),
     )
 

@@ -235,8 +235,8 @@ def test_foreground_spans_match_on_the_box_cases():
 
 @pytest.mark.parametrize("old, new, fixed_sees_it", [
     # the columns of the last row with foreground only
-    ("cols = np.flatnonzero(a[band].max(axis=0) >= t)",
-     "cols = np.flatnonzero(a[rows[-1]].reshape(1, -1).max(axis=0) >= t)", True),
+    ("cols = (a[band].max(axis=0) >= t).nonzero()[0]",
+     "cols = (a[rows[-1]].reshape(1, -1).max(axis=0) >= t).nonzero()[0]", True),
     # every block's row minima written to the first block's rows; a fixed
     # threshold never runs the two-level pass
     ("band = row_least[r:r + rows]", "band = row_least[:rows]", False),

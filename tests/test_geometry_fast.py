@@ -330,15 +330,15 @@ _MUTANT_MASKS = [
 
 @pytest.mark.parametrize("old, new", [
     # prune side flipped: drops the outer points and keeps the inner ones
-    ("side[:, 0] * ahead[:, 1] > side[:, 1] * ahead[:, 0]",
-     "side[:, 0] * ahead[:, 1] < side[:, 1] * ahead[:, 0]"),
+    ("np.greater(side[:, 0] * ahead[:, 1], side[:, 1] * ahead[:, 0], out=keep[1:-1])",
+     "np.less(side[:, 0] * ahead[:, 1], side[:, 1] * ahead[:, 0], out=keep[1:-1])"),
     # the last column left unpinned: a one-point last column drops from
     # both chains in the same pass
     ("keep[split - 1:split + 1] = True", "pass"),
     # a one-point last column's two copies both kept
-    ("keep[split] = (path[split] != path[split - 1]).any()", "pass"),
+    ("if low == high:", "if False:"),
     # a one-point first column's two copies both kept
-    ("keep[-1] &= (path[-1] != path[0]).any()", "pass"),
+    ("stop = len(path) - (back == front)", "stop = len(path)"),
 ])
 def test_prune_mutants_are_caught(old, new):
     # Both callers of the prune must see the mistake: the spans' hull, and

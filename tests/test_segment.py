@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,26 @@ def test_binarize_fixed_is_monotone():
     assert not (high & ~mid).any()
 
 
-@pytest.mark.parametrize("t", [-1, 256])
+@pytest.mark.parametrize("t", [-1, 256, 255.5, -0.5, math.nan, math.inf])
 def test_binarize_fixed_out_of_range(t):
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        binarize(np.zeros((2, 2), dtype=np.uint8), t)
+
+
+@pytest.mark.parametrize(
+    "t", [127.9, 127.0, 126.5, 0.5, 254.2, 255.0, np.float32(127.5), np.float64(0.25), Fraction(255, 2), np.uint8(128)]
+)
+def test_binarize_fixed_real_threshold_is_intensity_at_least_t(t):
+    # A fractional threshold used to be truncated: 127.9 marked 127.
+    img = np.array([[0, 1, 126, 127], [128, 129, 254, 255]], dtype=np.uint8)
+    assert np.array_equal(binarize(img, t), img >= t)
+    assert np.array_equal(binarize(img.astype(np.int64), t), img >= t)
+
+
+@pytest.mark.parametrize("t", [True, False, np.bool_(True), b"12", bytearray(b"12"), np.array(128), None, [1]])
+def test_binarize_fixed_threshold_must_be_a_real_number(t):
+    # bool and bytes used to be read as the integers they convert to.
+    with pytest.raises(ValueError, match="is not an integer"):
         binarize(np.zeros((2, 2), dtype=np.uint8), t)
 
 
