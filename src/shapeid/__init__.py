@@ -17,7 +17,6 @@ from .classifier import (
 from .geometry import (
     FeatureVector,
     HemisphereFit,
-    build_features,
     convex_hull,
     extract_corners,
     fit_hemisphere,
@@ -45,7 +44,6 @@ __all__ = [
     "area",
     "binarize",
     "boundary",
-    "build_features",
     "classify",
     "classify_raster",
     "convex_hull",

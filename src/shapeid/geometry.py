@@ -37,17 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment import Spans, row_spans
+from .segment import Spans
 
 __all__ = [
     "FeatureVector",
     "HemisphereFit",
-    "build_features",
     "convex_hull",
     "extract_corners",
     "features_of_spans",
     "fit_hemisphere",
-    "merge_close_points",
     "pairwise_distances",
     "polygon_area",
 ]
@@ -437,27 +435,21 @@ def pairwise_distances(corners: np.ndarray) -> tuple[np.ndarray, float]:
     return d, float(d.min())
 
 
-def merge_close_points(points: np.ndarray, eps: float) -> np.ndarray:
-    """Drop points within ``eps`` of an earlier point, keeping input order."""
-    kept: list[np.ndarray] = []
-    for p in np.asarray(points, dtype=float):
-        if all(math.dist(p, q) > eps for q in kept):
-            kept.append(p)
-    return np.array(kept)
-
-
 def polygon_area(corners: np.ndarray) -> float:
     """Shoelace area of the ordered corner polygon.
 
-    Points closer than 0.5 px are merged first, so a repeated pick
-    degrades to the triangle area.  Raises ``ValueError`` when fewer than
-    three distinct points remain.
+    A point within 0.5 px of an earlier point is dropped first, so a
+    repeated pick degrades to the triangle area.  Raises ``ValueError``
+    when fewer than three distinct points remain.
     """
-    pts = merge_close_points(corners, 0.5)
-    if len(pts) < 3:
-        raise ValueError(f"degenerate polygon: only {len(pts)} distinct points")
-    x = pts[:, 0]
-    y = pts[:, 1]
+    kept: list[np.ndarray] = []
+    for p in np.asarray(corners, dtype=float):
+        if all(math.dist(p, q) > 0.5 for q in kept):
+            kept.append(p)
+    if len(kept) < 3:
+        raise ValueError(f"degenerate polygon: only {len(kept)} distinct points")
+    pts = np.array(kept)
+    x, y = pts[:, 0], pts[:, 1]
     return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
 
 
@@ -531,9 +523,3 @@ def features_of_spans(spans: Spans) -> FeatureVector:
         poly_area=area2 / 2,
     )
 
-
-def build_features(mask: np.ndarray) -> FeatureVector:
-    """``features_of_spans`` of the mask's non-empty rows, for a
-    single-object mask; a mask that is not 2-D or has no foreground raises
-    ``ValueError``."""
-    return features_of_spans(row_spans(mask))

@@ -154,10 +154,14 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
     digits and whitespace before the ``count``-th value, or a byte right
     after it that is neither whitespace nor ``#``.  Like the token loop, it
     reads nothing past that byte.  The bytes are not copied, and no Python
-    object is made per token.
+    object is made per token.  Each value takes at least one byte, so with
+    fewer than ``count`` bytes it returns ``None`` before the output array
+    is made: a short file cannot make it allocate what its header promises.
     """
     raw = np.frombuffer(data, dtype=np.uint8)[pos:]
     n = len(raw)
+    if n < count:
+        return None
     out = np.empty(count, dtype=np.uint8)
     filled = start = 0
     while start < n:
@@ -231,7 +235,7 @@ def check_image(image: np.ndarray) -> np.ndarray:
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError(f"expected integer intensities, got dtype {arr.dtype}")
     if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("intensities must lie in [0, 255]")

@@ -5,19 +5,22 @@ diagonal speckle never bridges into the object.
 
 The pipeline takes the object as row spans (``Spans``: each row's first
 and last column, and the object's pixel total), not as a mask, from
-``foreground_spans``.  ``object_spans`` proves from the spans alone that
-the foreground is one component when every row of its bounding box is
-one run overlapping the next.  When that proof fails, and always in
-``isolate_object``, the box is labelled by ``_largest_runs`` over its
-row runs, not its pixels: one pass finds the runs, a binary search
-finds the runs each one touches in the row above, and union-find joins
-them.  Past the first pass, its work
-grows with the number of runs, not with the box: a clean or lightly
-speckled object has a few per row, but a box of dense noise or fine
-stripes, with hundreds of thousands, labels several times slower than a
-pixel labeller would.  ``object_spans`` reduces the kept runs to one
-span per row and sums their lengths, and ``isolate_object`` paints them
-into a mask.
+``foreground_spans``.  They are the spans of the largest 4-connected
+component, the object ``isolate_object`` keeps.  ``_box_spans`` proves
+from the spans alone that the foreground is one component when every row
+of its bounding box is one run overlapping the next.  When that proof
+fails, and always in ``isolate_object``, the box is labelled by
+``_largest_runs`` over its row runs, not its pixels: one pass finds the
+runs, a binary search finds the runs each one touches in the row above,
+and union-find joins them.  Past the first pass, its work grows with the
+number of runs, not with the box: a clean or lightly speckled object has
+a few per row, but a box of dense noise or fine stripes, with hundreds of
+thousands, labels several times slower than a pixel labeller would.
+``_box_spans`` reduces the kept runs to one span per row and sums their
+lengths, and ``isolate_object`` paints them into a mask.  The mask
+stages, ``binarize``, ``isolate_object``, ``boundary`` and ``area``,
+take the steps one at a time for a caller that wants the masks; the
+pipeline does not call them.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
@@ -29,9 +32,9 @@ every threshold, fixed or Otsu's, through one route: ``_foreground_box``
 finds the rows holding a value at or above it (from that pass when it
 ran, else from each row's greatest value), reads the columns from those
 rows, and only the box they bound is compared with the threshold, so no
-mask of the image's size is made.  The same finder gives a mask's box,
-read as ``uint8`` against 1.  Only an image with
-a third level is counted into a histogram, two pixels at a time, as
+mask of the image's size is made.  The same finder gives the box of
+``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
+with a third level is counted into a histogram, two pixels at a time, as
 ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
 column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
 is made.
@@ -55,9 +58,7 @@ __all__ = [
     "check_mask",
     "foreground_spans",
     "isolate_object",
-    "object_spans",
     "otsu_threshold",
-    "row_spans",
 ]
 
 #: Most pixel pairs one pass of the Otsu histogram counts into its
@@ -215,8 +216,9 @@ def binarize(image: np.ndarray, threshold="otsu") -> np.ndarray:
 
 
 def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
-    """``object_spans(binarize(image, threshold))``, with the same
-    ``ValueError``s, and no mask of the image's size.
+    """``Spans`` of the largest 4-connected component of the foreground,
+    the object ``isolate_object(binarize(image, threshold))`` keeps, with
+    the same ``ValueError``s, and no mask of the image's size.
 
     Only the foreground's bounding box is compared with the threshold.
     For a two-level image under Otsu, the test of ``_two_level`` also finds
@@ -263,8 +265,8 @@ class Spans(NamedTuple):
 
 def _foreground_box(a: np.ndarray, t: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, tuple[slice, slice]]:
     """The rows of ``a`` holding a value of at least ``t``, unless given as
-    ``rows``, and the bounding box of those values.  A mask is read as its
-    ``uint8`` view with ``t`` 1."""
+    ``rows``, and the bounding box of those values.  ``isolate_object``
+    reads its mask as the ``uint8`` view with ``t`` 1."""
     if rows is None:
         rows = (a.max(axis=1, initial=0) >= t).nonzero()[0]
     if len(rows) == 0:
@@ -273,31 +275,6 @@ def _foreground_box(a: np.ndarray, t: int, rows: np.ndarray | None = None) -> tu
     band = slice(rows[0], rows[-1] + 1)
     cols = (a[band].max(axis=0) >= t).nonzero()[0]
     return rows, (band, slice(cols[0], cols[-1] + 1))
-
-
-def _row_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last ``True`` column of each row of a 2-D ``bool`` array;
-    an empty row reads as the first and the last column.
-
-    The last is the first ``True`` of the row reversed.  ``argmax`` copies
-    a reversed array, so it takes bands of at most ``_COMPARE_BLOCK``
-    pixels (whole rows) at a time."""
-    height, width = rows.shape
-    last = np.empty(height, dtype=np.intp)
-    step = max(1, _COMPARE_BLOCK // width)
-    for r in range(0, height, step):
-        rows[r:r + step, ::-1].argmax(axis=1, out=last[r:r + step])
-    np.subtract(width - 1, last, out=last)
-    return rows.argmax(axis=1), last
-
-
-def row_spans(mask: np.ndarray) -> Spans:
-    """``Spans`` of every non-empty row of a mask, whatever its components."""
-    m = check_mask(mask)
-    ys, (_, cols) = _foreground_box(m.view(np.uint8), 1)
-    rows = m[ys, cols]
-    first, last = _row_ends(rows)
-    return Spans(ys, cols.start + first, cols.start + last, int(np.count_nonzero(rows)))
 
 
 def _largest_runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,20 +360,32 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
 
 
 def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``_row_ends`` of a 2-D ``bool`` array and its pixel total if each of
-    its rows is one run, else ``None``.  A row's count is at most the width
-    of its span, so the totals are equal only if every row's are (an empty
-    row reads as a span of the whole width)."""
-    first, last = _row_ends(rows)
+    """First and last ``True`` column of each row of a 2-D ``bool`` array,
+    and its pixel total, if each of its rows is one run, else ``None``.
+
+    The last is the first ``True`` of the row reversed.  ``argmax`` copies
+    a reversed array, so it takes bands of at most ``_COMPARE_BLOCK``
+    pixels (whole rows) at a time.  An empty row reads as a span of the
+    whole width.  A row's count is at most the width of its span, so the
+    totals are equal only if every row's are."""
+    height, width = rows.shape
+    last = np.empty(height, dtype=np.intp)
+    step = max(1, _COMPARE_BLOCK // width)
+    for r in range(0, height, step):
+        rows[r:r + step, ::-1].argmax(axis=1, out=last[r:r + step])
+    np.subtract(width - 1, last, out=last)
+    first = rows.argmax(axis=1)
     total = int(np.count_nonzero(rows))
     if total != np.sum(last - first + 1):
         return None
     return first, last, total
 
 
-def object_spans(mask: np.ndarray) -> Spans:
-    """``Spans`` of the largest 4-connected foreground component, the
-    object ``isolate_object`` keeps.
+def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
+    """``Spans`` of the largest 4-connected component of a mask, the object
+    ``isolate_object`` keeps, from the mask's foreground bounding box
+    ``box``, the part ``m`` of the mask it covers, and the mask's non-empty
+    rows ``rows``, as ``_foreground_box`` gives them.
 
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
@@ -406,15 +395,6 @@ def object_spans(mask: np.ndarray) -> Spans:
     row, and their lengths are summed to the pixel total; no label raster
     or kept mask is made.
     """
-    m = check_mask(mask)
-    rows, box = _foreground_box(m.view(np.uint8), 1)
-    return _box_spans(m[box], rows, box)
-
-
-def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
-    """``object_spans`` of a mask, from the mask's foreground bounding box
-    ``box``, the part ``m`` of the mask it covers, and the mask's non-empty
-    rows ``rows``, as ``_foreground_box`` gives them."""
     top, left = box[0].start, box[1].start
     # The empty-row test only rejects early: the one-run test below fails
     # on an empty row too.

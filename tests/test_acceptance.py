@@ -23,7 +23,6 @@ from shapeid import (
     ShapeClass,
     ShapeSpec,
     binarize,
-    build_features,
     classify,
     classify_raster,
     corpus,
@@ -36,11 +35,17 @@ from shapeid import (
     write_pgm,
 )
 from shapeid.cli import main
-from shapeid.geometry import order_counterclockwise
+from shapeid.geometry import features_of_spans, order_counterclockwise
+from shapeid.segment import foreground_spans
 
 CENTER = (127.5, 127.5)
 NAMES = ["rectangle", "cylinder", "kite", "square",
          "rhombus", "hemisphere", "triangle", "cone"]
+
+
+def mask_features(mask):
+    """Features of a one-component mask, read as a two-level image."""
+    return features_of_spans(foreground_spans(mask.view(np.uint8), 1))
 
 
 def pipeline_label(image):
@@ -111,7 +116,7 @@ def test_criterion_4_corner_accuracy():
             ShapeSpec.kite(CENTER, 120, 60, 0.4, rotation),
         ):
             mask = isolate_object(binarize(render(spec, 256, 256), "otsu"))
-            corners = build_features(mask).corners
+            corners = mask_features(mask).corners
             err = worst_corner_error(corners, polygon_vertices(spec))
             worst = max(worst, err)
     assert worst <= 2.0
@@ -160,7 +165,7 @@ def test_criterion_5_invariance_suite():
 
 def test_criterion_6_degenerate_rule_fidelity():
     for base, height in ((100, 100), (120, 90), (80, 96)):
-        fv = build_features(
+        fv = mask_features(
             isolate_object(binarize(
                 render(ShapeSpec.triangle(CENTER, base, height), 256, 256), "otsu"
             ))
@@ -190,7 +195,7 @@ def test_criterion_7_noise_tolerance():
         noisy = add_salt(render(spec, 256, 256), 0.005, rng)
         mask = isolate_object(binarize(noisy, "otsu"))
         assert np.array_equal(mask, largest_component_mask(binarize(noisy, "otsu")))
-        verdict = classify(build_features(mask))
+        verdict = classify(mask_features(mask))
         assert verdict.label.value.lower() == name
     print("ACCEPTANCE 7 PASS: 0.5% salt noise leaves all 8 labels correct")
 

@@ -15,14 +15,14 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 48,
-    "cylinder": 50,
-    "kite": 49,
-    "square": 48,
-    "rhombus": 49,
-    "hemisphere": 51,
-    "triangle": 49,
-    "cone": 53,
+    "rectangle": 46,
+    "cylinder": 48,
+    "kite": 47,
+    "square": 46,
+    "rhombus": 47,
+    "hemisphere": 49,
+    "triangle": 47,
+    "cone": 51,
 }
 
 

@@ -58,6 +58,15 @@ def test_classify_corrupt_header(tmp_path, capsys):
     assert "PGM" in err
 
 
+def test_classify_short_file_promising_a_huge_image(tmp_path, capsys):
+    short = tmp_path / "short.pgm"
+    short.write_bytes(b"P2\n100000 100000\n255\n0 0 0\n")
+    code, out, err = run_cli(["classify", str(short)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: PGM parse failed for {short}: pixel data holds 3 values")
+
+
 def test_classify_missing_file(tmp_path, capsys):
     code, _, err = run_cli(["classify", str(tmp_path / "nope.pgm")], capsys)
     assert code != 0

@@ -9,7 +9,6 @@ from shapeid import (
     ShapeSpec,
     binarize,
     boundary,
-    build_features,
     convex_hull,
     extract_corners,
     fit_hemisphere,
@@ -18,13 +17,16 @@ from shapeid import (
     polygon_area,
     render,
 )
+from shapeid.geometry import features_of_spans
+from shapeid.segment import foreground_spans
 
 CENTER = (127.5, 127.5)
 
 
 def features_of(spec, size=256):
     img = render(spec, size, size)
-    return build_features(isolate_object(binarize(img, "otsu")))
+    mask = isolate_object(binarize(img, "otsu"))
+    return features_of_spans(foreground_spans(mask.view(np.uint8), 1))
 
 
 def test_corners_of_filled_square_mask():

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import source_mutant
-from shapeid import ShapeSpec, convex_hull, render
+from shapeid import ShapeSpec, convex_hull, isolate_object, render
 from shapeid import geometry
 from shapeid.geometry import (
     _LOOKUP_ABOVE,
@@ -33,8 +33,7 @@ from shapeid.geometry import (
     order_counterclockwise,
     polygon_area,
 )
-from shapeid.segment import row_spans
-from test_hull_from_mask import old_convex_hull, old_row_extremes
+from test_hull_from_mask import mask_spans, old_convex_hull, old_row_extremes
 
 
 def old_best_triangle_and_quad(hull: np.ndarray):
@@ -279,13 +278,15 @@ def _rendered_masks(draw):
 @given(mask=st.one_of(_rough_masks(), _rendered_masks()))
 @example(mask=np.zeros((3, 4), dtype=bool))
 def test_pruned_hull_matches_unpruned(mask):
-    unpruned = convex_hull(old_row_extremes(mask))
     if not mask.any():
-        assert len(unpruned) == 0
+        assert len(convex_hull(old_row_extremes(mask))) == 0
         with pytest.raises(ValueError, match="no object"):
-            row_spans(mask)
+            mask_spans(mask)
         return
-    pruned = _span_hull(row_spans(mask))
+    # The masks may hold several components; the spans are the largest's.
+    mask = isolate_object(mask)
+    unpruned = convex_hull(old_row_extremes(mask))
+    pruned = _span_hull(mask_spans(mask))
     assert pruned.dtype == unpruned.dtype == np.int64
     assert pruned.shape == unpruned.shape
     assert np.array_equal(pruned, unpruned)
@@ -297,9 +298,12 @@ def test_pruned_hull_matches_unpruned(mask):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mask=st.one_of(_rough_masks(), _rendered_masks()))
 def test_poly_area_is_the_corner_polygon_area(mask):
+    assume(mask.any())
+    # The masks may hold several components; the features are the largest's.
+    mask = isolate_object(mask)
     assume(np.count_nonzero(mask) >= 3)
     try:
-        features = features_of_spans(row_spans(mask))
+        features = features_of_spans(mask_spans(mask))
     except ValueError as err:  # every pixel on one line
         assert str(err) == "degenerate boundary: all points collinear"
         return
@@ -309,8 +313,8 @@ def test_poly_area_is_the_corner_polygon_area(mask):
 def test_pruning_keeps_only_few_points_of_a_long_edge():
     c = (127.5, 127.5)
     mask = render(ShapeSpec.rectangle(c, 120, 80, rotation=20.0), 256, 256) > 0
-    assert len(row_spans(mask).ys) > 100
-    assert len(_span_hull(row_spans(mask))) < 40
+    assert len(mask_spans(mask).ys) > 100
+    assert len(_span_hull(mask_spans(mask))) < 40
 
 
 # Mutation checks: each fragment of geometry.py below is replaced by a
@@ -345,8 +349,8 @@ def test_prune_mutants_are_caught(old, new):
     # convex_hull on the same points against the old monotone chain.
     mutant = source_mutant(geometry, old, new)
     assert any(
-        not np.array_equal(mutant["_span_hull"](row_spans(m)), convex_hull(old_row_extremes(m)))
-        for m in _MUTANT_MASKS
+        not np.array_equal(mutant["_span_hull"](mask_spans(m)), convex_hull(old_row_extremes(m)))
+        for m in map(isolate_object, _MUTANT_MASKS)
     )
     assert any(
         not np.array_equal(mutant["convex_hull"](old_row_extremes(m)), old_convex_hull(old_row_extremes(m)))

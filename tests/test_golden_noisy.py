@@ -19,7 +19,7 @@ def test_snapshot_covers_every_case():
 
 def test_noisy_hulls_are_large():
     # Hull of the kept object's boundary: the same polygon as the hull
-    # classify_raster takes from the ends of object_spans' rows.
+    # classify_raster takes from the ends of foreground_spans' rows.
     sizes = [len(convex_hull(boundary(isolate_object(binarize(image))))) for _, image in CASES]
     assert max(sizes) >= 50
     assert sum(30 <= s <= 55 for s in sizes) >= 12

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from helpers import flood_components
-from shapeid import boundary, build_features, convex_hull, extract_corners, isolate_object
-from shapeid.geometry import _span_hull, pairwise_distances, polygon_area
-from shapeid.segment import row_spans
+from shapeid import boundary, convex_hull, extract_corners, isolate_object
+from shapeid.geometry import _span_hull, features_of_spans, pairwise_distances, polygon_area
+from shapeid.segment import foreground_spans
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -89,6 +89,12 @@ def old_build_features(mask):
     corners = extract_corners(boundary(mask))
     d, _ = pairwise_distances(corners)
     return corners, tuple(float(x) for x in d), int(np.count_nonzero(mask)), polygon_area(corners)
+
+
+def mask_spans(mask):
+    """``Spans`` of a ``bool`` mask's largest component by the pipeline's
+    route: the mask read as a two-level image under the fixed threshold 1."""
+    return foreground_spans(mask.view(np.uint8), 1)
 
 
 def _outcome(fn, *args):
@@ -186,7 +192,9 @@ def _masks(draw, max_side=24):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mask=_masks().filter(lambda m: m.any()))
 def test_hull_of_row_extremes_is_hull_of_boundary(mask):
-    spans = row_spans(mask)
+    # The masks may hold several components; the spans are the largest's.
+    mask = isolate_object(mask)
+    spans = mask_spans(mask)
     extremes = old_row_extremes(mask)
     assert np.array_equal(np.concatenate([spans.first, spans.last]), extremes[:, 0])
     assert np.array_equal(np.concatenate([spans.ys, spans.ys]), extremes[:, 1])
@@ -203,7 +211,9 @@ def test_hull_of_row_extremes_is_hull_of_boundary(mask):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mask=_masks())
 def test_build_features_matches_boundary_path(mask):
-    result, error = _outcome(build_features, mask)
+    if mask.any():
+        mask = isolate_object(mask)
+    result, error = _outcome(lambda m: features_of_spans(mask_spans(m)), mask)
     expected, expected_error = _outcome(old_build_features, mask)
     assert error == expected_error
     if expected is not None:

@@ -1,15 +1,18 @@
-"""``segment.object_spans`` against the mask path it replaced.
+"""The object's row spans against the mask path they replaced.
 
 ``classify_raster`` reads the largest component's row spans straight from
-the thresholded mask.  It proves the foreground is one component without
-labelling it when every row of its box is one run overlapping the next,
-and labels the box otherwise.  The old path, ``isolate_object`` then the
-row extremes and pixel count of the kept mask, is kept here verbatim as
-the oracle.  The tests also pin which path the corpus and speckled images
-take, what each path allocates, and that every sweep case gives the same
-features or error as ``build_features(isolate_object(binarize(image)))``.
+the thresholded box (``segment.foreground_spans``).  It proves the
+foreground is one component without labelling it when every row of its
+box is one run overlapping the next, and labels the box otherwise.  A
+mask is fed to it as a two-level image under the fixed threshold 1
+(``mask_spans``).  The old path, ``isolate_object`` then the row extremes
+and pixel count of the kept mask, is kept here verbatim as the oracle.
+The tests also pin which path the corpus and speckled images take, what
+each path allocates, and that every sweep case gives the same features or
+error as the staged masks, ``isolate_object(binarize(image))``.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,16 +24,16 @@ from shapeid import (
     ShapeSpec,
     StageError,
     binarize,
-    build_features,
     classify_raster,
     corpus,
     isolate_object,
     render,
 )
 from shapeid import segment
-from shapeid.segment import check_mask, object_spans, row_spans
+from shapeid.geometry import features_of_spans
+from shapeid.segment import check_mask
 from sweep import _speckled, cases
-from test_hull_from_mask import _masks, _outcome, _tied_masks, old_row_extremes
+from test_hull_from_mask import _masks, _outcome, _tied_masks, mask_spans, old_row_extremes
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -74,7 +77,7 @@ def old_spans_path(mask):
 
 
 def assert_spans_match_oracle(mask):
-    spans, error = _outcome(object_spans, mask)
+    spans, error = _outcome(mask_spans, mask)
     expected, expected_error = _outcome(old_spans_path, mask)
     assert error == expected_error
     if expected is None:
@@ -87,8 +90,8 @@ def assert_spans_match_oracle(mask):
     assert type(spans.area) is int
     assert spans.area == area_px
     assert np.array_equal(isolate_object(mask), kept)
-    # The same rows as the new isolate_object's mask read by row_spans.
-    assert all(np.array_equal(a, b) for a, b in zip(spans, row_spans(isolate_object(mask))))
+    # The same spans as the new isolate_object's mask gives.
+    assert all(np.array_equal(a, b) for a, b in zip(spans, mask_spans(isolate_object(mask))))
 
 
 @st.composite
@@ -191,17 +194,25 @@ def test_crafted_spans_match_oracle(name, labelling):
     for view in (mask, mask.T, mask[::-1], mask[:, ::-1]):
         assert_spans_match_oracle(view)
     labelling.calls = 0
-    object_spans(mask)
+    mask_spans(mask)
     assert labelling.calls == (0 if proved else 1)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(mask=st.one_of(_masks(), _tied_masks(), _run_masks()))
 @example(mask=np.zeros((3, 4), dtype=bool))
-@example(mask=np.zeros((0, 4), dtype=bool))
-@example(mask=np.zeros((3, 0), dtype=bool))
 def test_spans_match_isolate_then_row_extremes(mask):
     assert_spans_match_oracle(mask)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+def test_mask_without_pixels_is_rejected(shape):
+    # A mask with no pixels has no object; as an image it has no pixels.
+    mask = np.zeros(shape, dtype=bool)
+    with pytest.raises(ValueError, match="^no object: mask has no foreground pixels$"):
+        isolate_object(mask)
+    with pytest.raises(ValueError, match=re.escape(f"expected a non-empty 2-D image, got shape {shape}")):
+        mask_spans(mask)
 
 
 @pytest.mark.parametrize("size", [256, 1024])
@@ -266,7 +277,7 @@ def _staged(image):
     except ValueError as err:
         return None, ("segmentation", f"segmentation: {err}")
     try:
-        return build_features(mask), None
+        return features_of_spans(mask_spans(mask)), None
     except ValueError as err:
         return None, ("feature extraction", f"feature extraction: {err}")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +73,23 @@ def test_truncated_binary_payload():
 def test_truncated_ascii_payload():
     with pytest.raises(PgmParseError, match="promises 4"):
         load_pgm(b"P2\n2 2\n255\n1 2 3\n")
+
+
+def test_short_ascii_file_promising_a_huge_image_allocates_nothing_for_it():
+    # 27 bytes promising 10**10 pixels: each pixel needs a digit, so the
+    # reader must fail on the count, not make the promised array first.
+    data = b"P2\n100000 100000\n255\n0 0 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PgmParseError) as err:
+            load_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "pixel data holds 3 values, header promises 10000000000 (byte offset 27)"
+    )
+    assert peak < 1 << 20
 
 
 def test_non_numeric_token_offset():

@@ -22,6 +22,7 @@ def _line():
         (np.full((16, 16), -1, dtype=np.int16), "otsu", "input"),
         (np.zeros((16, 16, 3), dtype=np.uint8), "otsu", "input"),
         (np.zeros((16, 16), dtype=float), "otsu", "input"),
+        (render(dict(corpus())["square"], 256, 256).astype("m8[s]"), "otsu", "input"),
         (np.zeros((16, 16), dtype=np.uint8), "otsu", "segmentation"),
         (_line(), 300, "segmentation"),
         (_line(), "otsu", "feature extraction"),
@@ -29,7 +30,7 @@ def _line():
         (_line(), [1], "segmentation"),
         (_line(), float("inf"), "segmentation"),
     ],
-    ids=["uint16-300", "negative-int16", "rgb", "float", "flat",
+    ids=["uint16-300", "negative-int16", "rgb", "float", "timedelta", "flat",
          "fixed-300", "three-pixel-line", "fixed-none", "fixed-list", "fixed-inf"],
 )
 def test_stage_error_names_the_stage(image, threshold, stage):

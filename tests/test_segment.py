@@ -15,12 +15,10 @@ from shapeid import (
     area,
     binarize,
     boundary,
-    build_features,
     isolate_object,
     otsu_threshold,
     render,
 )
-from shapeid.segment import object_spans, row_spans
 
 SRC = str(Path(shapeid.__file__).resolve().parents[1])
 
@@ -67,7 +65,7 @@ def test_binarize_fixed_checks_the_image():
         binarize(np.array([[0.5, 200.7]]), 100)
 
 
-@pytest.mark.parametrize("stage", [isolate_object, object_spans, row_spans, build_features, boundary])
+@pytest.mark.parametrize("stage", [isolate_object, boundary])
 def test_mask_stages_reject_a_mask_that_is_not_2d(stage):
     with pytest.raises(ValueError, match=r"expected a 2-D mask, got shape \(4, 5, 3\)"):
         stage(np.ones((4, 5, 3), dtype=bool))
