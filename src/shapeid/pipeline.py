@@ -12,7 +12,7 @@ import numpy as np
 from .classifier import Tolerances, Verdict, classify
 from .geometry import FeatureVector, features_of_spans
 from .pgm import check_image
-from .segment import foreground_spans
+from .segment import _foreground_spans
 
 __all__ = ["StageError", "classify_raster"]
 
@@ -34,13 +34,11 @@ def classify_raster(
     """Check the input, take the largest object's row spans under the
     threshold, extract features, classify."""
     try:
-        # In range, so its uint8 copy thresholds the same and the later
-        # stages' own checks skip their range scans.
-        image = check_image(image).astype(np.uint8, copy=False)
+        image = check_image(image)
     except ValueError as err:
         raise StageError("input", str(err)) from err
     try:
-        spans = foreground_spans(image, threshold)
+        spans = _foreground_spans(image, threshold)
     except ValueError as err:
         raise StageError("segmentation", str(err)) from err
     try:

@@ -24,20 +24,23 @@ pipeline does not call them.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
-histogram is counted for it.  One pass over blocks of 64 Ki pixels,
-``_two_level``, proves the two levels from each block less the
-threshold, wrapped to ``uint8``, in a one-block buffer, and can gather
-the rows that hold foreground on the way.  ``foreground_spans`` takes
-every threshold, fixed or Otsu's, through one route: ``_foreground_box``
-finds the rows holding a value at or above it (from that pass when it
-ran, else from each row's greatest value), reads the columns from those
-rows, and only the box they bound is compared with the threshold, so no
-mask of the image's size is made.  The same finder gives the box of
-``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
-with a third level is counted into a histogram, two pixels at a time, as
-``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
-column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
-is made.
+histogram is counted for it.  ``foreground_spans`` starts from each row's
+greatest value.  Under Otsu, ``_two_level`` reads them first: a row
+whose greatest value is neither level holds a third one, and the test
+ends there.  Otherwise it proves the two levels inside the foreground's
+bounding box alone, block by block, from each block less the threshold,
+wrapped to ``uint8``, in a one-block buffer.  Every threshold, fixed or
+Otsu's, then takes one route: ``_foreground_box`` finds the rows whose
+greatest value reaches it, reads the columns from those rows, and only
+the box they bound is compared with the threshold, so no mask of the
+image's size is made.  The box's mask is widened to whole 8-byte words
+per row, with ``False``, so that ``_last_true`` reverses each row by
+copying its words, in reverse order, into words of the other byte order.
+The same finder gives the box of ``isolate_object``'s mask, read as
+``uint8`` against 1.  Only an image with a third level is counted into a
+histogram, two pixels at a time, as ``uint16`` pairs, into one ``int32``
+table of 65,536 bins, whose row and column sums fold into the 256-bin
+histogram; no per-pixel ``int64`` copy is made.
 """
 
 from __future__ import annotations
@@ -66,28 +69,40 @@ __all__ = [
 #: no bin, row sum or column sum of the table can overflow.
 _PAIRS_PER_PASS = 1 << 29
 
-#: Most pixels one block of the two-level test covers, so that its
-#: scratch buffer stays at 64 KiB whatever the image's size.
+#: Most pixels one block of the two-level test covers, and most bytes one
+#: band of ``_last_true`` does, so that their scratch buffers stay at
+#: 64 KiB whatever the image's size.
 _COMPARE_BLOCK = 1 << 16
 
+#: A 64-bit word of the other byte order: copying words into it reverses
+#: the bytes of each.
+_SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()
 
-def _two_level(img: np.ndarray, row_least: np.ndarray | None = None) -> int | None:
+
+def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple[slice, slice]] | None:
     """Otsu's threshold ``lo + 1`` of a checked image whose every pixel is
-    its minimum ``lo`` or its maximum ``hi``, else ``None``.
+    its minimum ``lo`` or its maximum ``hi``, with the rows and bounding
+    box of its foreground as ``_foreground_box`` gives them, else ``None``.
+    ``top`` is the image's row maxima.
 
-    The image is read in blocks of at most ``_COMPARE_BLOCK`` pixels, whole
-    rows where they fit.  Each block less ``lo + 1`` is written, wrapping
-    modulo 256, to a ``uint8`` scratch buffer of one block.  There ``lo``
-    reads 255, ``hi`` reads ``hi - lo - 1`` and any third level less, so a
-    block has two levels exactly when its least value is at least
-    ``hi - lo - 1``; the test stops in the first block holding a third
+    Each value less ``lo + 1``, wrapped modulo 256 to ``uint8``, reads 255
+    at ``lo``, ``hi - lo - 1`` at ``hi`` and less at any third level.  The
+    row maxima are read that way first, and the greatest of them is ``hi``.
+    ``lo`` is the least value of the whole image, so a row whose greatest
+    value is ``lo`` holds nothing but ``lo``, and a row whose greatest
+    value is neither ``lo`` nor ``hi`` holds a third level: the test stops
+    there, before any block is read.  Otherwise only the rows whose
+    greatest value is ``hi`` can hold anything but ``lo``, and of the band
+    they span, only the columns whose greatest value there is above ``lo``,
+    for the same reason.  So only the box they bound, the foreground's
+    under ``lo + 1``, is read again: in blocks of at most
+    ``_COMPARE_BLOCK`` pixels, whole rows where they fit, each written
+    less ``lo + 1``, wrapping, to a ``uint8`` scratch buffer of one block.
+    A block has two levels exactly when its least value is at least
+    ``hi - lo - 1``, and the test stops in the first block holding a third
     level.  No copy of the image is made, and the buffer is freed on
     return.  A single level has no two classes to separate, so it raises
     ``ValueError``.
-
-    ``row_least``, if given, is a ``uint8`` array of ``height`` 255s.  The
-    least value of each row is gathered into it from the blocks that hold
-    foreground, so it stays 255 exactly where a row holds none.
 
     With ``a`` pixels at ``lo`` and ``b`` at ``hi``, every threshold in
     ``(lo, hi]`` splits the histogram into the same two classes: weights
@@ -99,35 +114,32 @@ def _two_level(img: np.ndarray, row_least: np.ndarray | None = None) -> int | No
     threshold, and any other threshold leaves a class empty; variance ties
     resolve low, so Otsu's threshold is ``lo + 1``.
     """
-    lo, hi = int(img.min()), int(img.max())
+    lo, hi = int(img.min()), int(top.max())
     if lo == hi:
         raise ValueError("degenerate histogram: single distinct intensity")
     floor = hi - lo - 1
-    height, width = img.shape
-    rows, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
-    mem = np.empty(min(img.size, _COMPARE_BLOCK), dtype=np.uint8)
-    if row_least is not None:
-        # A block is whole rows or a piece of one row, so it fills one
-        # stretch of memory, and its rows start every ``cols`` bytes of it.
-        starts = np.arange(0, rows * cols, cols)
-    for r in range(0, height, rows):
+    if np.subtract(top, lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:
+        return None
+    rows, box = _foreground_box(img, lo + 1, top)
+    part = img[box]
+    height, width = part.shape
+    step, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
+    mem = np.empty((min(height, step), cols), dtype=np.uint8)
+    for r in range(0, height, step):
         for c in range(0, width, cols):
-            block = img[r:r + rows, c:c + cols]
-            flat = mem[:block.size]
-            s = flat.reshape(block.shape)
+            block = part[r:r + step, c:c + cols]
+            # Whole rows of the buffer, or a piece of its one row.
+            s = mem[:len(block), :block.shape[1]]
             if block.dtype != np.uint8:
                 # Subtracting from an int64 block into uint8 memory would
                 # cast through a buffer; the copy casts in place.
                 np.copyto(s, block, casting="unsafe")
                 block = s
             np.subtract(block, lo + 1, out=s)
-            block_least = flat.min()
+            block_least = s.min()
             if block_least < floor:
                 return None
-            if block_least != 255 and row_least is not None:
-                band = row_least[r:r + rows]
-                np.minimum(band, np.minimum.reduceat(flat, starts[:len(s)]), out=band)
-    return lo + 1
+    return lo + 1, rows, box
 
 
 def _histogram(image: np.ndarray) -> np.ndarray:
@@ -177,13 +189,13 @@ def otsu_threshold(image: np.ndarray) -> int:
     intensity has no two classes to separate.  The input must pass
     ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
     else ``ValueError``.  A two-level image's threshold is its lower level
-    plus one (``_two_level``), found in blocks of 64 Ki pixels; only an
-    image with a third level is counted into a histogram (see the module
-    docstring).
+    plus one (``_two_level``), proved from its row maxima and, in blocks of
+    64 Ki pixels, its foreground's bounding box; only an image with a third
+    level is counted into a histogram (see the module docstring).
     """
     img = check_image(image)
-    t = _two_level(img)
-    return _histogram_threshold(img) if t is None else t
+    found = _two_level(img, img.max(axis=1))
+    return _histogram_threshold(img) if found is None else found[0]
 
 
 def _fixed_threshold(threshold) -> int | None:
@@ -220,28 +232,29 @@ def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
     the object ``isolate_object(binarize(image, threshold))`` keeps, with
     the same ``ValueError``s, and no mask of the image's size.
 
-    Only the foreground's bounding box is compared with the threshold.
-    For a two-level image under Otsu, the test of ``_two_level`` also finds
-    the rows that hold foreground; otherwise they are the rows whose
-    greatest value reaches the threshold.  The columns are read from those
-    rows.  An image with a third level goes from that test straight to its
-    histogram.
+    The image's row maxima serve twice: ``_two_level`` tests them under
+    Otsu, and the rows whose greatest value reaches the threshold are the
+    rows that hold foreground.  The columns are read from those rows, and
+    only the foreground's bounding box is compared with the threshold.  A
+    two-level image under Otsu takes its rows and box from ``_two_level``,
+    which tested that box; an image with a third level goes from the test
+    of its row maxima straight to its histogram.
     """
-    img = check_image(image)
+    return _foreground_spans(check_image(image), threshold)
+
+
+def _foreground_spans(img: np.ndarray, threshold) -> Spans:
+    """``foreground_spans`` of an image that has passed ``check_image``."""
     t = _fixed_threshold(threshold)
-    rows = None
-    if t is None:
-        row_least = np.full(img.shape[0], 255, dtype=np.uint8)
-        t = _two_level(img, row_least)
+    top = img.max(axis=1)
+    found = None if t is not None else _two_level(img, top)
+    if found is None:
         if t is None:
-            # A third level: the row minima are dropped before the pair
-            # table is made.
-            del row_least
             t = _histogram_threshold(img)
-        else:
-            rows = (row_least != 255).nonzero()[0]
-    rows, box = _foreground_box(img, t, rows)
-    return _box_spans(img[box] >= t, rows, box)
+        found = t, *_foreground_box(img, t, top)
+    # The row maxima are freed before the box is thresholded.
+    del top
+    return _box_spans(img, *found)
 
 
 def check_mask(mask: np.ndarray) -> np.ndarray:
@@ -263,12 +276,12 @@ class Spans(NamedTuple):
     area: int
 
 
-def _foreground_box(a: np.ndarray, t: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, tuple[slice, slice]]:
-    """The rows of ``a`` holding a value of at least ``t``, unless given as
-    ``rows``, and the bounding box of those values.  ``isolate_object``
-    reads its mask as the ``uint8`` view with ``t`` 1."""
-    if rows is None:
-        rows = (a.max(axis=1, initial=0) >= t).nonzero()[0]
+def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """The rows of ``a`` holding a value of at least ``t``, those whose
+    greatest value ``top`` reaches it, and the bounding box of those
+    values.  ``isolate_object`` reads its mask as the ``uint8`` view with
+    ``t`` 1."""
+    rows = (top >= t).nonzero()[0]
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
     # The columns are read from the foreground's rows alone.
@@ -344,7 +357,8 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     pixel comes earliest in row-major order.
     """
     m = check_mask(mask)
-    _, box = _foreground_box(m.view(np.uint8), 1)
+    a = m.view(np.uint8)
+    _, box = _foreground_box(a, 1, a.max(axis=1, initial=0))
     rows, first, last = _largest_runs(m[box])
     # In the flattened mask, gaps and kept runs alternate from a gap at the
     # first pixel to one at the last, so the mask repeats False and True
@@ -359,21 +373,42 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     return np.repeat(kept, np.diff(edges)).reshape(m.shape)
 
 
-def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """First and last ``True`` column of each row of a 2-D ``bool`` array,
-    and its pixel total, if each of its rows is one run, else ``None``.
+def _last_true(rows: np.ndarray) -> np.ndarray:
+    """Last ``True`` column of each row of a C-contiguous 2-D ``bool``
+    array whose width is a multiple of 8, or the last column where a row
+    has none.
 
-    The last is the first ``True`` of the row reversed.  ``argmax`` copies
-    a reversed array, so it takes bands of at most ``_COMPARE_BLOCK``
-    pixels (whole rows) at a time.  An empty row reads as a span of the
-    whole width.  A row's count is at most the width of its span, so the
-    totals are equal only if every row's are."""
+    The last is the first ``True`` of the row reversed, and a row of whole
+    8-byte words is reversed by reversing the order of its words and the
+    bytes in each word.  So bands of at most ``_COMPARE_BLOCK`` bytes
+    (whole rows) are copied, word order reversed, into one buffer of words
+    of the other byte order, which ``argmax`` reads as ``bool``.  The
+    buffer is freed on return."""
     height, width = rows.shape
+    words = rows.view(np.uint64)
+    # As few bands as fit, of rows shared out evenly, so that the buffer
+    # is no larger than the bands need.
+    bands = -(-height // max(1, _COMPARE_BLOCK // width))
+    step = -(-height // bands)
+    flipped = np.empty((step, width // 8), dtype=_SWAPPED_WORD)
+    reversed_rows = flipped.view(bool)
     last = np.empty(height, dtype=np.intp)
-    step = max(1, _COMPARE_BLOCK // width)
     for r in range(0, height, step):
-        rows[r:r + step, ::-1].argmax(axis=1, out=last[r:r + step])
-    np.subtract(width - 1, last, out=last)
+        band = words[r:r + step]
+        flipped[:len(band)] = band[:, ::-1]
+        reversed_rows[:len(band)].argmax(axis=1, out=last[r:r + step])
+    return np.subtract(width - 1, last, out=last)
+
+
+def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """First and last ``True`` column of each row of a C-contiguous 2-D
+    ``bool`` array whose width is a multiple of 8 (``_last_true``), and its
+    pixel total, if each of its rows is one run, else ``None``.
+
+    An empty row reads as a span of the whole width, padding included.  A
+    row's count is at most the width of its span, so the totals are equal
+    only if every row's are."""
+    last = _last_true(rows)
     first = rows.argmax(axis=1)
     total = int(np.count_nonzero(rows))
     if total != np.sum(last - first + 1):
@@ -381,11 +416,16 @@ def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return first, last, total
 
 
-def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
-    """``Spans`` of the largest 4-connected component of a mask, the object
-    ``isolate_object`` keeps, from the mask's foreground bounding box
-    ``box``, the part ``m`` of the mask it covers, and the mask's non-empty
-    rows ``rows``, as ``_foreground_box`` gives them.
+def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
+    """``Spans`` of the largest 4-connected component of the foreground
+    ``img >= t``, the object ``isolate_object`` keeps, from the rows
+    ``rows`` holding foreground and its bounding box ``box``, as
+    ``_foreground_box`` gives them.  Only the box's rows are compared with
+    ``t``, into a mask whose rows are whole 8-byte words, as ``_run_ends``
+    takes them.  Its columns are the box's and, beside them, as many of
+    the image's as it takes to fill the last word: in the box's rows those
+    are below ``t``, so they read ``False``.  Only an image too narrow for
+    that is padded with ``False`` in a new buffer.
 
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
@@ -396,6 +436,14 @@ def _box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> Spa
     or kept mask is made.
     """
     top, left = box[0].start, box[1].start
+    width = box[1].stop - left
+    padded = -(-width // 8) * 8
+    if padded <= img.shape[1]:
+        left = min(left, img.shape[1] - padded)
+        m = np.greater_equal(img[box[0], left:left + padded], t, order="C")
+    else:
+        m = np.zeros((box[0].stop - top, padded), dtype=bool)
+        np.greater_equal(img[box], t, out=m[:, :width])
     # The empty-row test only rejects early: the one-run test below fails
     # on an empty row too.
     if len(rows) == len(m):

@@ -18,9 +18,11 @@ call runs inside numpy is not counted, so numpy's internals do not move
 the count.  A ufunc called directly (``np.maximum(a, b)``) and an
 operator (``a - b``, ``a[keep]``) make no profiler event and are not
 counted.  Each call is charged to the innermost stage running:
-``foreground_spans``, ``_span_hull``, ``_corners_of_hull`` and
-``classify``, and the rest of the call (the input check, the distances
-and the feature vector) as ``rest``.
+``foreground_spans`` (its body ``segment._foreground_spans``, which
+``classify_raster`` calls on the image it has checked),
+``_span_hull``, ``_corners_of_hull`` and ``classify``, and the rest of
+the call (the input check, the distances and the feature vector) as
+``rest``.
 
 For each of the eight reference shapes at 256x256 and 1024x1024, clean
 under Otsu, this prints a Markdown table of the counts of one call,
@@ -46,7 +48,7 @@ SIZES = (256, 1024)
 
 #: The stages, each by the code of the function that runs it.
 STAGES = {
-    segment.foreground_spans.__code__: "foreground_spans",
+    segment._foreground_spans.__code__: "foreground_spans",
     geometry._span_hull.__code__: "_span_hull",
     geometry._corners_of_hull.__code__: "_corners_of_hull",
     classifier.classify.__code__: "classify",

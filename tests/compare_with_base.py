@@ -1,10 +1,14 @@
-"""Compare the label sweep and the code lines of this tree with a base tree.
+"""Compare the label sweep, the code lines, the numpy calls and the
+allocation peaks of this tree with a base tree.
 
 Runs this tree's ``tests/sweep.py`` once against this tree's ``src`` and
-once against the base tree's, and each tree's own ``tests/code_lines.py``.
-Prints a Markdown summary: how many sweep lines differ and the first 20 of
-them, then each module's code lines in both trees.  It fails only when one
-of those commands fails, never because the trees differ:
+once against the base tree's, and each tree's own ``tests/code_lines.py``,
+``tests/call_table.py`` and ``tests/peak_table.py``.  Prints a Markdown
+summary: how many sweep lines differ and the first 20 of them, each
+module's code lines in both trees, and the call and peak tables of both
+trees side by side, a cell that changed reading ``base → head``.  It only
+reports, and fails only when one of those commands fails, never because
+the trees differ:
 
     git worktree add --detach /tmp/base BASE_COMMIT
     python tests/compare_with_base.py /tmp/base
@@ -36,6 +40,30 @@ def _code_lines(tree: Path) -> dict[str, int]:
     return {name: int(count) for name, count in (line.split() for line in lines)}
 
 
+def _table(tree: Path, name: str) -> list[list[str]]:
+    """The rows of cells of the Markdown table that a tree's report script
+    prints."""
+    lines = _output(tree / "tests" / name, tree / "src")
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines if line.startswith("|")]
+
+
+def _side_by_side(name: str, base: Path) -> None:
+    print(f"### `tests/{name}`, base → head\n")
+    if not (base / "tests" / name).is_file():
+        print("The base tree has no such script.\n")
+        return
+    old, new = _table(base, name), _table(HEAD, name)
+    if [row[0] for row in old] != [row[0] for row in new] or old[0] != new[0]:
+        # Another layout: the two tables one after the other.
+        for rows in (old, new):
+            print("\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n")
+        return
+    for b, a in zip(old, new):
+        cells = [y if x == y else f"{x} → {y}" for x, y in zip(b, a)]
+        print("| " + " | ".join(cells) + " |")
+    print()
+
+
 def main(base: Path) -> None:
     sweep = HEAD / "tests" / "sweep.py"
     before, after = _output(sweep, base / "src"), _output(sweep, HEAD / "src")
@@ -53,6 +81,9 @@ def main(base: Path) -> None:
     for name in sorted(old.keys() | new.keys(), key=lambda n: (n == "total", n)):
         b, a = old.get(name, 0), new.get(name, 0)
         print(f"| {name} | {b} | {a} | {a - b:+d} |")
+    print()
+    for name in ("call_table.py", "peak_table.py"):
+        _side_by_side(name, base)
 
 
 if __name__ == "__main__":

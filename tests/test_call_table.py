@@ -15,14 +15,14 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 46,
-    "cylinder": 48,
-    "kite": 47,
-    "square": 46,
-    "rhombus": 47,
-    "hemisphere": 49,
-    "triangle": 47,
-    "cone": 51,
+    "rectangle": 45,
+    "cylinder": 47,
+    "kite": 46,
+    "square": 45,
+    "rhombus": 46,
+    "hemisphere": 48,
+    "triangle": 46,
+    "cone": 50,
 }
 
 

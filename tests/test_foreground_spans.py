@@ -7,10 +7,15 @@ it must give what ``object_spans(binarize(image, threshold))`` gave
 before that route was shared, or raise the same ``ValueError``; those
 two functions, and the ones they called that have since been rewritten,
 are kept below as the oracle, verbatim but for the row minima the old
-``_two_level`` gathered for ``foreground_spans`` alone.  Source mutants
-of the bounding box must be caught by the same comparison, and the
-traced peak of ``classify_raster`` on a 1024x1024 render stays below a
-full-size mask beside the box, under Otsu and under a fixed threshold.
+``_two_level`` gathered for ``foreground_spans`` alone.  The oracle's
+``_box_spans`` and ``_run_ends`` are the ones that found each row's last
+pixel by ``argmax`` over numpy's reversed copy, before the box's mask was
+padded to whole words; the new ``_run_ends`` is also checked against the
+old one directly, and ``_two_level`` against the full histogram.  Source
+mutants of the bounding box and the row ends must be caught by the same
+comparison, and the traced peak of ``classify_raster`` on a 1024x1024
+render stays below a full-size mask beside the box, under Otsu and under
+a fixed threshold.
 """
 
 import tracemalloc
@@ -23,7 +28,7 @@ from helpers import source_mutant
 from shapeid import classify_raster, corpus, render
 from shapeid import segment
 from shapeid.pgm import check_image
-from shapeid.segment import _box_spans, _histogram_threshold, check_mask, foreground_spans
+from shapeid.segment import _histogram_threshold, _largest_runs, check_mask, foreground_spans
 
 _BLOCK = segment._COMPARE_BLOCK
 
@@ -110,6 +115,64 @@ def old_foreground_box(m: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
     return rows, (slice(top, bottom), slice(cols[0], cols[-1] + 1))
 
 
+def old_run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """First and last ``True`` column of each row of a 2-D ``bool`` array,
+    and its pixel total, if each of its rows is one run, else ``None``.
+
+    The last is the first ``True`` of the row reversed.  ``argmax`` copies
+    a reversed array, so it takes bands of at most ``_BLOCK``
+    pixels (whole rows) at a time.  An empty row reads as a span of the
+    whole width.  A row's count is at most the width of its span, so the
+    totals are equal only if every row's are."""
+    height, width = rows.shape
+    last = np.empty(height, dtype=np.intp)
+    step = max(1, _BLOCK // width)
+    for r in range(0, height, step):
+        rows[r:r + step, ::-1].argmax(axis=1, out=last[r:r + step])
+    np.subtract(width - 1, last, out=last)
+    first = rows.argmax(axis=1)
+    total = int(np.count_nonzero(rows))
+    if total != np.sum(last - first + 1):
+        return None
+    return first, last, total
+
+
+def old_box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> segment.Spans:
+    """``Spans`` of the largest 4-connected component of a mask, the object
+    ``isolate_object`` keeps, from the mask's foreground bounding box
+    ``box``, the part ``m`` of the mask it covers, and the mask's non-empty
+    rows ``rows``, as ``_foreground_box`` gives them.
+
+    The foreground is proved to be one component, without labelling it,
+    when its bounding box has no empty row, every row is one run, and each
+    run overlaps the columns of the next.  An empty row rejects the proof
+    before the rows are read.  Otherwise the box is labelled by its row
+    runs (``_largest_runs``), the kept runs are reduced to one span per
+    row, and their lengths are summed to the pixel total; no label raster
+    or kept mask is made.
+    """
+    top, left = box[0].start, box[1].start
+    # The empty-row test only rejects early: the one-run test below fails
+    # on an empty row too.
+    if len(rows) == len(m):
+        ends = old_run_ends(m)
+        if ends:
+            first, last, total = ends
+            if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
+                return segment.Spans(rows, left + first, left + last, total)
+    ys, first, last = _largest_runs(m)
+    # The runs are in row-major order: a row's first run holds its first
+    # column and its last run its last.
+    heads = np.flatnonzero(np.diff(ys, prepend=-1))
+    tails = np.append(heads[1:], len(ys)) - 1
+    return segment.Spans(
+        np.add(top, ys[heads], dtype=np.intp),
+        np.add(left, first[heads], dtype=np.intp),
+        np.add(left, last[tails], dtype=np.intp),
+        int(np.sum(last - first + 1)),
+    )
+
+
 def old_object_spans(mask: np.ndarray) -> segment.Spans:
     """``Spans`` of the largest 4-connected foreground component, the
     object ``isolate_object`` keeps.
@@ -124,7 +187,7 @@ def old_object_spans(mask: np.ndarray) -> segment.Spans:
     """
     m = check_mask(mask)
     rows, box = old_foreground_box(m)
-    return _box_spans(m[box], rows, box)
+    return old_box_spans(m[box], rows, box)
 
 #: Shapes of one block, several blocks of whole rows, and rows wider than
 #: a block, which are cut across blocks.
@@ -187,7 +250,7 @@ def _reference(image, threshold):
 
 
 def _views(image):
-    return image, image.astype(np.int64), image.T
+    return image, image.astype(np.int64), image.T, image[::-1, ::-1]
 
 
 _THRESHOLDS = st.one_of(st.just("otsu"), st.integers(0, 256), st.just("mean"))
@@ -200,9 +263,92 @@ def test_foreground_spans_match_the_mask_path(image, threshold):
         assert _outcome(foreground_spans, view, threshold) == _outcome(_reference, view, threshold)
 
 
+#: Widths around one 8-byte word, and around a row of 1024 pixels, which
+#: the row ends read in more than one band once a box has 65 rows.
+_WIDTHS = st.one_of(st.integers(1, 17), st.integers(1023, 1025))
+
+
+@st.composite
+def _level_images(draw):
+    """Images of 1 to 70 rows of widths 1-17 or 1023-1025, or their
+    transposes (one-row and one-column images among them), holding one run
+    of the object's level in some rows, so that rows of background alone
+    can lie between the object's, and a third level nowhere, beside the
+    upper level in one of its rows, as the greatest value of a row of the
+    lower level alone, or anywhere."""
+    h, w = draw(st.sampled_from([1, 2, 3, 9, 70])), draw(_WIDTHS)
+    if draw(st.booleans()):
+        h, w = w, h
+    bg, fg = draw(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True))
+    image = np.full((h, w), bg, dtype=np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for y in np.flatnonzero(rng.random(h) < draw(st.sampled_from([0.2, 0.7, 1.0]))):
+        x0, x1 = sorted(rng.integers(0, w, 2))
+        image[y, x0:x1 + 1] = fg
+    lo, hi = min(bg, fg), max(bg, fg)
+    third = draw(st.sampled_from(["none", "beside the upper level", "as a row's greatest value", "anywhere"]))
+    if third == "anywhere":
+        image[rng.integers(h), rng.integers(w)] = draw(st.integers(0, 255))
+    elif third != "none" and hi - lo > 1:
+        level = draw(st.integers(lo + 1, hi - 1))
+        # A lower pixel in a row holding the upper level, or a row of the
+        # lower level alone.
+        upper = third == "beside the upper level"
+        rows = np.flatnonzero((image.max(axis=1) == hi) == upper)
+        if upper:
+            rows = rows[(image[rows] == lo).any(axis=1)]
+        if len(rows):
+            y = rows[rng.integers(len(rows))]
+            xs = np.flatnonzero(image[y] == lo)
+            image[y, xs[rng.integers(len(xs))]] = level
+    return image
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(image=_level_images())
+def test_row_maxima_and_padded_rows_match_the_oracles(image):
+    for view in _views(image):
+        for threshold in ("otsu", int(image.max())):
+            assert _outcome(foreground_spans, view, threshold) == _outcome(_reference, view, threshold)
+        levels = len(np.unique(view))
+        if levels == 1:
+            with pytest.raises(ValueError, match="^degenerate histogram"):
+                segment._two_level(view, view.max(axis=1))
+            continue
+        found = segment._two_level(view, view.max(axis=1))
+        assert (found is None) == (levels > 2)
+        if found is not None:
+            assert found[0] == _histogram_threshold(view)
+
+
+@st.composite
+def _run_masks(draw):
+    """Masks of 1 to 200 rows of widths 1-17 or 1023-1025, each row empty,
+    one run or two."""
+    h, w = draw(st.sampled_from([1, 2, 65, 200])), draw(_WIDTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((h, w), dtype=bool)
+    runs = draw(st.sampled_from([(1,), (0, 1), (1, 2), (0, 1, 2)]))
+    for y in range(h):
+        for _ in range(runs[rng.integers(len(runs))]):
+            x0, x1 = sorted(rng.integers(0, w, 2))
+            mask[y, x0:x1 + 1] = True
+    return mask
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mask=_run_masks())
+def test_run_ends_of_the_padded_mask_match_the_old_ones(mask):
+    new, old = segment._run_ends(_padded(mask)), old_run_ends(mask)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert [part.tolist() for part in new[:2]] + [new[2]] == [part.tolist() for part in old[:2]] + [old[2]]
+
+
 def _box_cases():
     """Two-level images whose foreground bounds lie in different blocks:
     a rhombus widest in its middle rows, an object in the last block only,
+    one in the last columns of a row whose width is not a multiple of 8,
     one cut across the blocks of rows wider than a block, and one touching
     every edge."""
     rhombus = render(dict(corpus(1024, 1024))["rhombus"], 1024, 1024)
@@ -210,6 +356,10 @@ def _box_cases():
     late = np.zeros((300, 257), dtype=np.uint8)
     late[-3:, 100:140] = 200
     yield late
+    right = np.zeros((40, 257), dtype=np.uint8)
+    right[5:30, 250:] = 200
+    right[10:20, 240:250] = 200
+    yield right
     wide = np.full((3, 2 * _BLOCK + 5), 7, dtype=np.uint8)
     wide[0, _BLOCK - 4:_BLOCK + 9] = 9
     wide[1, 10:2 * _BLOCK] = 9
@@ -237,12 +387,15 @@ def test_foreground_spans_match_on_the_box_cases():
     # the columns of the last row with foreground only
     ("cols = (a[band].max(axis=0) >= t).nonzero()[0]",
      "cols = (a[rows[-1]].reshape(1, -1).max(axis=0) >= t).nonzero()[0]", True),
-    # every block's row minima written to the first block's rows; a fixed
-    # threshold never runs the two-level pass
-    ("band = row_least[r:r + rows]", "band = row_least[:rows]", False),
+    # the band's last row cut off
+    ("band = slice(rows[0], rows[-1] + 1)", "band = slice(rows[0], rows[-1])", True),
     # the box one column short on the right
     ("return rows, (band, slice(cols[0], cols[-1] + 1))",
      "return rows, (band, slice(cols[0], cols[-1]))", True),
+    # the mask handed to the row ends without its padding
+    ("ends = _run_ends(m)", "ends = _run_ends(m[:, :width])", True),
+    # the mask's columns not moved left of a box in the image's last ones
+    ("left = min(left, img.shape[1] - padded)", "left = left", True),
 ])
 def test_box_mutants_are_caught(old, new, fixed_sees_it):
     mutant = source_mutant(segment, old, new)
@@ -261,6 +414,53 @@ def test_box_mutants_are_caught(old, new, fixed_sees_it):
     assert caught(fixed=False)
     if fixed_sees_it:
         assert caught(fixed=True)
+
+
+def _padded(mask: np.ndarray) -> np.ndarray:
+    h, w = mask.shape
+    padded = np.zeros((h, -(-w // 8) * 8), dtype=bool)
+    padded[:, :w] = mask
+    return padded
+
+
+def _row_end_cases():
+    """Masks of one run per row: 70 rows of 1025 pixels, which the row ends
+    read in two bands, and 8 rows of 17 pixels whose runs end at each byte
+    of a word."""
+    rng = np.random.default_rng(70)
+    wide = np.zeros((70, 1025), dtype=bool)
+    for y, (x0, x1) in enumerate(np.sort(rng.integers(0, 1025, (70, 2)), axis=1)):
+        wide[y, x0:x1 + 1] = True
+    yield wide
+    short = np.zeros((8, 17), dtype=bool)
+    for y in range(8):
+        short[y, y + 1:y + 9] = True
+    yield short
+
+
+# Mutation checks of the row ends: a wrong last column fails the one-run
+# test, and the labeller then gives the right spans, so these mistakes
+# show only against the old row ends.
+
+@pytest.mark.parametrize("old, new", [
+    # the rows' words reversed, but not the bytes in each
+    ("_SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()", "_SWAPPED_WORD = np.dtype(np.uint64)"),
+    # the bytes in each word reversed, but not the words
+    ("flipped[:len(band)] = band[:, ::-1]", "flipped[:len(band)] = band"),
+    # every band's ends written to the first band's rows
+    ("out=last[r:r + step])", "out=last[:len(band)])"),
+    # the last column counted from the unpadded width of a 17-pixel box
+    ("return np.subtract(width - 1, last, out=last)", "return np.subtract(width - 8, last, out=last)"),
+])
+def test_row_end_mutants_are_caught(old, new):
+    mutant = source_mutant(segment, old, new)
+
+    def ends(run_ends, mask):
+        found = run_ends(mask)
+        return found and ([part.tolist() for part in found[:2]], found[2])
+
+    assert all(ends(segment._run_ends, _padded(m)) == ends(old_run_ends, m) for m in _row_end_cases())
+    assert any(ends(mutant["_run_ends"], _padded(m)) != ends(old_run_ends, m) for m in _row_end_cases())
 
 
 def _peak_mib(fn, *args):

@@ -7,7 +7,7 @@ level plus one, wrapped to ``uint8``, block by block, and count any other image'
 labels components by their row runs.  Each is checked here against the
 previous whole-array ``bincount`` Otsu and ``scipy.ndimage`` labels,
 kept verbatim as the oracles, against source mutants of the two-level
-test, and against the memory it was rewritten to save.
+test, and against the memory and work it was rewritten to save.
 """
 
 import tracemalloc
@@ -361,7 +361,10 @@ def test_constant_image_keeps_the_degenerate_message(shape):
 
 def _third_level_images():
     """Two-level images of three blocks and a bit, each with one pixel of a
-    third level in the first block, at a block edge or in the last block."""
+    third level in the first block, at a block edge or in the last block;
+    and a square on a 300x257 background with one pixel of a third level
+    in its last row, in a row of the square but a column outside it, or in
+    a row of background alone."""
     n = 3 * _BLOCK + 5
     flat = np.where(np.random.default_rng(15).random(n) < 0.3, 210, 30).astype(np.uint8)
     yield flat.reshape(1, n).copy()
@@ -370,6 +373,14 @@ def _third_level_images():
             image = flat.copy()
             image[at] = level
             yield image.reshape(1, n)
+    square = np.full((300, 257), 30, dtype=np.uint8)
+    square[100:200, 50:150] = 210
+    yield square.copy()
+    for at in ((199, 60), (150, 200), (10, 10)):
+        for level in (40, 120, 200):
+            image = square.copy()
+            image[at] = level
+            yield image
 
 
 # Mutation checks: each fragment of segment.py below is replaced by a
@@ -379,16 +390,55 @@ def _third_level_images():
 @pytest.mark.parametrize("old, new", [
     # the lower level as the threshold, not the level above it
     ("return lo + 1", "return lo"),
-    # no test of the block's least value: every image passes as two-level
+    # no test of the box's least value: every image whose row maxima are
+    # two levels passes as two-level
     ("if block_least < floor:", "if block_least < 0:"),
+    # the box of the upper level alone: a third level in a column holding
+    # no upper level is read as background
+    ("rows, box = _foreground_box(img, lo + 1, top)", "rows, box = _foreground_box(img, hi, top)"),
+    # the band's last row cut off
+    ("band = slice(rows[0], rows[-1] + 1)", "band = slice(rows[0], rows[-1])"),
 ])
 def test_two_level_mutants_are_caught(old, new):
     mutant = source_mutant(segment, old, new)
     images = list(_third_level_images())
-    assert any(mutant["otsu_threshold"](image) != old_otsu_threshold(image) for image in images)
+    assert any(
+        _threshold_outcome(mutant["otsu_threshold"], image) != _threshold_outcome(old_otsu_threshold, image)
+        for image in images
+    )
     # binarize compares the image with otsu_threshold's result, so it
     # must see every mutant that does.
     assert any(not _same_binarize(mutant["binarize"], image) for image in images)
+
+
+def _ends_at_the_row_maxima(two_level) -> bool:
+    """Whether ``two_level`` turns down a 1024x1024 square whose third
+    level is the greatest value of a row of background, and allocates no
+    block buffer (64 KiB) to do so."""
+    image = np.full((1024, 1024), 30, dtype=np.uint8)
+    image[256:768, 256:768] = 210
+    image[10, 10] = 120
+    top = image.max(axis=1)
+    two_level(image, top)  # first call: let numpy set up its caches
+    tracemalloc.start()
+    try:
+        found = two_level(image, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return found is None and peak < 16384
+
+
+def test_a_third_level_among_the_row_maxima_reads_no_block():
+    assert _ends_at_the_row_maxima(segment._two_level)
+    # Without the test of the row maxima the answer is the same, found in
+    # the box's blocks, so only the work shows the mutant.
+    mutant = source_mutant(
+        segment,
+        'if np.subtract(top, lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:',
+        "if False:",
+    )
+    assert not _ends_at_the_row_maxima(mutant["_two_level"])
 
 
 def test_isolate_peak_with_a_large_foreground_share():
