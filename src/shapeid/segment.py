@@ -8,19 +8,24 @@ and last column, and the object's pixel total), not as a mask, from
 ``foreground_spans``.  They are the spans of the largest 4-connected
 component, the object ``isolate_object`` keeps.  ``_box_spans`` proves
 from the spans alone that the foreground is one component when every row
-of its bounding box is one run overlapping the next.  When that proof
-fails, and always in ``isolate_object``, the box is labelled by
-``_largest_runs`` over its row runs, not its pixels: one pass finds the
-runs, a binary search finds the runs each one touches in the row above,
-and union-find joins them.  Past the first pass, its work grows with the
-number of runs, not with the box: a clean or lightly speckled object has
-a few per row, but a box of dense noise or fine stripes, with hundreds of
-thousands, labels several times slower than a pixel labeller would.
-``_box_spans`` reduces the kept runs to one span per row and sums their
-lengths, and ``isolate_object`` paints them into a mask.  The mask
-stages, ``binarize``, ``isolate_object``, ``boundary`` and ``area``,
-take the steps one at a time for a caller that wants the masks; the
-pipeline does not call them.
+of its bounding box is one run overlapping the next.  When a row of the
+box is empty, when the proof fails (its box mask is freed first), and
+always in ``isolate_object``, ``_largest_runs`` labels the box over its
+row runs, not its pixels.  It compares the box with the threshold
+itself, in bands of at most 64 Ki slots, into one reused buffer whose
+rows end in a ``False`` column, and takes each band's run ends from one
+comparison of the flattened band with itself shifted by a slot; so no
+mask or array of the box's size is made.  A binary search finds the runs
+each run touches in the row above, and union-find joins them.  Past the
+bands, its work and memory grow with the number of runs, not with the
+box: a clean or lightly speckled object has a few per row, but a box of
+dense noise or fine stripes, with hundreds of thousands, labels several
+times slower than a pixel labeller would.  ``_box_spans`` reduces the
+kept runs to one span per row and sums their lengths, and
+``isolate_object`` paints them into a mask.  The mask stages,
+``binarize``, ``isolate_object``, ``boundary`` and ``area``, take the
+steps one at a time for a caller that wants the masks; the pipeline does
+not call them.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
@@ -33,14 +38,15 @@ wrapped to ``uint8``, in a one-block buffer.  Every threshold, fixed or
 Otsu's, then takes one route: ``_foreground_box`` finds the rows whose
 greatest value reaches it, reads the columns from those rows, and only
 the box they bound is compared with the threshold, so no mask of the
-image's size is made.  The box's mask is widened to whole 8-byte words
-per row, with ``False``, so that ``_last_true`` reverses each row by
-copying its words, in reverse order, into words of the other byte order.
-The same finder gives the box of ``isolate_object``'s mask, read as
-``uint8`` against 1.  Only an image with a third level is counted into a
-histogram, two pixels at a time, as ``uint16`` pairs, into one ``int32``
-table of 65,536 bins, whose row and column sums fold into the 256-bin
-histogram; no per-pixel ``int64`` copy is made.
+image's size is made.  For the proof, whose box has no empty row, the
+box's mask is widened to whole 8-byte words per row, with ``False``, so
+that ``_last_true`` reverses each row by copying its words, in reverse
+order, into words of the other byte order.  The same finder gives the
+box of ``isolate_object``'s mask, read as ``uint8`` against 1.  Only an
+image with a third level is counted into a histogram, two pixels at a
+time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
+row and column sums fold into the 256-bin histogram; no per-pixel
+``int64`` copy is made.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ __all__ = [
 _PAIRS_PER_PASS = 1 << 29
 
 #: Most pixels one block of the two-level test covers, and most bytes one
-#: band of ``_last_true`` does, so that their scratch buffers stay at
-#: 64 KiB whatever the image's size.
+#: band of ``_last_true`` or of ``_largest_runs`` does, so that their
+#: scratch buffers stay at 64 KiB whatever the image's size.
 _COMPARE_BLOCK = 1 << 16
 
 #: A 64-bit word of the other byte order: copying words into it reverses
@@ -290,34 +296,53 @@ def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray,
     return rows, (band, slice(cols[0], cols[-1] + 1))
 
 
-def _largest_runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, first columns and last columns of the runs of the largest
-    4-connected component of a 2-D ``bool`` array, in row-major order.
+def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, first columns and last columns, in ``box``, of the runs of
+    the largest 4-connected component of the foreground ``img >= t``
+    inside the box ``box`` of a 2-D array, in row-major order.
 
     Components are labelled over row runs, not pixels.  Each row gets a
     ``False`` column at its end, so in the flattened rows of ``width``
     slots the runs start and end at alternate changes of value, and a
-    run's start ``s`` and end ``e`` (exclusive) lie in one row.  The runs
-    one row up that touch a run are those ending after ``s - width`` and
-    starting before ``e - width``; no run of another row lies between
-    them.  Runs are joined by union-find: each root is hooked to the
-    smallest root it touches, then pointers are jumped to their roots,
-    until no edge joins two trees.  Every hook points to an earlier run,
-    so a root is its component's first run, and size ties resolve to the
-    component whose first pixel comes earliest in row-major order.
+    run's start ``s`` and end ``e`` (exclusive) lie in one row.  The box
+    is compared with ``t`` in bands of at most ``_COMPARE_BLOCK`` slots
+    (whole rows), into one buffer of ``width`` columns whose last stays
+    ``False``, after one ``False`` slot; each band's changes are then one
+    comparison of the flattened buffer with itself shifted by a slot.
+    The runs one row up that touch a run are those ending after
+    ``s - width`` and starting before ``e - width``; no run of another
+    row lies between them.  Runs are joined by union-find: each root is
+    hooked to the smallest root it touches, then pointers are jumped to
+    their roots, until no edge joins two trees.  Every hook points to an
+    earlier run, so a root is its component's first run, and size ties
+    resolve to the component whose first pixel comes earliest in
+    row-major order.
     """
-    h, w = box.shape
+    part = img[box]
+    h, w = part.shape
     width = w + 1
     # int32 run indices halve the labeller's arrays wherever they fit.
     dtype = np.int32 if h * width < 2**31 else np.intp
-    # Where each pixel differs from the one before it, the extra column
-    # and the row's first pixel each read against a False pixel.
-    changes = np.empty((h, width), dtype=bool)
-    changes[:, 0] = box[:, 0]
-    np.not_equal(box[:, 1:], box[:, :-1], out=changes[:, 1:w])
-    changes[:, w] = box[:, w - 1]
-    ends = np.flatnonzero(changes).astype(dtype)
-    del changes
+    # As few bands as fit, of rows shared out evenly, so that the buffers
+    # are no larger than the bands need.
+    bands = -(-h // max(1, _COMPARE_BLOCK // width))
+    step = -(-h // bands)
+    # The slot before the first row and each row's extra column stay
+    # False, so every row's first pixel and its extra column each read
+    # against a False slot.
+    slots = np.zeros(1 + step * width, dtype=bool)
+    rows = slots[1:].reshape(step, width)
+    changes = np.empty(step * width, dtype=bool)
+    found = []
+    for r in range(0, h, step):
+        band = part[r:r + step]
+        np.greater_equal(band, t, out=rows[:len(band), :w])
+        size = len(band) * width
+        np.not_equal(slots[1:size + 1], slots[:size], out=changes[:size])
+        found.append(np.add(np.flatnonzero(changes[:size]), r * width, dtype=dtype))
+    del slots, rows, changes
+    ends = np.concatenate(found)
+    del found
     start, end = ends[0::2], ends[1::2]
     lo = np.searchsorted(end, start - width, side="right").astype(dtype)
     touched = np.searchsorted(start, end - width).astype(dtype) - lo
@@ -352,14 +377,15 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
     Only the bounding box of the foreground is labelled, by its row runs
-    (``_largest_runs``); the kept runs are painted into a new ``bool`` mask
-    of the input's shape.  Size ties resolve to the component whose first
-    pixel comes earliest in row-major order.
+    (``_largest_runs``, on the mask read as ``uint8`` against 1, as
+    ``_foreground_box`` reads it); the kept runs are painted into a new
+    ``bool`` mask of the input's shape.  Size ties resolve to the
+    component whose first pixel comes earliest in row-major order.
     """
     m = check_mask(mask)
     a = m.view(np.uint8)
     _, box = _foreground_box(a, 1, a.max(axis=1, initial=0))
-    rows, first, last = _largest_runs(m[box])
+    rows, first, last = _largest_runs(a, 1, box)
     # In the flattened mask, gaps and kept runs alternate from a gap at the
     # first pixel to one at the last, so the mask repeats False and True
     # over their lengths (a gap between two rows can be empty).
@@ -420,47 +446,52 @@ def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slic
     """``Spans`` of the largest 4-connected component of the foreground
     ``img >= t``, the object ``isolate_object`` keeps, from the rows
     ``rows`` holding foreground and its bounding box ``box``, as
-    ``_foreground_box`` gives them.  Only the box's rows are compared with
-    ``t``, into a mask whose rows are whole 8-byte words, as ``_run_ends``
-    takes them.  Its columns are the box's and, beside them, as many of
-    the image's as it takes to fill the last word: in the box's rows those
-    are below ``t``, so they read ``False``.  Only an image too narrow for
-    that is padded with ``False`` in a new buffer.
+    ``_foreground_box`` gives them.
 
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
     run overlaps the columns of the next.  An empty row rejects the proof
-    before the rows are read.  Otherwise the box is labelled by its row
-    runs (``_largest_runs``), the kept runs are reduced to one span per
-    row, and their lengths are summed to the pixel total; no label raster
-    or kept mask is made.
+    before any pixel is compared with ``t``.  Otherwise only the box's
+    rows are compared with ``t``, into a mask whose rows are whole 8-byte
+    words, as ``_run_ends`` takes them.  Its columns are the box's and,
+    beside them, as many of the image's as it takes to fill the last word:
+    in the box's rows those are below ``t``, so they read ``False``.  Only
+    an image too narrow for that is padded with ``False`` in a new buffer.
+    The mask is freed after the row ends are read.  Where the proof fails
+    or is rejected, the box is labelled by its row runs
+    (``_largest_runs``, which compares it with ``t`` band by band), the
+    kept runs are reduced to one span per row, and their lengths are
+    summed to the pixel total; no label raster or kept mask is made.
     """
-    top, left = box[0].start, box[1].start
-    width = box[1].stop - left
-    padded = -(-width // 8) * 8
-    if padded <= img.shape[1]:
-        left = min(left, img.shape[1] - padded)
-        m = np.greater_equal(img[box[0], left:left + padded], t, order="C")
-    else:
-        m = np.zeros((box[0].stop - top, padded), dtype=bool)
-        np.greater_equal(img[box], t, out=m[:, :width])
+    top = box[0].start
     # The empty-row test only rejects early: the one-run test below fails
     # on an empty row too.
-    if len(rows) == len(m):
+    if len(rows) == box[0].stop - top:
+        left, width = box[1].start, box[1].stop - box[1].start
+        padded = -(-width // 8) * 8
+        if padded <= img.shape[1]:
+            left = min(left, img.shape[1] - padded)
+            m = np.greater_equal(img[box[0], left:left + padded], t, order="C")
+        else:
+            m = np.zeros((len(rows), padded), dtype=bool)
+            np.greater_equal(img[box], t, out=m[:, :width])
         ends = _run_ends(m)
+        # Freed before the labeller, which thresholds the box again in
+        # bands, can run.
+        del m
         if ends:
             first, last, total = ends
             if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
                 return Spans(rows, left + first, left + last, total)
-    ys, first, last = _largest_runs(m)
+    ys, first, last = _largest_runs(img, t, box)
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.
     heads = np.flatnonzero(np.diff(ys, prepend=-1))
     tails = np.append(heads[1:], len(ys)) - 1
     return Spans(
         np.add(top, ys[heads], dtype=np.intp),
-        np.add(left, first[heads], dtype=np.intp),
-        np.add(left, last[tails], dtype=np.intp),
+        np.add(box[1].start, first[heads], dtype=np.intp),
+        np.add(box[1].start, last[tails], dtype=np.intp),
         int(np.sum(last - first + 1)),
     )
 

@@ -1,13 +1,14 @@
 """Traced allocation peak of ``classify_raster`` per corpus shape.
 
-For each of the eight reference shapes at 256x256 and 1024x1024, clean
-under Otsu and under a fixed threshold of 128, and speckled (Gaussian
-noise plus salt and pepper, as in the sweep), this prints as a Markdown
-table the ``tracemalloc`` peak of one call, taken after a first call has
-let numpy set up its caches.  Under every threshold only the
-foreground's bounding box is thresholded; a clean render's box is its
-object's, while a speckled image has foreground speckle near every edge,
-so its box spans the whole image:
+For each of the eight reference shapes at 256x256, 512x512 (the size of
+the benchmark's speckled workload) and 1024x1024, clean under Otsu and
+under a fixed threshold of 128, and speckled (Gaussian noise plus salt
+and pepper, as in the sweep), this prints as a Markdown table the
+``tracemalloc`` peak of one call, taken after a first call has let numpy
+set up its caches.  Under every threshold only the foreground's bounding
+box is thresholded; a clean render's box is its object's, while a
+speckled image has foreground speckle near every edge, so its box spans
+the whole image, and the labeller thresholds it in bands:
 
     PYTHONPATH=src python tests/peak_table.py
 
@@ -24,7 +25,7 @@ import numpy as np
 from shapeid import classify_raster, corpus, render
 from sweep import _speckled
 
-SIZES = (256, 1024)
+SIZES = (256, 512, 1024)
 
 
 def _peak_mib(image: np.ndarray, threshold="otsu") -> float:

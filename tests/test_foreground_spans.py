@@ -11,7 +11,10 @@ are kept below as the oracle, verbatim but for the row minima the old
 ``_box_spans`` and ``_run_ends`` are the ones that found each row's last
 pixel by ``argmax`` over numpy's reversed copy, before the box's mask was
 padded to whole words; the new ``_run_ends`` is also checked against the
-old one directly, and ``_two_level`` against the full histogram.  Source
+old one directly, and ``_two_level`` against the full histogram.  The
+oracle's ``_largest_runs`` labelled a whole box mask; the labeller that
+thresholds its box in bands is checked against it directly, on boxes of
+several bands, and through ``isolate_object``.  Source
 mutants of the bounding box and the row ends must be caught by the same
 comparison, and the traced peak of ``classify_raster`` on a 1024x1024
 render stays below a full-size mask beside the box, under Otsu and under
@@ -28,7 +31,7 @@ from helpers import source_mutant
 from shapeid import classify_raster, corpus, render
 from shapeid import segment
 from shapeid.pgm import check_image
-from shapeid.segment import _histogram_threshold, _largest_runs, check_mask, foreground_spans
+from shapeid.segment import _histogram_threshold, check_mask, foreground_spans
 
 _BLOCK = segment._COMPARE_BLOCK
 
@@ -137,6 +140,64 @@ def old_run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return first, last, total
 
 
+def old_largest_runs(box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, first columns and last columns of the runs of the largest
+    4-connected component of a 2-D ``bool`` array, in row-major order.
+
+    Components are labelled over row runs, not pixels.  Each row gets a
+    ``False`` column at its end, so in the flattened rows of ``width``
+    slots the runs start and end at alternate changes of value, and a
+    run's start ``s`` and end ``e`` (exclusive) lie in one row.  The runs
+    one row up that touch a run are those ending after ``s - width`` and
+    starting before ``e - width``; no run of another row lies between
+    them.  Runs are joined by union-find: each root is hooked to the
+    smallest root it touches, then pointers are jumped to their roots,
+    until no edge joins two trees.  Every hook points to an earlier run,
+    so a root is its component's first run, and size ties resolve to the
+    component whose first pixel comes earliest in row-major order.
+    """
+    h, w = box.shape
+    width = w + 1
+    # int32 run indices halve the labeller's arrays wherever they fit.
+    dtype = np.int32 if h * width < 2**31 else np.intp
+    # Where each pixel differs from the one before it, the extra column
+    # and the row's first pixel each read against a False pixel.
+    changes = np.empty((h, width), dtype=bool)
+    changes[:, 0] = box[:, 0]
+    np.not_equal(box[:, 1:], box[:, :-1], out=changes[:, 1:w])
+    changes[:, w] = box[:, w - 1]
+    ends = np.flatnonzero(changes).astype(dtype)
+    del changes
+    start, end = ends[0::2], ends[1::2]
+    lo = np.searchsorted(end, start - width, side="right").astype(dtype)
+    touched = np.searchsorted(start, end - width).astype(dtype) - lo
+    # One edge from each run to each run it touches one row up: a run's
+    # k-th edge goes to run lo + k.
+    below = np.repeat(np.arange(len(start), dtype=dtype), touched)
+    first_edge = np.cumsum(touched, dtype=dtype) - touched
+    above = np.arange(len(below), dtype=dtype) + np.repeat(lo - first_edge, touched)
+    del lo, touched, first_edge
+    root = np.arange(len(start), dtype=dtype)
+    while True:
+        a, b = root[below], root[above]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # Float sizes are exact: a box holds far fewer than 2**53 pixels.
+    sizes = np.bincount(root, weights=end - start, minlength=len(start))
+    kept = root == sizes.argmax()
+    start, end = start[kept], end[kept]
+    rows = start // width
+    return rows, start - rows * width, end - 1 - rows * width
+
+
 def old_box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> segment.Spans:
     """``Spans`` of the largest 4-connected component of a mask, the object
     ``isolate_object`` keeps, from the mask's foreground bounding box
@@ -160,7 +221,7 @@ def old_box_spans(m: np.ndarray, rows: np.ndarray, box: tuple[slice, slice]) -> 
             first, last, total = ends
             if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
                 return segment.Spans(rows, left + first, left + last, total)
-    ys, first, last = _largest_runs(m)
+    ys, first, last = old_largest_runs(m)
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.
     heads = np.flatnonzero(np.diff(ys, prepend=-1))
@@ -479,3 +540,110 @@ def test_two_level_render_peaks_below_a_full_mask(threshold):
     # The box mask (0.15 MiB) and one reversed copy of it in the row ends;
     # the 1 MiB full-size mask took the peak to 1.32 MiB.
     assert _peak_mib(classify_raster, image, None, threshold) < 0.75
+
+
+# The labeller thresholds its box in bands of whole rows.  It must give
+# the runs the old labeller gave on the box's mask, dtypes included,
+# whatever the band edges cut, and ``isolate_object`` must paint them.
+
+def _check_banded_runs(mask: np.ndarray) -> None:
+    a = mask.view(np.uint8)
+    _, box = segment._foreground_box(a, 1, a.max(axis=1, initial=0))
+    new, old = segment._largest_runs(a, 1, box), old_largest_runs(mask[box])
+    assert [part.tolist() for part in new] == [part.tolist() for part in old]
+    assert [part.dtype for part in new] == [part.dtype for part in old]
+    top, left = box[0].start, box[1].start
+    kept = np.zeros(mask.shape, dtype=bool)
+    for y, x0, x1 in zip(*(part.tolist() for part in old)):
+        kept[top + y, left + x0:left + x1 + 1] = True
+    assert np.array_equal(segment.isolate_object(mask), kept)
+
+
+def _mask_views(mask: np.ndarray):
+    return mask, mask.T, mask[::-1], mask[:, ::-1]
+
+
+@st.composite
+def _banded_masks(draw):
+    """Masks of up to 257 rows of up to 1,023 pixels, whose boxes span
+    several bands of ``_COMPARE_BLOCK`` slots, or of a block of 16 or 100
+    slots: noise, bars crossing the band edges, or two equal blocks, one
+    below and left of the other, beside smaller specks."""
+    h = draw(st.sampled_from([1, 2, 3, 64, 65, 130, 257]))
+    w = draw(st.sampled_from([1, 2, 7, 255, 256, 511, 1023]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "bars", "tie"]))
+    if kind == "noise":
+        mask = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.5, 0.6, 0.9]))
+    elif kind == "bars":
+        # Vertical bars through every row, some joined along one row.
+        mask = np.zeros((h, w), dtype=bool)
+        mask[:, rng.integers(0, w, draw(st.integers(1, 4)))] = True
+        mask[rng.integers(h), rng.integers(0, w, 2).min():] = True
+    else:
+        mask = rng.random((h, w)) < 0.02
+        side = max(1, min(h, w) // 4)
+        mask[:side, w - side:] = True
+        mask[h - side:, :side] = True
+    if not mask.any():
+        mask[rng.integers(h), rng.integers(w)] = True
+    return mask, draw(st.sampled_from([segment._COMPARE_BLOCK, 16, 100]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_banded_masks())
+def test_banded_labeller_matches_the_old_one(case):
+    mask, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "_COMPARE_BLOCK", block)
+        for view in _mask_views(mask):
+            _check_banded_runs(view)
+
+
+def _crossing_case() -> np.ndarray:
+    """A U whose arms meet only in the band below them, with a block
+    larger than either arm but smaller than the U beside it: labelled band
+    by band without joining across the edge, the block would win."""
+    mask = np.zeros((130, 1023), dtype=bool)
+    mask[:66, 10] = True
+    mask[:66, 20] = True
+    mask[65, 10:21] = True
+    mask[:9, 100:109] = True
+    return mask
+
+
+def _tie_case() -> np.ndarray:
+    """Two 5x5 blocks, the second in a later band and further left: the
+    first in row-major order must win."""
+    mask = np.zeros((130, 1023), dtype=bool)
+    mask[:5, 900:905] = True
+    mask[100:105, :5] = True
+    return mask
+
+
+@pytest.mark.parametrize("name", ["crossing", "tie", "row", "column"])
+def test_banded_labeller_on_crafted_boxes(name):
+    mask = {
+        "crossing": _crossing_case,
+        "tie": _tie_case,
+        "row": lambda: np.array([[1, 1, 0, 1, 1, 1, 0, 1]], dtype=bool),
+        "column": lambda: np.array([[1], [1], [0], [1], [1], [1], [0], [1]], dtype=bool),
+    }[name]()
+    if mask.shape == (130, 1023):
+        # Rows of 1,024 slots: 64 rows a band, so three bands.
+        assert segment._COMPARE_BLOCK // 1024 == 64
+    for view in _mask_views(mask):
+        _check_banded_runs(view)
+    if name == "tie":
+        assert np.array_equal(np.argwhere(segment.isolate_object(mask))[0], [0, 900])
+
+
+@pytest.mark.parametrize("slots", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_banded_labeller_on_rows_of_a_whole_band(slots):
+    # Rows of w + 1 slots about one band each, so that every band is one
+    # row, with runs crossing from each row into the next.
+    rng = np.random.default_rng(slots)
+    mask = rng.random((4, slots - 1)) < 0.5
+    mask[:, slots // 2] = True
+    for view in _mask_views(mask):
+        _check_banded_runs(view)

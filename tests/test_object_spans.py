@@ -176,9 +176,9 @@ class _CountingLabeller:
         self.calls = 0
         self._label = segment._largest_runs
 
-    def __call__(self, box):
+    def __call__(self, img, t, box):
         self.calls += 1
-        return self._label(box)
+        return self._label(img, t, box)
 
 
 @pytest.fixture
@@ -264,9 +264,10 @@ def test_labelled_path_peaks_no_higher_than_isolate_object():
 
 
 def test_labelled_path_peak_on_a_speckled_square():
-    # The box mask, here the whole image as speckle reaches every edge
-    # (0.25 MiB), and the labeller's one box-sized pass (0.25 MiB);
-    # labelling the box's pixels took 1.51 MiB.
+    # The Otsu pair table (0.25 MiB) sets the peak, 0.32 MiB: the box is
+    # the whole image, as speckle reaches every edge, and the labeller
+    # thresholds it in 64 KiB bands.  A box mask and a box-sized array of
+    # changes took 0.55 MiB, and labelling the box's pixels 1.51 MiB.
     assert _peak_mib(classify_raster, _speckled_square(512)) < 0.8
 
 

@@ -19,8 +19,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from helpers import source_mutant
-from shapeid import ShapeSpec, StageError, binarize, classify_raster, isolate_object, otsu_threshold, render
+from shapeid import ShapeSpec, StageError, binarize, classify_raster, corpus, isolate_object, otsu_threshold, render
 from shapeid import segment
+from sweep import _speckled
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -451,3 +452,39 @@ def test_isolate_peak_with_a_large_foreground_share():
     assert 0.43 < mask.mean() < 0.45
     assert np.array_equal(isolate_object(mask), old_isolate_object(mask))
     assert _peak_mib(isolate_object, mask) < 1.8
+
+
+def _warm_peak_mib(fn, *args):
+    fn(*args)  # first call: let numpy set up its caches
+    return _peak_mib(fn, *args)
+
+
+@pytest.mark.parametrize("size, bound", [(512, 0.36), (1024, 0.50)])
+def test_speckled_spans_peak_below_a_box_mask(size, bound):
+    # The sweep's speckled renders have an empty row in their box, so the
+    # labeller thresholds the box in bands and no box mask is made: the
+    # pair table (0.25 MiB) and add.at's index buffer set the peak, 0.32
+    # MiB at both sizes.  The box mask and the labeller's box-sized array
+    # of changes took 0.54 and 2.14 MiB.
+    rng = np.random.default_rng(size)
+    for name, spec in corpus(size, size):
+        image = _speckled(render(spec, size, size), rng)
+        assert _warm_peak_mib(segment.foreground_spans, image) < bound, name
+
+
+def test_a_failed_proof_frees_its_box_mask_before_labelling():
+    image = _speckled(render(dict(corpus(2048, 2048))["rectangle"], 2048, 2048), np.random.default_rng(2048))
+    t = segment._histogram_threshold(image)
+    foreground = image >= t
+    # Every row holds foreground, so the one-run proof reads the 4 MiB box
+    # mask; the object is not all of it, so the proof fails.
+    assert foreground.any(axis=1).all()
+    assert segment.foreground_spans(image).area < np.count_nonzero(foreground)
+    del foreground
+    # The box mask and the row ends' buffers took 4.10 MiB, and the
+    # labeller's arrays for 21,626 runs come after the mask is freed; with
+    # the mask alive beside them the peak was 5.04 MiB, and the old
+    # labeller's box-sized array of changes took it to 8.5.
+    assert _warm_peak_mib(segment.foreground_spans, image) < 4.5
+    mutant = source_mutant(segment, "        del m\n", "")
+    assert _warm_peak_mib(mutant["foreground_spans"], image) >= 4.5
