@@ -12,41 +12,47 @@ of its bounding box is one run overlapping the next.  When a row of the
 box is empty, when the proof fails (its box mask is freed first), and
 always in ``isolate_object``, ``_largest_runs`` labels the box over its
 row runs, not its pixels.  It compares the box with the threshold
-itself, in bands of at most 64 Ki slots, into one reused buffer whose
-rows end in a ``False`` column, and takes each band's run ends from one
-comparison of the flattened band with itself shifted by a slot; so no
-mask or array of the box's size is made.  A binary search finds the runs
-each run touches in the row above, and union-find joins them.  Past the
-bands, its work and memory grow with the number of runs, not with the
-box: a clean or lightly speckled object has a few per row, but a box of
-dense noise or fine stripes, with hundreds of thousands, labels several
-times slower than a pixel labeller would.  ``_box_spans`` reduces the
-kept runs to one span per row and sums their lengths, and
-``isolate_object`` paints them into a mask.  The mask stages,
-``binarize``, ``isolate_object``, ``boundary`` and ``area``, take the
-steps one at a time for a caller that wants the masks; the pipeline does
-not call them.
+itself, band by band, into one reused buffer whose rows end in a
+``False`` column, and takes each band's run ends from one comparison of
+the flattened band with itself shifted by a slot; so no mask or array of
+the box's size is made.  A binary search finds the runs each run touches
+in the row above, and union-find joins them.  Past the bands, its work
+and memory grow with the number of runs, not with the box: a clean or
+lightly speckled object has a few per row, but a box of dense noise or
+fine stripes, with hundreds of thousands, labels several times slower
+than a pixel labeller would.  ``_box_spans`` reduces the kept runs to
+one span per row and sums their lengths, and ``isolate_object`` paints
+them into a mask.  The mask stages, ``binarize``, ``isolate_object``,
+``boundary`` and ``area``, take the steps one at a time for a caller
+that wants the masks; the pipeline does not call them.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
-histogram is counted for it.  ``foreground_spans`` starts from each row's
-greatest value.  Under Otsu, ``_two_level`` reads them first: a row
-whose greatest value is neither level holds a third one, and the test
-ends there.  Otherwise it proves the two levels inside the foreground's
-bounding box alone, block by block, from each block less the threshold,
-wrapped to ``uint8``, in a one-block buffer.  Every threshold, fixed or
-Otsu's, then takes one route: ``_foreground_box`` finds the rows whose
-greatest value reaches it, reads the columns from those rows, and only
-the box they bound is compared with the threshold, so no mask of the
-image's size is made.  For the proof, whose box has no empty row, the
-box's mask is widened to whole 8-byte words per row, with ``False``, so
-that ``_last_true`` reverses each row by copying its words, in reverse
-order, into words of the other byte order.  The same finder gives the
-box of ``isolate_object``'s mask, read as ``uint8`` against 1.  Only an
-image with a third level is counted into a histogram, two pixels at a
-time, as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose
-row and column sums fold into the 256-bin histogram; no per-pixel
-``int64`` copy is made.
+histogram is counted for it.  ``foreground_spans`` starts from each
+row's greatest value.  Under Otsu, ``_two_level`` reads them first: a
+row whose greatest value is neither level holds a third one, and the
+test ends there.  Otherwise it proves the two levels inside the
+foreground's bounding box alone, band by band, from each band less the
+threshold, wrapped to ``uint8``.  Every threshold, fixed or Otsu's, then
+takes one route: ``_foreground_box`` finds the rows whose greatest value
+reaches it, reads the columns from those rows, and only the box they
+bound is compared with the threshold, so no mask of the image's size is
+made.  For the proof, whose box has no empty row, the box's mask is
+widened to whole 8-byte words per row, with ``False``, so that
+``_last_true`` reverses each row by copying its words, in reverse order,
+into words of the other byte order.  The same finder gives the box of
+``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
+with a third level is counted into a histogram, two pixels at a time, as
+``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
+column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
+is made.
+
+The three passes that read a box in pieces, the two-level test,
+``_last_true`` and the labeller, cut it by one rule, ``_band_rows``: as
+few bands of whole rows as hold at most ``_COMPARE_BLOCK`` (64 Ki) items
+each, the rows shared out evenly.  A row wider than that is a band
+alone, so a pass holds one band's scratch at a time, 64 KiB unless a
+single row is wider.
 """
 
 from __future__ import annotations
@@ -75,14 +81,24 @@ __all__ = [
 #: no bin, row sum or column sum of the table can overflow.
 _PAIRS_PER_PASS = 1 << 29
 
-#: Most pixels one block of the two-level test covers, and most bytes one
-#: band of ``_last_true`` or of ``_largest_runs`` does, so that their
-#: scratch buffers stay at 64 KiB whatever the image's size.
+#: Most items one band of a blocked pass holds (``_band_rows``): pixels
+#: of the two-level test, bytes of ``_last_true``, slots of
+#: ``_largest_runs``.  So their scratch arrays stay at 64 KiB whatever the
+#: image's size, unless a single row is wider.
 _COMPARE_BLOCK = 1 << 16
 
 #: A 64-bit word of the other byte order: copying words into it reverses
 #: the bytes of each.
 _SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()
+
+
+def _band_rows(height: int, width: int) -> int:
+    """Rows per band of ``height`` rows of ``width`` items: as few bands of
+    whole rows, at most ``_COMPARE_BLOCK`` items each, as fit, with the rows
+    shared out evenly so that no buffer is larger than the bands need.  A
+    row wider than ``_COMPARE_BLOCK`` is a band alone."""
+    bands = -(-height // max(1, _COMPARE_BLOCK // width))
+    return -(-height // bands)
 
 
 def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple[slice, slice]] | None:
@@ -97,17 +113,16 @@ def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple
     ``lo`` is the least value of the whole image, so a row whose greatest
     value is ``lo`` holds nothing but ``lo``, and a row whose greatest
     value is neither ``lo`` nor ``hi`` holds a third level: the test stops
-    there, before any block is read.  Otherwise only the rows whose
+    there, before any band is read.  Otherwise only the rows whose
     greatest value is ``hi`` can hold anything but ``lo``, and of the band
     they span, only the columns whose greatest value there is above ``lo``,
     for the same reason.  So only the box they bound, the foreground's
-    under ``lo + 1``, is read again: in blocks of at most
-    ``_COMPARE_BLOCK`` pixels, whole rows where they fit, each written
-    less ``lo + 1``, wrapping, to a ``uint8`` scratch buffer of one block.
-    A block has two levels exactly when its least value is at least
-    ``hi - lo - 1``, and the test stops in the first block holding a third
-    level.  No copy of the image is made, and the buffer is freed on
-    return.  A single level has no two classes to separate, so it raises
+    under ``lo + 1``, is read again: in bands of whole rows
+    (``_band_rows``), each less ``lo + 1``, wrapped to ``uint8``.  A band
+    has two levels exactly when its least value is at least
+    ``hi - lo - 1``, and the test stops in the first band holding a third
+    level.  No copy of the image is made, only one band's difference at a
+    time.  A single level has no two classes to separate, so it raises
     ``ValueError``.
 
     With ``a`` pixels at ``lo`` and ``b`` at ``hi``, every threshold in
@@ -128,23 +143,10 @@ def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple
         return None
     rows, box = _foreground_box(img, lo + 1, top)
     part = img[box]
-    height, width = part.shape
-    step, cols = max(1, _COMPARE_BLOCK // width), min(width, _COMPARE_BLOCK)
-    mem = np.empty((min(height, step), cols), dtype=np.uint8)
-    for r in range(0, height, step):
-        for c in range(0, width, cols):
-            block = part[r:r + step, c:c + cols]
-            # Whole rows of the buffer, or a piece of its one row.
-            s = mem[:len(block), :block.shape[1]]
-            if block.dtype != np.uint8:
-                # Subtracting from an int64 block into uint8 memory would
-                # cast through a buffer; the copy casts in place.
-                np.copyto(s, block, casting="unsafe")
-                block = s
-            np.subtract(block, lo + 1, out=s)
-            block_least = s.min()
-            if block_least < floor:
-                return None
+    step = _band_rows(*part.shape)
+    for r in range(0, len(part), step):
+        if np.subtract(part[r:r + step], lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:
+            return None
     return lo + 1, rows, box
 
 
@@ -195,7 +197,7 @@ def otsu_threshold(image: np.ndarray) -> int:
     intensity has no two classes to separate.  The input must pass
     ``pgm.check_image`` (a non-empty 2-D array of integers in 0..255),
     else ``ValueError``.  A two-level image's threshold is its lower level
-    plus one (``_two_level``), proved from its row maxima and, in blocks of
+    plus one (``_two_level``), proved from its row maxima and, in bands of
     64 Ki pixels, its foreground's bounding box; only an image with a third
     level is counted into a histogram (see the module docstring).
     """
@@ -305,10 +307,10 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
     ``False`` column at its end, so in the flattened rows of ``width``
     slots the runs start and end at alternate changes of value, and a
     run's start ``s`` and end ``e`` (exclusive) lie in one row.  The box
-    is compared with ``t`` in bands of at most ``_COMPARE_BLOCK`` slots
-    (whole rows), into one buffer of ``width`` columns whose last stays
-    ``False``, after one ``False`` slot; each band's changes are then one
-    comparison of the flattened buffer with itself shifted by a slot.
+    is compared with ``t`` in bands of whole rows (``_band_rows``), into
+    one buffer of ``width`` columns whose last stays ``False``, after one
+    ``False`` slot; each band's changes are then one comparison of the
+    flattened buffer with itself shifted by a slot.
     The runs one row up that touch a run are those ending after
     ``s - width`` and starting before ``e - width``; no run of another
     row lies between them.  Runs are joined by union-find: each root is
@@ -323,10 +325,7 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
     width = w + 1
     # int32 run indices halve the labeller's arrays wherever they fit.
     dtype = np.int32 if h * width < 2**31 else np.intp
-    # As few bands as fit, of rows shared out evenly, so that the buffers
-    # are no larger than the bands need.
-    bands = -(-h // max(1, _COMPARE_BLOCK // width))
-    step = -(-h // bands)
+    step = _band_rows(h, width)
     # The slot before the first row and each row's extra column stay
     # False, so every row's first pixel and its extra column each read
     # against a False slot.
@@ -406,16 +405,13 @@ def _last_true(rows: np.ndarray) -> np.ndarray:
 
     The last is the first ``True`` of the row reversed, and a row of whole
     8-byte words is reversed by reversing the order of its words and the
-    bytes in each word.  So bands of at most ``_COMPARE_BLOCK`` bytes
-    (whole rows) are copied, word order reversed, into one buffer of words
-    of the other byte order, which ``argmax`` reads as ``bool``.  The
-    buffer is freed on return."""
+    bytes in each word.  So bands of whole rows (``_band_rows``) are
+    copied, word order reversed, into one buffer of words of the other
+    byte order, which ``argmax`` reads as ``bool``.  The buffer is freed
+    on return."""
     height, width = rows.shape
     words = rows.view(np.uint64)
-    # As few bands as fit, of rows shared out evenly, so that the buffer
-    # is no larger than the bands need.
-    bands = -(-height // max(1, _COMPARE_BLOCK // width))
-    step = -(-height // bands)
+    step = _band_rows(height, width)
     flipped = np.empty((step, width // 8), dtype=_SWAPPED_WORD)
     reversed_rows = flipped.view(bool)
     last = np.empty(height, dtype=np.intp)
@@ -424,22 +420,6 @@ def _last_true(rows: np.ndarray) -> np.ndarray:
         flipped[:len(band)] = band[:, ::-1]
         reversed_rows[:len(band)].argmax(axis=1, out=last[r:r + step])
     return np.subtract(width - 1, last, out=last)
-
-
-def _run_ends(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """First and last ``True`` column of each row of a C-contiguous 2-D
-    ``bool`` array whose width is a multiple of 8 (``_last_true``), and its
-    pixel total, if each of its rows is one run, else ``None``.
-
-    An empty row reads as a span of the whole width, padding included.  A
-    row's count is at most the width of its span, so the totals are equal
-    only if every row's are."""
-    last = _last_true(rows)
-    first = rows.argmax(axis=1)
-    total = int(np.count_nonzero(rows))
-    if total != np.sum(last - first + 1):
-        return None
-    return first, last, total
 
 
 def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
@@ -453,7 +433,7 @@ def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slic
     run overlaps the columns of the next.  An empty row rejects the proof
     before any pixel is compared with ``t``.  Otherwise only the box's
     rows are compared with ``t``, into a mask whose rows are whole 8-byte
-    words, as ``_run_ends`` takes them.  Its columns are the box's and,
+    words, as ``_last_true`` takes them.  Its columns are the box's and,
     beside them, as many of the image's as it takes to fill the last word:
     in the box's rows those are below ``t``, so they read ``False``.  Only
     an image too narrow for that is padded with ``False`` in a new buffer.
@@ -475,14 +455,18 @@ def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slic
         else:
             m = np.zeros((len(rows), padded), dtype=bool)
             np.greater_equal(img[box], t, out=m[:, :width])
-        ends = _run_ends(m)
+        last = _last_true(m)
+        first = m.argmax(axis=1)
+        total = int(np.count_nonzero(m))
         # Freed before the labeller, which thresholds the box again in
         # bands, can run.
         del m
-        if ends:
-            first, last, total = ends
-            if (np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])).all():
-                return Spans(rows, left + first, left + last, total)
+        # A row's count is at most the width of its span, so the totals
+        # are equal only if every row is one run.
+        if total == np.sum(last - first + 1) and (
+            np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])
+        ).all():
+            return Spans(rows, left + first, left + last, total)
     ys, first, last = _largest_runs(img, t, box)
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.

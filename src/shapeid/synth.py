@@ -192,7 +192,14 @@ def _bounding_box(polygon, caps) -> tuple:
 def _validate(spec: ShapeSpec, width: int, height: int) -> tuple:
     """Check ``spec`` for a ``width`` x ``height`` raster; return its
     polygon, its caps and its bounding box ``(x0, y0, x1, y1)``."""
-    for name, value in _dimensions(spec).items():
+    dims = _dimensions(spec)
+    cx, cy = spec.center
+    # Every test below is False for NaN, so it would pass them all.
+    finite = {"center x": cx, "center y": cy, **dims, "bulge": spec.bulge, "rotation": spec.rotation}
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{spec.kind.value} {name} must be finite, got {value}")
+    for name, value in dims.items():
         if name not in ("diagonal_ratio", "cross_fraction") and value < 8:
             raise ValueError(f"{spec.kind.value} {name} must be >= 8 px, got {value}")
     polygon, caps = _parts(spec)

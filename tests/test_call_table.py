@@ -15,14 +15,14 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 45,
-    "cylinder": 47,
-    "kite": 46,
-    "square": 45,
-    "rhombus": 46,
-    "hemisphere": 48,
-    "triangle": 46,
-    "cone": 50,
+    "rectangle": 44,
+    "cylinder": 46,
+    "kite": 45,
+    "square": 44,
+    "rhombus": 45,
+    "hemisphere": 47,
+    "triangle": 45,
+    "cone": 49,
 }
 
 

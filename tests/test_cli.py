@@ -162,6 +162,21 @@ def test_generate_rejects_bulge_on_flat_shape(tmp_path, capsys):
     assert "bulge" in err
 
 
+@pytest.mark.parametrize("shape, option, name", [
+    ("cylinder", "--bulge=nan", "Cylinder bulge"),
+    ("square", "--rotate=nan", "Square rotation"),
+    ("square", "--rotate=inf", "Square rotation"),
+    ("square", "--rotate=-inf", "Square rotation"),
+])
+def test_generate_non_finite_parameter_is_usage_error(tmp_path, capsys, shape, option, name):
+    out = tmp_path / "x.pgm"
+    code, stdout, err = run_cli(["generate", shape, option, "-o", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {name} must be finite, got {float(option.split('=')[1])}\n"
+    assert not out.exists()
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(["bench", "--repeat", "1"], capsys)
     assert code == 0

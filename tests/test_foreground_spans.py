@@ -10,8 +10,9 @@ are kept below as the oracle, verbatim but for the row minima the old
 ``_two_level`` gathered for ``foreground_spans`` alone.  The oracle's
 ``_box_spans`` and ``_run_ends`` are the ones that found each row's last
 pixel by ``argmax`` over numpy's reversed copy, before the box's mask was
-padded to whole words; the new ``_run_ends`` is also checked against the
-old one directly, and ``_two_level`` against the full histogram.  The
+padded to whole words; the row ends ``_box_spans`` now reads with
+``_last_true`` are also checked against the old ``_run_ends`` directly,
+and ``_two_level`` against the full histogram.  The
 oracle's ``_largest_runs`` labelled a whole box mask; the labeller that
 thresholds its box in bands is checked against it directly, on boxes of
 several bands, and through ``isolate_object``.  Source
@@ -397,10 +398,21 @@ def _run_masks(draw):
     return mask
 
 
+def _new_run_ends(last_true, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """``old_run_ends`` of ``mask`` as ``_box_spans`` reads it: from the
+    mask padded to whole words, with the last columns from ``last_true``."""
+    padded = _padded(mask)
+    last, first = last_true(padded), padded.argmax(axis=1)
+    total = int(np.count_nonzero(padded))
+    if total != np.sum(last - first + 1):
+        return None
+    return first, last, total
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(mask=_run_masks())
-def test_run_ends_of_the_padded_mask_match_the_old_ones(mask):
-    new, old = segment._run_ends(_padded(mask)), old_run_ends(mask)
+def test_last_true_of_the_padded_mask_matches_the_old_run_ends(mask):
+    new, old = _new_run_ends(segment._last_true, mask), old_run_ends(mask)
     assert (new is None) == (old is None)
     if new is not None:
         assert [part.tolist() for part in new[:2]] + [new[2]] == [part.tolist() for part in old[:2]] + [old[2]]
@@ -454,7 +466,7 @@ def test_foreground_spans_match_on_the_box_cases():
     ("return rows, (band, slice(cols[0], cols[-1] + 1))",
      "return rows, (band, slice(cols[0], cols[-1]))", True),
     # the mask handed to the row ends without its padding
-    ("ends = _run_ends(m)", "ends = _run_ends(m[:, :width])", True),
+    ("last = _last_true(m)", "last = _last_true(m[:, :width])", True),
     # the mask's columns not moved left of a box in the image's last ones
     ("left = min(left, img.shape[1] - padded)", "left = left", True),
 ])
@@ -516,12 +528,12 @@ def _row_end_cases():
 def test_row_end_mutants_are_caught(old, new):
     mutant = source_mutant(segment, old, new)
 
-    def ends(run_ends, mask):
-        found = run_ends(mask)
+    def ends(found):
         return found and ([part.tolist() for part in found[:2]], found[2])
 
-    assert all(ends(segment._run_ends, _padded(m)) == ends(old_run_ends, m) for m in _row_end_cases())
-    assert any(ends(mutant["_run_ends"], _padded(m)) != ends(old_run_ends, m) for m in _row_end_cases())
+    cases = list(_row_end_cases())
+    assert all(ends(_new_run_ends(segment._last_true, m)) == ends(old_run_ends(m)) for m in cases)
+    assert any(ends(_new_run_ends(mutant["_last_true"], m)) != ends(old_run_ends(m)) for m in cases)
 
 
 def _peak_mib(fn, *args):

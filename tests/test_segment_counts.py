@@ -285,12 +285,62 @@ def test_binarize_drops_its_mask_before_the_pair_table(size):
 def test_two_level_otsu_allocates_no_pair_table(size):
     image = np.full((size, size), 30, dtype=np.uint8)
     image[size // 4:3 * size // 4, size // 4:3 * size // 4] = 210
-    # The 64 KiB two-level scratch buffer only; the pair table alone is
+    # One 64 KiB band of the two-level test only; the pair table alone is
     # 0.25 MiB.
     assert _peak_mib(otsu_threshold, image) < 0.1
 
 
 _BLOCK = segment._COMPARE_BLOCK
+
+
+def _band_rule_holds(band_rows, height: int, width: int, block: int) -> bool:
+    """Whether ``band_rows`` cuts ``height`` rows of ``width`` items into
+    the fewest bands of whole rows, each of at most ``block`` items unless
+    a single row is wider."""
+    step = band_rows(height, width)
+    return (
+        1 <= step <= height
+        and -(-height // step) == -(-height // max(1, block // width))
+        and (step * width <= block or (step == 1 and width > block))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    height=st.integers(1, 5000),
+    width=st.one_of(st.integers(1, 300), st.integers(1, 3 * _BLOCK)),
+    block=st.sampled_from([_BLOCK, 16, 100]),
+)
+def test_band_rows_gives_the_fewest_bands_within_the_block(height, width, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "_COMPARE_BLOCK", block)
+        assert _band_rule_holds(segment._band_rows, height, width, block)
+
+
+def test_band_rows_reads_the_block_when_called():
+    # The labeller tests patch _COMPARE_BLOCK to 16 or 100; bound at
+    # import as a default argument, it would stay at 64 Ki there, and those
+    # tests would cut no bands.
+    mutant = source_mutant(
+        segment,
+        "def _band_rows(height: int, width: int) -> int:",
+        "def _band_rows(height: int, width: int, _COMPARE_BLOCK=_COMPARE_BLOCK) -> int:",
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "_COMPARE_BLOCK", 16)
+        mp.setitem(mutant, "_COMPARE_BLOCK", 16)
+        assert _band_rule_holds(segment._band_rows, 100, 4, 16)
+        assert not _band_rule_holds(mutant["_band_rows"], 100, 4, 16)
+
+
+def test_a_row_wider_than_a_block_peaks_at_its_box_columns():
+    # One row of 196,613 pixels, 30% of them foreground, is one band of
+    # 192 KiB.  _foreground_box's column arrays set the peak, 670,014 B,
+    # as they did when the row was cut into 64 KiB blocks.
+    n = 3 * _BLOCK + 5
+    image = np.where(np.random.default_rng(15).random(n) < 0.3, 210, 30).astype(np.uint8).reshape(1, n)
+    assert otsu_threshold(image) == 31
+    assert _peak_mib(otsu_threshold, image) < 0.70
 
 
 @st.composite
@@ -393,7 +443,8 @@ def _third_level_images():
     ("return lo + 1", "return lo"),
     # no test of the box's least value: every image whose row maxima are
     # two levels passes as two-level
-    ("if block_least < floor:", "if block_least < 0:"),
+    ('part[r:r + step], lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:',
+     'part[r:r + step], lo + 1, dtype=np.uint8, casting="unsafe").min() < 0:'),
     # the box of the upper level alone: a third level in a column holding
     # no upper level is read as background
     ("rows, box = _foreground_box(img, lo + 1, top)", "rows, box = _foreground_box(img, hi, top)"),
@@ -415,7 +466,7 @@ def test_two_level_mutants_are_caught(old, new):
 def _ends_at_the_row_maxima(two_level) -> bool:
     """Whether ``two_level`` turns down a 1024x1024 square whose third
     level is the greatest value of a row of background, and allocates no
-    block buffer (64 KiB) to do so."""
+    band's difference (64 KiB) to do so."""
     image = np.full((1024, 1024), 30, dtype=np.uint8)
     image[256:768, 256:768] = 210
     image[10, 10] = 120

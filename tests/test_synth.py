@@ -143,6 +143,15 @@ def test_rotated_polygon_keeps_its_area():
         (ShapeSpec.square(CENTER, 100, bulge=5.0), "bulge"),
         (ShapeSpec.square(CENTER, 100, fg=0, bg=0), "differ"),
         (ShapeSpec.cylinder(CENTER, 100, 120, 0), "positive bulge"),
+        # NaN fails every range test above, so each would pass unchecked.
+        (ShapeSpec.cylinder(CENTER, 100, 120, math.nan), "^Cylinder bulge must be finite, got nan$"),
+        (ShapeSpec.square(CENTER, 100, rotation=math.nan), "^Square rotation must be finite, got nan$"),
+        (ShapeSpec.square(CENTER, 100, rotation=-math.inf), "^Square rotation must be finite, got -inf$"),
+        (ShapeSpec.square((math.nan, 127.5), 100), "^Square center x must be finite, got nan$"),
+        (ShapeSpec.square((127.5, math.inf), 100), "^Square center y must be finite, got inf$"),
+        (ShapeSpec.square(CENTER, math.nan), "^Square side must be finite, got nan$"),
+        (ShapeSpec.rectangle(CENTER, 100, math.inf), "^Rectangle height must be finite, got inf$"),
+        (ShapeSpec.rhombus(CENTER, 100, math.nan), "^Rhombus diagonal_ratio must be finite, got nan$"),
     ],
 )
 def test_spec_validation_errors(spec, message):
