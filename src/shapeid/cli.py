@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .classifier import Tolerances
-from .pgm import PgmParseError, load_pgm, write_pgm
+from .pgm import SIDE_LIMIT, PgmParseError, load_pgm, write_pgm
 from .pipeline import StageError, classify_raster
 from .synth import corpus, render
 
@@ -35,6 +35,8 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
     if width < 16 or height < 16:
         raise argparse.ArgumentTypeError(f"size must be at least 16x16, got {text}")
+    if max(width, height) >= SIDE_LIMIT:
+        raise argparse.ArgumentTypeError(f"image sides must be below {SIDE_LIMIT} px, got {text}")
     return width, height
 
 

@@ -16,10 +16,11 @@ its polygon area is the one the corner search found for the corners it
 chose.  Every hull comes from one numpy routine, ``_convex_path``, which
 prunes a path of column extremes to the hull's vertices.  The corner
 search needs, for every diagonal of the hull, the largest triangle on
-each side.  Up to ``_LOOKUP_ABOVE`` hull vertices it takes all triangle
-areas, in blocks of at most ``_BLOCK`` values; above that it finds each
-largest triangle's third vertex by binary search on the hull's edge
-angles, in O(h**2 log h).  Neither loops over vertices in Python.
+each side.  It finds each one's third vertex by binary search on the
+hull's edge angles (``_support_rows``), in O(h**2 log h) and with no loop
+over vertices in Python.  That search is exact on hulls that span less
+than ``pgm.SIDE_LIMIT`` px, the one input limit, which ``check_image``
+states for images and ``extract_corners`` for points.
 
 At the typical image size this stage costs per numpy call, not per
 pixel, so it makes few of them (``tests/call_table.py`` counts them).
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pgm import SIDE_LIMIT
 from .segment import Spans
 
 __all__ = [
@@ -63,18 +65,9 @@ QUAD_GAIN = 1.22
 #: a corner pair as axis-aligned.
 ALIGN_EPS = 2.0
 
-#: Most cross products the corner search holds at once (32 KiB of int64).
-_BLOCK = 4096
-
-#: Most hull vertices for which the corner search takes every triangle
-#: area (``_blocked_rows``); larger hulls use support lookups
-#: (``_support_rows``), which cost more numpy calls but O(h**2 log h)
-#: work instead of O(h**3).  Measured by ``tests/corner_crossover.py``.
-_LOOKUP_ABOVE = 16
-
-#: Hulls spanning this much or more keep the blocked search: below it the
-#: lookups are exact (see ``_support_rows``).
-_LOOKUP_SPAN = 1 << 20
+#: Most values in each array the corner search holds for one group of
+#: rows (8 KiB of float64).
+_GROUP_VALUES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +113,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(pts, axis=0)  # sorts by x, then y
     if len(pts) == 0:
         return pts
-    span = max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+    span = _span(pts)
     if span >= 1 << 31:
         raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
     new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
@@ -130,6 +123,12 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     # come out exact whatever the dtype's range.
     path = np.concatenate([lower, upper]).astype(np.int64)
     return _convex_path(path, len(lower)).astype(pts.dtype, copy=False)
+
+
+def _span(pts: np.ndarray) -> int:
+    """The larger of the x and y ranges of a non-empty (N, 2) integer
+    array, exact whatever its dtype."""
+    return max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
 
 
 def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
@@ -169,48 +168,10 @@ def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
     return path[:stop]
 
 
-def _cross_rows(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo:hi`` of ``C[a, b] = x[a] * y[b] - y[a] * x[b]``."""
-    rows = np.multiply.outer(x[lo:hi], y)
-    rows -= np.multiply.outer(y[lo:hi], x)
-    return rows
-
-
-def _blocked_rows(x: np.ndarray, y: np.ndarray):
-    """The blocked search: a function of ``(g0, g1)`` that returns
-    ``top`` and ``low`` of rows ``g0:g1`` (see ``_best_triangle_and_quad``).
-
-    ``cross[i, j, k] = C[i, j] + C[j, k] - C[i, k]`` is reduced over ``k``
-    in blocks of no more than ``_BLOCK`` values, as many ``j`` at a time as
-    fit.  Rows of ``C`` are made at most a quarter block at a time, and
-    the group's own rows serve as all of ``C`` when the group is every row.
-    """
-    n = len(x)
-
-    def rows(g0: int, g1: int):
-        count = g1 - g0
-        ci = _cross_rows(x, y, g0, g1)
-        top, low = extremes = np.empty((2, count, n), dtype=np.int64)
-        step = max(1, _BLOCK // (max(count, 4) * n))
-        buffer = np.empty(count * step * n, dtype=np.int64)
-        for j0 in range(0, n, step):
-            j1 = min(n, j0 + step)
-            cj = ci[j0:j1] if count == n else _cross_rows(x, y, j0, j1)
-            # Contiguous, so that numpy buffers only the broadcast ci.
-            block = buffer[:count * (j1 - j0) * n].reshape(count, j1 - j0, n)
-            block[...] = cj  # C[j, k], repeated over i
-            block -= ci[:, None, :]
-            block.max(axis=2, out=top[:, j0:j1])
-            block.min(axis=2, out=low[:, j0:j1])
-        extremes += ci
-        return top, low
-
-    return rows
-
-
 def _support_rows(x: np.ndarray, y: np.ndarray):
-    """The support lookup: ``_blocked_rows``'s function, with the extremes
-    over ``k`` found by binary search instead of taken over all ``k``.
+    """The support lookup: a function of ``(g0, g1)`` that returns ``top``
+    and ``low`` of rows ``g0:g1`` (see ``_best_triangle_and_quad``), the
+    extremes over ``k`` found by binary search.
 
     On a convex polygon, ``cross[i, j, k]`` is smallest at the vertex
     farthest right of the diagonal from ``i`` to ``j``: the vertex ``k``
@@ -223,19 +184,20 @@ def _support_rows(x: np.ndarray, y: np.ndarray):
     computed there.  At an edge parallel to the diagonal both of its ends
     give the same value, so either may be found.
 
-    The caller passes only hulls that span less than ``_LOOKUP_SPAN``, and
-    that makes every step exact.  Two directions between points of such a
-    hull are integer vectors with components below ``M = _LOOKUP_SPAN``,
-    so if they differ, their angles differ by more than ``1 / (2 M**2)``
-    (the sine of the angle between them is their integer cross product
-    over their lengths), about 4.5e-13.  Every angle compared is below
-    3 pi, where a unit in the last place is 1.8e-15, and is off by at most
-    a few units: ``arctan2``'s rounding, then adding pi or 2 pi.  So each
-    comparison of a diagonal's angle with an edge's comes out as for the
-    exact angles, except at an exact tie, where either end of the edge
-    gives the same value.  And each coordinate product is below ``2**40``
-    and each value below ``2**42``, which float64 holds exactly, so
-    ``top`` and ``low`` equal the blocked search's values.
+    The hull must span less than ``SIDE_LIMIT``, as every image's objects
+    and every point set ``extract_corners`` accepts do, and that makes
+    every step exact.  Two directions between points of such a hull are
+    integer vectors with components below ``M = SIDE_LIMIT``, so if they
+    differ, their angles differ by more than ``1 / (2 M**2)`` (the sine of
+    the angle between them is their integer cross product over their
+    lengths), about 4.5e-13.  Every angle compared is below 3 pi, where a
+    unit in the last place is 1.8e-15, and is off by at most a few units:
+    ``arctan2``'s rounding, then adding pi or 2 pi.  So each comparison of
+    a diagonal's angle with an edge's comes out as for the exact angles,
+    except at an exact tie, where either end of the edge gives the same
+    value.  And each coordinate product is below ``2**40`` and each value
+    below ``2**42``, which float64 holds exactly, so ``top`` and ``low``
+    are the exact extremes of the integer areas.
     """
     n = len(x)
     x = x.astype(np.float64)
@@ -296,19 +258,16 @@ def _group_candidates(top: np.ndarray, low: np.ndarray):
 
 def _best_triangle_and_quad(hull: np.ndarray):
     """Max-area triangle and max-area quadrilateral over the vertices of an
-    integer hull from ``convex_hull`` or ``_span_hull``.
+    integer hull from ``convex_hull`` or ``_span_hull`` that spans less than
+    ``SIDE_LIMIT``.
 
     Returns ``(tri2, tri_idx, quad2, quad_idx)`` where the areas are twice
     the polygon area, as exact ``int``.  ``cross[i, j, k]`` is twice the
     signed area of triangle ``(i, j, k)``; ``top[i, j]`` and ``low[i, j]``
-    are its largest and smallest values over ``k``, found a group of first
-    indices ``i`` at a time.  Hulls of more than ``_LOOKUP_ABOVE`` vertices
-    that span less than ``_LOOKUP_SPAN`` find them by support lookups
-    (``_support_rows``), in O(h**2 log h); the rest by the blocked
-    O(h**3) search (``_blocked_rows``), faster on few vertices.  Both give
-    the same values, so everything after them, with its tie order, is
-    shared.  Each group's arrays hold at most a quarter of ``_BLOCK``
-    values.
+    are its largest and smallest values over ``k``, found by support
+    lookups (``_support_rows``) a group of first indices ``i`` at a time,
+    in arrays of at most ``_GROUP_VALUES`` values, or of one row when a row
+    holds more.
 
     The triangle is the first ``(i, j, k)`` in scan order with the largest
     absolute area.  The quad search treats each pair ``(i, j)`` as a
@@ -319,10 +278,9 @@ def _best_triangle_and_quad(hull: np.ndarray):
     """
     n = len(hull)
     # Areas do not change under translation; this keeps the products small.
-    x, y = rel = np.subtract(hull.T, hull[0, :, None], dtype=np.int64, order="C")
-    lookup = n > _LOOKUP_ABOVE and (rel.max(axis=1) - rel.min(axis=1)).max() < _LOOKUP_SPAN
-    search = _support_rows(x, y) if lookup else _blocked_rows(x, y)
-    group = min(n, max(1, _BLOCK // (4 * n)))
+    x, y = np.subtract(hull.T, hull[0, :, None], dtype=np.int64, order="C")
+    search = _support_rows(x, y)
+    group = min(n, max(1, _GROUP_VALUES // n))
     tri2, tri_row = -1, None
     # Per i: the best diagonal's total, and the first j with that total.
     quad_sum, quad_j = np.empty((2, n), dtype=np.int64)
@@ -358,14 +316,19 @@ def extract_corners(points: np.ndarray) -> np.ndarray:
     Returns the vertices of the maximum-area quadrilateral when it beats
     the maximum-area triangle by the ``QUAD_GAIN`` factor; otherwise the
     triangle vertices with one repeated (a degenerate fourth corner).
-    Raises ``ValueError`` for fewer than three points, a fully collinear
-    set, or points ``convex_hull`` rejects.
+    Raises ``ValueError`` for fewer than three points, points that span
+    ``SIDE_LIMIT`` or more (the corner search is exact only below it), a
+    fully collinear set, or points ``convex_hull`` rejects.
     """
     pts = np.asarray(points)
     # A 0-d input has no length; convex_hull rejects it by its shape.
     if pts.ndim and len(pts) < 3:
         raise ValueError(_too_few_points(len(pts)))
-    return _corners_of_hull(convex_hull(pts))[0]
+    hull = convex_hull(pts)
+    span = _span(hull)  # the points' span: their extremes are hull vertices
+    if span >= SIDE_LIMIT:
+        raise ValueError(f"points must span less than {SIDE_LIMIT} px, got {span}")
+    return _corners_of_hull(hull)[0]
 
 
 def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
@@ -373,10 +336,10 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
     the chosen quadrilateral or triangle (an exact ``int``).
 
     The triangle and quadrilateral come from ``_best_triangle_and_quad``.
-    Whichever search it takes, it works on a group of diagonals at a time,
-    so its memory stays bounded: under 128 KiB at every hull size from 3
-    to 200 vertices.  The picked vertices are then handled as Python
-    lists, and the corners are taken from the hull in their order.
+    It works on a group of diagonals at a time, so its memory stays
+    bounded: under 128 KiB at every hull size from 3 to 200 vertices.  The
+    picked vertices are then handled as Python lists, and the corners are
+    taken from the hull in their order.
     """
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")

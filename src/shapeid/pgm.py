@@ -24,6 +24,12 @@ import numpy as np
 
 __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
+#: Every image side must be shorter than this many pixels, so every
+#: object spans less; ``geometry``'s corner search is exact only then
+#: (see ``geometry._support_rows``).  ``extract_corners`` refuses points
+#: that span this much or more, and the CLI's ``--size`` such a side.
+SIDE_LIMIT = 1 << 20
+
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
 #: Bytes of P2 pixel data the bulk reader takes per numpy pass, which
@@ -230,11 +236,14 @@ def load_pgm(data: bytes) -> np.ndarray:
 
 def check_image(image: np.ndarray) -> np.ndarray:
     """Return ``image`` as an array if it is a non-empty 2-D array of
-    integer intensities in 0..255, else raise ``ValueError``.  A ``uint8``
-    array is in range by its dtype, so only other dtypes are scanned."""
+    integer intensities in 0..255 with both sides below ``SIDE_LIMIT``,
+    else raise ``ValueError``.  A ``uint8`` array is in range by its
+    dtype, so only other dtypes are scanned."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {arr.shape}")
+    if max(arr.shape) >= SIDE_LIMIT:
+        raise ValueError(f"image sides must be below {SIDE_LIMIT} px, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"expected integer intensities, got dtype {arr.dtype}")
     if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):

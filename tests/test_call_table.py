@@ -15,14 +15,14 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 44,
-    "cylinder": 46,
-    "kite": 45,
-    "square": 44,
-    "rhombus": 45,
-    "hemisphere": 47,
-    "triangle": 45,
-    "cone": 49,
+    "rectangle": 43,
+    "cylinder": 43,
+    "kite": 44,
+    "square": 43,
+    "rhombus": 44,
+    "hemisphere": 44,
+    "triangle": 44,
+    "cone": 46,
 }
 
 

@@ -251,6 +251,16 @@ def test_bench_too_small_for_corpus_is_usage_error(size, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("size", ["1048576x16", "16x1048576"])
+def test_size_at_the_side_limit_is_usage_error(command, size, capsys):
+    argv = ["generate", "square", "-o", "unused.pgm"] if command == "generate" else ["bench"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--size", size])
+    assert exc.value.code == 2
+    assert f"image sides must be below 1048576 px, got {size}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_bench_repeat_below_one_rejected(repeat, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shapeid import PgmParseError, load_pgm, write_pgm
+from shapeid import PgmParseError, StageError, classify_raster, load_pgm, write_pgm
+from shapeid.pgm import SIDE_LIMIT, check_image
 
 
 def test_parse_ascii_minimal():
@@ -112,6 +113,25 @@ def test_zero_width_rejected():
 def test_write_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\[0, 255\]"):
         write_pgm(np.array([[300]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("shape", [(2, SIDE_LIMIT), (SIDE_LIMIT, 2)])
+def test_an_image_side_at_the_limit_is_refused(shape):
+    image = np.zeros(shape, dtype=np.uint8)
+    message = f"image sides must be below {SIDE_LIMIT} px, got shape {shape}"
+    with pytest.raises(ValueError) as info:
+        check_image(image)
+    assert str(info.value) == message
+    with pytest.raises(StageError) as info:
+        classify_raster(image)
+    assert info.value.stage == "input"
+    assert str(info.value) == f"input: {message}"
+
+
+@pytest.mark.parametrize("shape", [(2, SIDE_LIMIT - 1), (SIDE_LIMIT - 1, 2)])
+def test_an_image_side_below_the_limit_is_accepted(shape):
+    image = np.zeros(shape, dtype=np.uint8)
+    assert check_image(image) is image
 
 
 def test_whitespace_only_pixel_data_holds_no_values():
