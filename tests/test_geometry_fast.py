@@ -108,8 +108,22 @@ def test_tied_hulls_have_the_intended_sizes():
     assert sizes == [4, 4, 8, 8, 6, 5, 6, 8, 12, 16, 24, 32, 64, 68, 72, 96, 120]
 
 
+#: Where a hull's vertex list starts: its first vertex, its second, or the
+#: one halfway round.  A hull may start at any vertex (``_span_hull`` and
+#: ``convex_hull`` need not agree), and the start moves the groups' edges,
+#: the origin the search subtracts and the vertex order ties resolve by.
+STARTS = {"first": 0, "second": 1, "half": None}
+
+
+def started(hull: np.ndarray, start: str) -> np.ndarray:
+    shift = STARTS[start]
+    return np.roll(hull, -(len(hull) // 2 if shift is None else shift), axis=0)
+
+
+@pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("hull", TIED_HULLS, ids=[str(len(h)) for h in TIED_HULLS])
-def test_search_matches_loop_on_tied_hulls(hull):
+def test_search_matches_loop_on_tied_hulls(hull, start):
+    hull = started(hull, start)
     assert _best_triangle_and_quad(hull) == old_best_triangle_and_quad(hull)
 
 
@@ -366,15 +380,19 @@ def test_prune_mutants_are_caught(old, new):
     ("int(cross.argmax())", "len(cross) - 1 - int(cross[::-1].argmax())"),
     ("int(cross.argmin())", "len(cross) - 1 - int(cross[::-1].argmin())"),
 ])
-def test_search_mutants_are_caught(old, new):
+@pytest.mark.parametrize("start", ["first", "half"])
+def test_search_mutants_are_caught(old, new, start):
     mutant = source_mutant(geometry, old, new)
-    assert any(mutant["_best_triangle_and_quad"](h) != old_best_triangle_and_quad(h) for h in TIED_HULLS)
+    hulls = [started(h, start) for h in TIED_HULLS]
+    assert any(mutant["_best_triangle_and_quad"](h) != old_best_triangle_and_quad(h) for h in hulls)
 
 
+@pytest.mark.parametrize("radius", [10_000, SIDE_LIMIT // 2 - 1], ids=["small", "limit"])
 @pytest.mark.parametrize("count", range(3, 201))
-def test_corner_search_memory_is_bounded(count):
-    hull = regular_hull(count, 10_000.0, 0.1)
+def test_corner_search_memory_is_bounded(count, radius):
+    hull = regular_hull(count, float(radius), 0.1)
     assert len(hull) == count
+    assert np.ptp(hull, axis=0).max() < SIDE_LIMIT
     _corners_of_hull(hull)  # first call: let numpy set up its caches
     tracemalloc.start()
     try:
