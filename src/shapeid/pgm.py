@@ -6,12 +6,15 @@ for either value of ``b``.  The parser accepts ``#`` comments and arbitrary
 whitespace between header tokens; parse errors report the byte offset of
 the offending input.
 
-P2 pixel data is read by digit arithmetic in numpy, in blocks of
-``_P2_BLOCK`` bytes, and written in bulk; no Python object is made per
-pixel.  Pixel data the bulk reader cannot take as it is (comments or
-any byte but digits and whitespace before the last pixel, such a byte
-right after a digit, too few values, and up to the last pixel, digit runs
-of four or more or values above 255) goes to a token loop, which gives
+P2 pixel data is written in bulk: one lookup of a 256-word table gives
+each pixel a 4-byte word, its digits padded with NUL bytes to three and
+then a space (a newline at the end of a row), and one ``bytes.translate``
+drops the NUL bytes.  It is read by digit arithmetic in numpy, in blocks
+of ``_P2_BLOCK`` bytes.  Neither makes a Python object per pixel.  Pixel
+data the bulk reader cannot take as it is (comments or any byte but
+digits and whitespace before the last pixel, such a byte right after a
+digit, too few values, and up to the last pixel, digit runs of four or
+more or values above 255) goes to a token loop, which gives
 the same result and the same errors.  Tokens of up to three digits,
 leading zeros included, take the bulk path.  Like the token loop, the
 bulk reader reads nothing after the last pixel but the byte that ends it,
@@ -26,7 +29,8 @@ __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
 #: Every image side must be shorter than this many pixels, so every
 #: object spans less; ``geometry``'s corner search is exact only then
-#: (see ``geometry._support_rows``).  ``extract_corners`` refuses points
+#: (see ``geometry._support_rows``).  ``load_pgm`` refuses a header that
+#: names such a side before it reads any pixel, ``extract_corners`` points
 #: that span this much or more, and the CLI's ``--size`` such a side.
 SIDE_LIMIT = 1 << 20
 
@@ -35,10 +39,10 @@ _COMMENT = 0x23  # '#'
 #: Bytes of P2 pixel data the bulk reader takes per numpy pass, which
 #: bounds its working memory apart from the image it returns.
 _P2_BLOCK = 1 << 14
-#: ``_P2_DIGITS[v]`` is the decimal text of ``v`` padded with NUL bytes
-#: to three, for writing P2 without a Python object per pixel.
-_P2_DIGITS = np.array(
-    [list(str(v).encode("ascii").ljust(3, b"\0")) for v in range(256)], dtype=np.uint8
+#: ``_P2_WORDS[v]`` is the P2 text of ``v`` as one 4-byte word: its
+#: digits padded with NUL bytes to three, then a space.
+_P2_WORDS = np.frombuffer(
+    b"".join(str(v).encode("ascii").ljust(3, b"\0") + b" " for v in range(256)), dtype=np.uint32
 )
 
 
@@ -195,9 +199,9 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
 def load_pgm(data: bytes) -> np.ndarray:
     """Parse PGM bytes into a ``(height, width)`` uint8 array.
 
-    Accepts magic ``P2`` (ASCII) or ``P5`` (binary) with maxval in
-    ``[1, 255]``.  Pixel values are taken as stored, without rescaling
-    to the declared maxval.
+    Accepts magic ``P2`` (ASCII) or ``P5`` (binary) with both sides below
+    ``SIDE_LIMIT`` and maxval in ``[1, 255]``.  Pixel values are taken as
+    stored, without rescaling to the declared maxval.
     """
     magic, start, pos = _next_token(data, 0, "magic number")
     if magic not in (b"P2", b"P5"):
@@ -207,9 +211,13 @@ def load_pgm(data: bytes) -> np.ndarray:
     width, start, pos = _next_int(data, pos, "width")
     if width < 1:
         raise PgmParseError(f"width must be >= 1, got {width}", start)
+    if width >= SIDE_LIMIT:
+        raise PgmParseError(f"width must be below {SIDE_LIMIT}, got {width}", start)
     height, start, pos = _next_int(data, pos, "height")
     if height < 1:
         raise PgmParseError(f"height must be >= 1, got {height}", start)
+    if height >= SIDE_LIMIT:
+        raise PgmParseError(f"height must be below {SIDE_LIMIT}, got {height}", start)
     maxval, start, pos = _next_int(data, pos, "maxval")
     if not 1 <= maxval <= 255:
         raise PgmParseError(f"maxval {maxval} outside [1, 255]", start)
@@ -259,11 +267,12 @@ def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
         header = f"P5\n{width} {height}\n255\n".encode("ascii")
         return header + arr.astype(np.uint8).tobytes()
     header = f"P2\n{width} {height}\n255\n".encode("ascii")
-    # Each pixel is its padded digits then a space, or a newline at the end
-    # of a row; the NUL padding is then dropped.
-    text = np.empty((height, width, 4), dtype=np.uint8)
-    text[:, :, :3] = _P2_DIGITS[arr.astype(np.uint8)]
-    text[:, :, 3] = 0x20
-    text[:, -1, 3] = 0x0A
-    text = text.ravel()
-    return header + text[text != 0].tobytes()
+    # Each pixel is its word, in row order, whose space is a newline at the
+    # end of a row; the NUL padding is then dropped.  Each step frees the
+    # one before, so at most two 4-byte-per-pixel buffers are held at once.
+    words = _P2_WORDS[arr].ravel()
+    words.view(np.uint8)[4 * width - 1 :: 4 * width] = 0x0A
+    text = words.tobytes()
+    del words
+    text = text.translate(None, b"\0")
+    return header + text

@@ -91,6 +91,16 @@ _COMPARE_BLOCK = 1 << 16
 #: the bytes of each.
 _SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()
 
+#: One reduction per row, from its first column (``_row_maxima``).
+_ROW_START = np.zeros(1, dtype=np.intp)
+
+
+def _row_maxima(img: np.ndarray) -> np.ndarray:
+    """``img.max(axis=1)`` of an image at least one column wide, by one
+    ``reduceat`` over whole rows: faster on a C-contiguous image than
+    ``max(axis=1)``, which makes one inner-loop call per row."""
+    return np.maximum.reduceat(img, _ROW_START, axis=1)[:, 0]
+
 
 def _band_rows(height: int, width: int) -> int:
     """Rows per band of ``height`` rows of ``width`` items: as few bands of
@@ -202,7 +212,7 @@ def otsu_threshold(image: np.ndarray) -> int:
     level is counted into a histogram (see the module docstring).
     """
     img = check_image(image)
-    found = _two_level(img, img.max(axis=1))
+    found = _two_level(img, _row_maxima(img))
     return _histogram_threshold(img) if found is None else found[0]
 
 
@@ -254,7 +264,7 @@ def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
 def _foreground_spans(img: np.ndarray, threshold) -> Spans:
     """``foreground_spans`` of an image that has passed ``check_image``."""
     t = _fixed_threshold(threshold)
-    top = img.max(axis=1)
+    top = _row_maxima(img)
     found = None if t is not None else _two_level(img, top)
     if found is None:
         if t is None:

@@ -13,7 +13,11 @@ either the label, corners and evidence ``classify_raster`` returns with the
 fixed threshold of 128, and under ``"cli"`` it
 also holds what ``shapeid classify --json`` makes of the case written as a
 P5 file: the exit code, then the JSON report without its run-dependent
-``file`` and ``elapsed_ms`` fields, or the error text on stderr.
+``file`` and ``elapsed_ms`` fields, or the error text on stderr.  Each
+case is also written as a P2 file and classified the same way; the sweep
+raises if that run's exit code or report differs from the P5 run's, so
+the P2 writer and reader are checked on every case without adding to the
+output.
 
 Run it on two checkouts and compare the outputs with ``diff``:
 
@@ -94,9 +98,8 @@ def outcome(image: np.ndarray, threshold="otsu") -> dict:
     }
 
 
-def cli_outcome(image: np.ndarray, path: Path) -> dict:
-    """Exit code and output of ``shapeid classify --json`` on ``image``."""
-    path.write_bytes(write_pgm(image))
+def _classify_file(path: Path) -> dict:
+    """Exit code and output of ``shapeid classify --json`` on ``path``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(["classify", "--json", str(path)])
@@ -105,6 +108,18 @@ def cli_outcome(image: np.ndarray, path: Path) -> dict:
     report = json.loads(out.getvalue())
     del report["file"], report["elapsed_ms"]
     return {"exit": code, "report": report}
+
+
+def cli_outcome(image: np.ndarray, path: Path) -> dict:
+    """``_classify_file`` of ``image`` written as P5, once checked against
+    the same image written as P2."""
+    path.write_bytes(write_pgm(image))
+    p5 = _classify_file(path)
+    path.write_bytes(write_pgm(image, binary=False))
+    p2 = _classify_file(path)
+    if p2 != p5:
+        raise AssertionError(f"the P2 run (exit {p2['exit']}) differs from the P5 run (exit {p5['exit']})")
+    return p5
 
 
 def main() -> None:

@@ -261,6 +261,22 @@ def test_size_at_the_side_limit_is_usage_error(command, size, capsys):
     assert f"image sides must be below 1048576 px, got {size}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("dims", [b"1048576 1", b"1 1048576"])
+def test_classify_header_side_at_the_limit_is_parse_error(dims, binary, tmp_path, capsys):
+    path = tmp_path / "wide.pgm"
+    header = (b"P5\n" if binary else b"P2\n") + dims + b"\n255\n"
+    path.write_bytes(header + (b"\0" if binary else b"0 ") * 1048576)
+    code, out, err = run_cli(["classify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    side = "width" if dims.startswith(b"1048576") else "height"
+    assert err == (
+        f"error: PGM parse failed for {path}: {side} must be below 1048576, got 1048576 "
+        f"(byte offset {header.index(b'1048576')})\n"
+    )
+
+
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_bench_repeat_below_one_rejected(repeat, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -134,6 +134,35 @@ def test_an_image_side_below_the_limit_is_accepted(shape):
     assert check_image(image) is image
 
 
+def _header_only(magic: bytes, side: str, value: int) -> bytes:
+    """A PGM header whose ``side`` is ``value`` and whose other side is 1,
+    with no pixel data."""
+    dims = b"%d 1" % value if side == "width" else b"1 %d" % value
+    return magic + b"\n" + dims + b"\n255\n"
+
+
+@pytest.mark.parametrize("magic", [b"P2", b"P5"])
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_a_header_side_at_the_limit_is_refused_before_the_pixels(magic, side):
+    # With no pixel data, a side one less reaches the payload-count error
+    # (the next test), so this error comes before any pixel is read.
+    data = _header_only(magic, side, SIDE_LIMIT)
+    with pytest.raises(PgmParseError) as err:
+        load_pgm(data)
+    offset = data.index(b"%d" % SIDE_LIMIT)
+    assert str(err.value) == f"{side} must be below {SIDE_LIMIT}, got {SIDE_LIMIT} (byte offset {offset})"
+
+
+@pytest.mark.parametrize(
+    "magic, message",
+    [(b"P2", "pixel data holds 0 values"), (b"P5", "pixel payload holds 0 bytes")],
+)
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_a_header_side_below_the_limit_reaches_the_pixels(magic, message, side):
+    with pytest.raises(PgmParseError, match=f"^{message}, header promises {SIDE_LIMIT - 1} "):
+        load_pgm(_header_only(magic, side, SIDE_LIMIT - 1))
+
+
 def test_whitespace_only_pixel_data_holds_no_values():
     with pytest.raises(PgmParseError, match="pixel data holds 0 values, header promises 1"):
         load_pgm(b"P2\n1 1\n255\n  \n")

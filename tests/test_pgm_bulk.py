@@ -151,6 +151,21 @@ def test_large_p2_load_peak_memory_is_bounded():
     assert peak < 1.5 * 2**20
 
 
+@pytest.mark.parametrize("which", ["1024 noise", "256 render"])
+def test_p2_write_peak_memory_is_bounded(which):
+    # Each pixel takes a 4-byte word, and the words' bytes and the text
+    # without its NUL padding take at most 4 bytes each, so two such
+    # buffers are held at once at most: 8 bytes per pixel.
+    image = _noise_p2(1024)[0] if which == "1024 noise" else next(_corpus_renders())
+    tracemalloc.start()
+    try:
+        write_pgm(image, binary=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * image.size
+
+
 def _p2_file(image: np.ndarray) -> tuple[bytes, int]:
     data = write_pgm(image, binary=False)
     return data, data.index(b"255") + 3

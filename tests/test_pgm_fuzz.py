@@ -146,12 +146,39 @@ def _join_p2(arr: np.ndarray) -> bytes:
     return header + body.encode("ascii") + b"\n"
 
 
-@pytest.mark.parametrize(
-    "dtype",
-    [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64],
-)
+_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64]
+
+
+def _draw_image(data, dtype, shapes=_SHAPES) -> np.ndarray:
+    high = min(255, int(np.iinfo(dtype).max))
+    return data.draw(arrays(dtype, shapes, elements=st.integers(0, high)))
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
 @given(data=st.data())
 def test_write_p2_matches_join(dtype, data):
-    high = min(255, int(np.iinfo(dtype).max))
-    arr = data.draw(arrays(dtype, _SHAPES, elements=st.integers(0, high)))
+    arr = _draw_image(data, dtype)
+    assert write_pgm(arr, binary=False) == _join_p2(arr)
+
+
+_VIEWS = {
+    "rows reversed": lambda a: a[::-1],
+    "columns reversed": lambda a: a[:, ::-1],
+    "transposed": lambda a: a.T,
+    "every other column": lambda a: a[:, ::2],
+}
+# One row or one column, or up to 12 on a side so that every other column
+# of a view is itself a view of several columns.
+_VIEW_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@pytest.mark.parametrize("view", sorted(_VIEWS))
+@pytest.mark.parametrize("dtype", _DTYPES)
+@given(data=st.data())
+def test_write_p2_of_a_view_matches_join(dtype, view, data):
+    arr = _VIEWS[view](_draw_image(data, dtype, _VIEW_SHAPES))
     assert write_pgm(arr, binary=False) == _join_p2(arr)

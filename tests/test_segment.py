@@ -19,6 +19,7 @@ from shapeid import (
     otsu_threshold,
     render,
 )
+from shapeid import segment
 
 SRC = str(Path(shapeid.__file__).resolve().parents[1])
 
@@ -248,3 +249,25 @@ def test_otsu_in_range_integers_match_uint8_copy(dtype):
     rng = np.random.default_rng(3)
     img = rng.integers(0, 128 if dtype == np.int8 else 256, size=(17, 9)).astype(np.uint8)
     assert otsu_threshold(img.astype(dtype)) == otsu_threshold(img)
+
+
+_VIEWS = {
+    "contiguous": lambda a: a,
+    "rows reversed": lambda a: a[::-1],
+    "columns reversed": lambda a: a[:, ::-1],
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[::2, ::3],
+    "one column": lambda a: a[:, :1],
+    "one row": lambda a: a[:1],
+}
+
+
+@pytest.mark.parametrize("view", sorted(_VIEWS))
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int8, np.int64])
+def test_row_maxima_match_max_over_rows(dtype, view):
+    high = 128 if dtype == np.int8 else 256
+    image = _VIEWS[view](np.random.default_rng(5).integers(0, high, (37, 53)).astype(dtype))
+    expected = image.max(axis=1)
+    found = segment._row_maxima(image)
+    assert found.dtype == expected.dtype
+    assert np.array_equal(found, expected)
