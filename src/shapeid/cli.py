@@ -75,12 +75,10 @@ def _features_summary(features, evidence) -> dict:
 
 def cmd_classify(args) -> int:
     try:
-        data = Path(args.path).read_bytes()
+        image = load_pgm(Path(args.path).read_bytes())
     except OSError as err:
         print(f"error: cannot read {args.path}: {err}", file=sys.stderr)
         return 2
-    try:
-        image = load_pgm(data)
     except PgmParseError as err:
         print(f"error: PGM parse failed for {args.path}: {err}", file=sys.stderr)
         return 2
@@ -143,10 +141,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    size = args.size
-    width, height = size
+    width, height = args.size
     try:
-        images = [(name, render(spec, *size)) for name, spec in corpus(*size)]
+        images = [(name, render(spec, width, height)) for name, spec in corpus(width, height)]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -164,20 +161,13 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
                 return 4
-        rows.append((name, timings))
+        rows.append((name, statistics.fmean(timings), min(timings), max(timings)))
 
+    _, *columns = zip(*rows)
+    rows.append(("average", *map(statistics.fmean, columns)))
     print("shape,size,mean_ms,min_ms,max_ms")
-    means, mins, maxs = [], [], []
-    for name, timings in rows:
-        mean, lo, hi = statistics.fmean(timings), min(timings), max(timings)
-        means.append(mean)
-        mins.append(lo)
-        maxs.append(hi)
+    for name, mean, lo, hi in rows:
         print(f"{name},{width}x{height},{mean:.3f},{lo:.3f},{hi:.3f}")
-    print(
-        f"average,{width}x{height},{statistics.fmean(means):.3f},"
-        f"{statistics.fmean(mins):.3f},{statistics.fmean(maxs):.3f}"
-    )
     return 0
 
 

@@ -117,12 +117,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     if span >= 1 << 31:
         raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
     new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
-    lower = pts[np.r_[True, new]]
-    upper = pts[np.r_[new, True]][::-1]
-    # int64 wraps alike going in and out, and differences below 2**31
-    # come out exact whatever the dtype's range.
-    path = np.concatenate([lower, upper]).astype(np.int64)
-    return _convex_path(path, len(lower)).astype(pts.dtype, copy=False)
+    starts = pts[np.r_[True, new]]
+    ends = pts[np.r_[new, True]]
+    return _convex_path(starts[:, 0], starts[:, 1], ends[:, 1]).astype(pts.dtype, copy=False)
 
 
 def _span(pts: np.ndarray) -> int:
@@ -131,21 +128,31 @@ def _span(pts: np.ndarray) -> int:
     return max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
 
 
-def _convex_path(path: np.ndarray, split: int) -> np.ndarray:
-    """Vertices of the convex hull of an ``int64`` path of column extremes.
+def _convex_path(keys: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Vertices, as ``int64``, of the convex hull of the column extremes
+    ``(keys[i], low[i])`` and ``(keys[i], high[i])``: ``keys`` are the
+    columns (the first coordinate), ascending, and ``low`` and ``high``
+    each column's lowest and highest second coordinate.
 
-    The path holds each column's lowest point, columns (the first
-    coordinate) ascending, then from ``path[split]`` each one's highest,
-    descending.  A point on or inside the segment joining its path
-    neighbours lies between it and its column's other extreme, so it is no
-    hull vertex (a one-point column is on the path twice; both copies drop
-    only between both chains).  All such points drop at once, until none
+    The path built from them holds each column's lowest point, columns
+    ascending, then from ``path[len(keys)]`` each one's highest, descending.
+    A point on or inside the segment joining its path neighbours lies
+    between it and its column's other extreme, so it is no hull vertex
+    (a one-point column is on the path twice; both copies drop only
+    between both chains).  All such points drop at once, until none
     does; the last column's two points stay.  The rest, with a one-point
     first or last column's copies merged, is the monotone chain's (Andrew
     1979) output.  The turns are exact in int64 when the path spans less
     than 2**31: each difference of two points, even if it wraps, is then
     exact, and each product below 2**62.
     """
+    split = len(keys)
+    # int64 wraps alike going in and out, and differences below 2**31
+    # come out exact whatever the dtype's range.
+    path = np.empty((2 * split, 2), dtype=np.int64)
+    path[:split, 0] = path[split:, 0][::-1] = keys
+    path[:split, 1] = low
+    path[split:, 1] = high[::-1]
     marks = np.empty(len(path), dtype=bool)
     while len(path) > 2:
         ahead = path[2:] - path[:-2]
@@ -449,18 +456,12 @@ def _span_hull(spans: Spans) -> np.ndarray:
     """Convex hull of the spans' end pixels, which is the hull of all their
     pixels, in ``convex_hull``'s order and as ``int64``.
 
-    Read as (y, x), the first columns top to bottom and then the last
-    columns bottom to top are a path for ``_convex_path``, with no sort,
-    written into one ``int64`` array.  Its clockwise result is reversed
-    and rotated to start at the smallest (x, y).
+    Read as (y, x), the rows are ``_convex_path``'s columns, already
+    ascending, and each row's first and last columns its extremes, so no
+    sort is needed.  Its clockwise result is reversed and rotated to start
+    at the smallest (x, y).
     """
-    n = len(spans.ys)
-    path = np.empty((2 * n, 2), dtype=np.int64)
-    path[:n, 0] = spans.ys
-    path[n:, 0] = spans.ys[::-1]
-    path[:n, 1] = spans.first
-    path[n:, 1] = spans.last[::-1]
-    hull = _convex_path(path, n)[::-1, ::-1]
+    hull = _convex_path(spans.ys, spans.first, spans.last)[::-1, ::-1]
     start = np.lexsort(hull.T[::-1])[0]
     return np.concatenate((hull[start:], hull[:start]))
 

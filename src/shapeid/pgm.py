@@ -208,16 +208,15 @@ def load_pgm(data: bytes) -> np.ndarray:
         raise PgmParseError(
             f"malformed magic number {magic!r}, expected b'P2' or b'P5'", start
         )
-    width, start, pos = _next_int(data, pos, "width")
-    if width < 1:
-        raise PgmParseError(f"width must be >= 1, got {width}", start)
-    if width >= SIDE_LIMIT:
-        raise PgmParseError(f"width must be below {SIDE_LIMIT}, got {width}", start)
-    height, start, pos = _next_int(data, pos, "height")
-    if height < 1:
-        raise PgmParseError(f"height must be >= 1, got {height}", start)
-    if height >= SIDE_LIMIT:
-        raise PgmParseError(f"height must be below {SIDE_LIMIT}, got {height}", start)
+    sides = []
+    for what in ("width", "height"):
+        side, start, pos = _next_int(data, pos, what)
+        if side < 1:
+            raise PgmParseError(f"{what} must be >= 1, got {side}", start)
+        if side >= SIDE_LIMIT:
+            raise PgmParseError(f"{what} must be below {SIDE_LIMIT}, got {side}", start)
+        sides.append(side)
+    width, height = sides
     maxval, start, pos = _next_int(data, pos, "maxval")
     if not 1 <= maxval <= 255:
         raise PgmParseError(f"maxval {maxval} outside [1, 255]", start)
@@ -263,10 +262,9 @@ def write_pgm(image: np.ndarray, binary: bool = True) -> bytes:
     """Encode a ``(height, width)`` array of 0..255 intensities as PGM bytes."""
     arr = check_image(image)
     height, width = arr.shape
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n255\n".encode("ascii")
     if binary:
-        header = f"P5\n{width} {height}\n255\n".encode("ascii")
         return header + arr.astype(np.uint8).tobytes()
-    header = f"P2\n{width} {height}\n255\n".encode("ascii")
     # Each pixel is its word, in row order, whose space is a newline at the
     # end of a row; the NUL padding is then dropped.  Each step frees the
     # one before, so at most two 4-byte-per-pixel buffers are held at once.

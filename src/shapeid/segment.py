@@ -302,9 +302,10 @@ def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray,
     rows = (top >= t).nonzero()[0]
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
-    # The columns are read from the foreground's rows alone.
+    # The columns are read from the foreground's rows alone, as uint8:
+    # the values lie in 0..255, and a wider dtype's maxima cost more memory.
     band = slice(rows[0], rows[-1] + 1)
-    cols = (a[band].max(axis=0) >= t).nonzero()[0]
+    cols = (np.maximum.reduce(a[band], axis=0, dtype=np.uint8) >= t).nonzero()[0]
     return rows, (band, slice(cols[0], cols[-1] + 1))
 
 

@@ -15,9 +15,10 @@ also holds what ``shapeid classify --json`` makes of the case written as a
 P5 file: the exit code, then the JSON report without its run-dependent
 ``file`` and ``elapsed_ms`` fields, or the error text on stderr.  Each
 case is also written as a P2 file and classified the same way; the sweep
-raises if that run's exit code or report differs from the P5 run's, so
-the P2 writer and reader are checked on every case without adding to the
-output.
+raises if that run's exit code or report differs from the P5 run's, or
+if ``load_pgm`` of either file's bytes differs from the image, so the P2
+and P5 writers and readers are checked, pixel for pixel, on every case
+without adding to the output.
 
 Run it on two checkouts and compare the outputs with ``diff``:
 
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from golden_features import _plain
-from shapeid import StageError, classify_raster, corpus, explain, render, write_pgm
+from shapeid import StageError, classify_raster, corpus, explain, load_pgm, render, write_pgm
 from shapeid.cli import main as cli_main
 
 SIZES = (48, 64, 96, 128, 192, 256, 384, 512)
@@ -112,11 +113,16 @@ def _classify_file(path: Path) -> dict:
 
 def cli_outcome(image: np.ndarray, path: Path) -> dict:
     """``_classify_file`` of ``image`` written as P5, once checked against
-    the same image written as P2."""
-    path.write_bytes(write_pgm(image))
-    p5 = _classify_file(path)
-    path.write_bytes(write_pgm(image, binary=False))
-    p2 = _classify_file(path)
+    the same image written as P2.  Both encodings must also read back as
+    the image, pixel for pixel."""
+    runs = []
+    for kind, binary in (("P5", True), ("P2", False)):
+        data = write_pgm(image, binary=binary)
+        if not np.array_equal(load_pgm(data), image):
+            raise AssertionError(f"load_pgm of the {kind} bytes differs from the image")
+        path.write_bytes(data)
+        runs.append(_classify_file(path))
+    p5, p2 = runs
     if p2 != p5:
         raise AssertionError(f"the P2 run (exit {p2['exit']}) differs from the P5 run (exit {p5['exit']})")
     return p5

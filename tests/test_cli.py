@@ -195,6 +195,18 @@ def test_bench_csv_shape(capsys):
             assert float(value) >= 0.0
 
 
+def test_bench_average_row_is_the_column_means(capsys):
+    code, out, _ = run_cli(["bench", "--repeat", "2"], capsys)
+    assert code == 0
+    *shapes, average = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(shapes) == 8 and average[:2] == ["average", "256x256"]
+    for column in (2, 3, 4):
+        mean = sum(float(row[column]) for row in shapes) / len(shapes)
+        # Each printed value is rounded to 0.001: the mean of the shape
+        # rows is off by at most 0.0005, and the printed average too.
+        assert abs(float(average[column]) - mean) <= 0.0015
+
+
 def test_bench_other_size(capsys):
     code, out, _ = run_cli(["bench", "--repeat", "1", "--size", "128x128"], capsys)
     assert code == 0

@@ -19,7 +19,8 @@ several bands, and through ``isolate_object``.  Source
 mutants of the bounding box and the row ends must be caught by the same
 comparison, and the traced peak of ``classify_raster`` on a 1024x1024
 render stays below a full-size mask beside the box, under Otsu and under
-a fixed threshold.
+a fixed threshold.  A wide ``int64`` image peaks as its ``uint8`` twin
+does.
 """
 
 import tracemalloc
@@ -458,8 +459,8 @@ def test_foreground_spans_match_on_the_box_cases():
 
 @pytest.mark.parametrize("old, new, fixed_sees_it", [
     # the columns of the last row with foreground only
-    ("cols = (a[band].max(axis=0) >= t).nonzero()[0]",
-     "cols = (a[rows[-1]].reshape(1, -1).max(axis=0) >= t).nonzero()[0]", True),
+    ("cols = (np.maximum.reduce(a[band], axis=0, dtype=np.uint8) >= t).nonzero()[0]",
+     "cols = (np.maximum.reduce(a[rows[-1]].reshape(1, -1), axis=0, dtype=np.uint8) >= t).nonzero()[0]", True),
     # the band's last row cut off
     ("band = slice(rows[0], rows[-1] + 1)", "band = slice(rows[0], rows[-1])", True),
     # the box one column short on the right
@@ -552,6 +553,16 @@ def test_two_level_render_peaks_below_a_full_mask(threshold):
     # The box mask (0.15 MiB) and one reversed copy of it in the row ends;
     # the 1 MiB full-size mask took the peak to 1.32 MiB.
     assert _peak_mib(classify_raster, image, None, threshold) < 0.75
+
+
+@pytest.mark.parametrize("fn", [segment.otsu_threshold, foreground_spans])
+def test_wide_int64_image_peaks_as_its_uint8_twin(fn):
+    # One row of three compare blocks and five pixels, with a 10-pixel
+    # object: the box's column maxima span the whole row, so int64 maxima
+    # (1.57 MB) took the peak from 0.394 to 1.77 MB.
+    image = np.full((1, 3 * _BLOCK + 5), 30, dtype=np.uint8)
+    image[0, 1000:1010] = 210
+    assert _peak_mib(fn, image.astype(np.int64)) < 1.05 * _peak_mib(fn, image)
 
 
 # The labeller thresholds its box in bands of whole rows.  It must give

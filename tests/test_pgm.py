@@ -36,6 +36,12 @@ def test_write_binary_payload():
     assert out == b"P5\n2 1\n255\n\x0a\x14"
 
 
+@pytest.mark.parametrize("binary, magic", [(True, b"P5"), (False, b"P2")])
+def test_write_header_names_width_then_height(binary, magic):
+    out = write_pgm(np.zeros((2, 3), dtype=np.uint8), binary=binary)
+    assert out.startswith(magic + b"\n3 2\n255\n")
+
+
 def test_comments_and_whitespace_ignored():
     data = b"P2 # format\n# a full comment line\n 2\t1 # dims\n255\n  1 # px\n 2\n"
     assert load_pgm(data).tolist() == [[1, 2]]
@@ -151,6 +157,15 @@ def test_a_header_side_at_the_limit_is_refused_before_the_pixels(magic, side):
         load_pgm(data)
     offset = data.index(b"%d" % SIDE_LIMIT)
     assert str(err.value) == f"{side} must be below {SIDE_LIMIT}, got {SIDE_LIMIT} (byte offset {offset})"
+
+
+@pytest.mark.parametrize("magic", [b"P2", b"P5"])
+@pytest.mark.parametrize("side", ["width", "height"])
+def test_a_header_side_of_zero_is_refused_at_its_offset(magic, side):
+    data = _header_only(magic, side, 0)
+    with pytest.raises(PgmParseError) as err:
+        load_pgm(data)
+    assert str(err.value) == f"{side} must be >= 1, got 0 (byte offset {data.index(b'0')})"
 
 
 @pytest.mark.parametrize(
