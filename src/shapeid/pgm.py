@@ -4,7 +4,8 @@ Images are plain numpy ``uint8`` arrays of shape ``(height, width)``.
 Both encodings round-trip bit-exactly: ``load_pgm(write_pgm(img, b)) == img``
 for either value of ``b``.  The parser accepts ``#`` comments and arbitrary
 whitespace between header tokens; parse errors report the byte offset of
-the offending input.
+the offending input.  Header tokens, and the pixel tokens of the token
+loop below, are read through one compiled pattern, ``_TOKEN``.
 
 P2 pixel data is written in bulk: one lookup of a 256-word table gives
 each pixel a 4-byte word, its digits padded with NUL bytes to three and
@@ -23,6 +24,9 @@ so whatever follows that byte takes the bulk path too.
 
 from __future__ import annotations
 
+import re
+import sys
+
 import numpy as np
 
 __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
@@ -34,8 +38,11 @@ __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 #: that span this much or more, and the CLI's ``--size`` such a side.
 SIDE_LIMIT = 1 << 20
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+_WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = 0x23  # '#'
+#: Separators (runs of whitespace, or ``#`` up to the end of its line),
+#: then the next token as group 1, which is empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:[%(ws)s]+|#[^\n]*)*([^#%(ws)s]*)" % {b"ws": re.escape(_WHITESPACE)})
 #: Bytes of P2 pixel data the bulk reader takes per numpy pass, which
 #: bounds its working memory apart from the image it returns.
 _P2_BLOCK = 1 << 14
@@ -54,37 +61,29 @@ class PgmParseError(ValueError):
         self.offset = offset
 
 
-def _skip_separators(data: bytes, pos: int) -> int:
-    n = len(data)
-    while pos < n:
-        b = data[pos]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == _COMMENT:
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    return pos
-
-
 def _next_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
     """Return (token, token_start, position_after_token)."""
-    pos = _skip_separators(data, pos)
-    if pos >= len(data):
-        raise PgmParseError(f"unexpected end of data while reading {what}", pos)
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != _COMMENT:
-        pos += 1
-    return data[start:pos], start, pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise PgmParseError(f"unexpected end of data while reading {what}", match.start(1))
+    return match[1], match.start(1), match.end()
 
 
-def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
-    token, start, pos = _next_token(data, pos, what)
+def _number(token: bytes, start: int, what: str, low: int, high: int, refusal: str) -> int:
+    """The value of the ``what`` token ``token`` at ``start``, if it lies in
+    ``[low, high]``; else raise ``refusal``, formatted with the value.  The
+    token is read by its digits after any leading zeros, and one with more
+    of them than ``int()`` converts (``sys.get_int_max_str_digits``) is
+    refused by their count."""
     if not token.isdigit():
         raise PgmParseError(f"non-numeric {what} token {token!r}", start)
-    return int(token), start, pos
+    digits = token.lstrip(b"0")
+    if 0 < sys.get_int_max_str_digits() < len(digits):
+        raise PgmParseError(refusal.format(f"<{len(digits)} digits>"), start)
+    value = int(digits or b"0")
+    if not low <= value <= high:
+        raise PgmParseError(refusal.format(value), start)
+    return value
 
 
 def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
@@ -95,19 +94,13 @@ def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
     after the last pixel.
     """
     values = []
-    for _ in range(count):
-        try:
-            value, start, pos = _next_int(data, pos, "pixel")
-        except PgmParseError as err:
-            if "unexpected end" in str(err):
-                raise PgmParseError(
-                    f"pixel data holds {len(values)} values, header promises {count}",
-                    err.offset,
-                ) from None
-            raise
-        if value > 255:
-            raise PgmParseError(f"pixel value {value} exceeds 255", start)
-        values.append(value)
+    while len(values) < count:
+        match = _TOKEN.match(data, pos)
+        if not match[1]:
+            message = f"pixel data holds {len(values)} values, header promises {count}"
+            raise PgmParseError(message, len(data))
+        values.append(_number(match[1], match.start(1), "pixel", 0, 255, "pixel value {} exceeds 255"))
+        pos = match.end()
     return np.array(values, dtype=np.uint8)
 
 
@@ -210,16 +203,15 @@ def load_pgm(data: bytes) -> np.ndarray:
         )
     sides = []
     for what in ("width", "height"):
-        side, start, pos = _next_int(data, pos, what)
+        token, start, pos = _next_token(data, pos, what)
+        refusal = f"{what} must be below {SIDE_LIMIT}, got {{}}"
+        side = _number(token, start, what, 0, SIDE_LIMIT - 1, refusal)
         if side < 1:
             raise PgmParseError(f"{what} must be >= 1, got {side}", start)
-        if side >= SIDE_LIMIT:
-            raise PgmParseError(f"{what} must be below {SIDE_LIMIT}, got {side}", start)
         sides.append(side)
     width, height = sides
-    maxval, start, pos = _next_int(data, pos, "maxval")
-    if not 1 <= maxval <= 255:
-        raise PgmParseError(f"maxval {maxval} outside [1, 255]", start)
+    token, start, pos = _next_token(data, pos, "maxval")
+    _number(token, start, "maxval", 1, 255, "maxval {} outside [1, 255]")
 
     count = width * height
     if magic == b"P5":

@@ -33,16 +33,13 @@ def classify_raster(
 ) -> tuple[Verdict, FeatureVector]:
     """Check the input, take the largest object's row spans under the
     threshold, extract features, classify."""
+    stage = "input"
     try:
         image = check_image(image)
-    except ValueError as err:
-        raise StageError("input", str(err)) from err
-    try:
+        stage = "segmentation"
         spans = _foreground_spans(image, threshold)
-    except ValueError as err:
-        raise StageError("segmentation", str(err)) from err
-    try:
+        stage = "feature extraction"
         features = features_of_spans(spans)
     except ValueError as err:
-        raise StageError("feature extraction", str(err)) from err
+        raise StageError(stage, str(err)) from err
     return classify(features, tol), features

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the library internals:
 flood fill by explicit BFS, polygon area by centroid fan, point-in-region
 by scalar math, so the tests cross-check rather than mirror the
-implementation.
+implementation.  Library code that a change replaced is kept here
+verbatim as ``old_*`` oracles, so the tests can check that the new code
+behaves as the old did.
 """
 
 import inspect
@@ -14,6 +16,9 @@ import types
 from collections import deque
 
 import numpy as np
+
+from shapeid import pgm
+from shapeid.pgm import PgmParseError
 
 
 def add_salt(image, fraction, rng, fg=255):
@@ -114,3 +119,117 @@ def source_mutant(module, old: str, new: str) -> dict:
     finally:
         del sys.modules[mutant.__name__]
     return mutant.__dict__
+
+
+# The PGM token reader as it stood before ``shapeid.pgm`` read tokens
+# through one compiled pattern, verbatim, for the tests that check that
+# the pattern reads every file as it did.  ``old_load_pgm`` is the old
+# ``load_pgm`` on these readers and the library's unchanged bulk reader.
+# ``int()`` refuses a token of more digits than
+# ``sys.get_int_max_str_digits()``, leading zeros included, so these
+# raise a plain ``ValueError`` on one.
+_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+_COMMENT = 0x23  # '#'
+SIDE_LIMIT = pgm.SIDE_LIMIT
+
+
+def old_skip_separators(data: bytes, pos: int) -> int:
+    n = len(data)
+    while pos < n:
+        b = data[pos]
+        if b in _WHITESPACE:
+            pos += 1
+        elif b == _COMMENT:
+            while pos < n and data[pos] != 0x0A:
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def old_next_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
+    """Return (token, token_start, position_after_token)."""
+    pos = old_skip_separators(data, pos)
+    if pos >= len(data):
+        raise PgmParseError(f"unexpected end of data while reading {what}", pos)
+    start = pos
+    n = len(data)
+    while pos < n and data[pos] not in _WHITESPACE and data[pos] != _COMMENT:
+        pos += 1
+    return data[start:pos], start, pos
+
+
+def old_next_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    token, start, pos = old_next_token(data, pos, what)
+    if not token.isdigit():
+        raise PgmParseError(f"non-numeric {what} token {token!r}", start)
+    return int(token), start, pos
+
+
+def old_p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Read ``count`` P2 pixel tokens from ``data[pos:]`` one at a time.
+
+    This is the reference parser and the only one that raises pixel-data
+    errors.  It allows comments between pixels, leading zeros and anything
+    after the last pixel.
+    """
+    values = []
+    for _ in range(count):
+        try:
+            value, start, pos = old_next_int(data, pos, "pixel")
+        except PgmParseError as err:
+            if "unexpected end" in str(err):
+                raise PgmParseError(
+                    f"pixel data holds {len(values)} values, header promises {count}",
+                    err.offset,
+                ) from None
+            raise
+        if value > 255:
+            raise PgmParseError(f"pixel value {value} exceeds 255", start)
+        values.append(value)
+    return np.array(values, dtype=np.uint8)
+
+
+def old_load_pgm(data: bytes) -> np.ndarray:
+    """Parse PGM bytes into a ``(height, width)`` uint8 array.
+
+    Accepts magic ``P2`` (ASCII) or ``P5`` (binary) with both sides below
+    ``SIDE_LIMIT`` and maxval in ``[1, 255]``.  Pixel values are taken as
+    stored, without rescaling to the declared maxval.
+    """
+    magic, start, pos = old_next_token(data, 0, "magic number")
+    if magic not in (b"P2", b"P5"):
+        raise PgmParseError(
+            f"malformed magic number {magic!r}, expected b'P2' or b'P5'", start
+        )
+    sides = []
+    for what in ("width", "height"):
+        side, start, pos = old_next_int(data, pos, what)
+        if side < 1:
+            raise PgmParseError(f"{what} must be >= 1, got {side}", start)
+        if side >= SIDE_LIMIT:
+            raise PgmParseError(f"{what} must be below {SIDE_LIMIT}, got {side}", start)
+        sides.append(side)
+    width, height = sides
+    maxval, start, pos = old_next_int(data, pos, "maxval")
+    if not 1 <= maxval <= 255:
+        raise PgmParseError(f"maxval {maxval} outside [1, 255]", start)
+
+    count = width * height
+    if magic == b"P5":
+        if pos >= len(data) or data[pos] not in _WHITESPACE:
+            raise PgmParseError("expected a single whitespace byte after maxval", pos)
+        pos += 1
+        if len(data) - pos < count:
+            raise PgmParseError(
+                f"pixel payload holds {len(data) - pos} bytes, header promises {count}",
+                len(data),
+            )
+        # A view of ``data`` is read-only, so copy it; the P2 parsers
+        # already return new arrays.
+        flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).copy()
+    else:
+        flat = pgm._p2_bulk(data, pos, count)
+        if flat is None:
+            flat = old_p2_tokens(data, pos, count)
+    return flat.reshape(height, width)

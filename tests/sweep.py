@@ -14,11 +14,13 @@ fixed threshold of 128, and under ``"cli"`` it
 also holds what ``shapeid classify --json`` makes of the case written as a
 P5 file: the exit code, then the JSON report without its run-dependent
 ``file`` and ``elapsed_ms`` fields, or the error text on stderr.  Each
-case is also written as a P2 file and classified the same way; the sweep
-raises if that run's exit code or report differs from the P5 run's, or
-if ``load_pgm`` of either file's bytes differs from the image, so the P2
-and P5 writers and readers are checked, pixel for pixel, on every case
-without adding to the output.
+case is also written as a P2 file and classified the same way, and a
+case of ``TOKEN_LOOP_SIZE`` px once more as that P2 file with a comment
+after its first pixel, which sends it through the token loop of
+``load_pgm`` instead of its bulk reader; the sweep raises if such a run's
+exit code or report differs from the P5 run's, or if ``load_pgm`` of any
+of these files' bytes differs from the image, so the writers and both P2
+readers are checked, pixel for pixel, without adding to the output.
 
 Run it on two checkouts and compare the outputs with ``diff``:
 
@@ -36,6 +38,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +53,9 @@ SIZES = (48, 64, 96, 128, 192, 256, 384, 512)
 ANGLES = range(0, 90, 5)
 _POLYGONS = ("rectangle", "square", "rhombus", "kite", "triangle")
 SPECKLE_SIZES = (128, 256, 512)
+#: Cases of this size, upright and inverted, are also classified from a P2
+#: file that only the token loop reads.
+TOKEN_LOOP_SIZE = 48
 
 
 def _speckled(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -61,16 +67,23 @@ def _speckled(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return noisy
 
 
+def upright(size: int):
+    """(name, image) for the 93 upright clean cases at ``size`` px: the
+    three curved corpus shapes, then the five polygons at every angle in
+    ``ANGLES``.  A name is the corpus name, then ``@angle`` for a polygon."""
+    base = dict(corpus(size, size))
+    specs = [(name, spec) for name, spec in base.items() if name not in _POLYGONS]
+    for name in _POLYGONS:
+        for angle in ANGLES:
+            specs.append((f"{name}@{angle}", dataclasses.replace(base[name], rotation=float(angle))))
+    for name, spec in specs:
+        yield name, render(spec, size, size)
+
+
 def cases():
     """(case name, image) for every sweep case, in output order."""
     for size in SIZES:
-        base = dict(corpus(size, size))
-        specs = [(name, spec) for name, spec in base.items() if name not in _POLYGONS]
-        for name in _POLYGONS:
-            for angle in ANGLES:
-                specs.append((f"{name}@{angle}", dataclasses.replace(base[name], rotation=float(angle))))
-        for name, spec in specs:
-            image = render(spec, size, size)
+        for name, image in upright(size):
             yield f"{name}/{size}", image
             yield f"{name}/{size}/inverted", 255 - image
     for size in SPECKLE_SIZES:
@@ -113,18 +126,24 @@ def _classify_file(path: Path) -> dict:
 
 def cli_outcome(image: np.ndarray, path: Path) -> dict:
     """``_classify_file`` of ``image`` written as P5, once checked against
-    the same image written as P2.  Both encodings must also read back as
-    the image, pixel for pixel."""
-    runs = []
-    for kind, binary in (("P5", True), ("P2", False)):
-        data = write_pgm(image, binary=binary)
+    the same image written as P2 and, at ``TOKEN_LOOP_SIZE`` px, as P2 with
+    a comment after the first pixel.  Every file must also read back as the
+    image, pixel for pixel."""
+    p2 = write_pgm(image, binary=False)
+    files = {"P5": write_pgm(image, binary=True), "P2": p2}
+    if image.shape == (TOKEN_LOOP_SIZE, TOKEN_LOOP_SIZE):
+        first = re.match(rb"P2\n\d+ \d+\n255\n\d+", p2).end()
+        files["commented P2"] = p2[:first] + b"# token loop\n" + p2[first:]
+    runs = {}
+    for kind, data in files.items():
         if not np.array_equal(load_pgm(data), image):
             raise AssertionError(f"load_pgm of the {kind} bytes differs from the image")
         path.write_bytes(data)
-        runs.append(_classify_file(path))
-    p5, p2 = runs
-    if p2 != p5:
-        raise AssertionError(f"the P2 run (exit {p2['exit']}) differs from the P5 run (exit {p5['exit']})")
+        runs[kind] = _classify_file(path)
+    p5 = runs.pop("P5")
+    for kind, run in runs.items():
+        if run != p5:
+            raise AssertionError(f"the {kind} run (exit {run['exit']}) differs from the P5 run (exit {p5['exit']})")
     return p5
 
 

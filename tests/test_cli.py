@@ -289,6 +289,20 @@ def test_classify_header_side_at_the_limit_is_parse_error(dims, binary, tmp_path
     )
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P2 %s 1 255", "width must be below 1048576, got <5000 digits> (byte offset 3)"),
+    (b"P5 1 1 %s", "maxval <5000 digits> outside [1, 255] (byte offset 7)"),
+    (b"P2 1 1 255 %s", "pixel value <5000 digits> exceeds 255 (byte offset 11)"),
+], ids=["width", "maxval", "pixel"])
+def test_classify_token_too_long_for_int_is_parse_error(header, message, tmp_path, capsys):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(header % (b"9" * 5000) + b" 0")
+    code, out, err = run_cli(["classify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: PGM parse failed for {path}: {message}\n"
+
+
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_bench_repeat_below_one_rejected(repeat, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -218,3 +219,54 @@ def test_loaded_image_is_writable_and_apart_from_the_bytes(binary):
     assert not np.shares_memory(image, np.frombuffer(data, dtype=np.uint8))
     image[0, 0] = 99
     assert load_pgm(data)[0, 0] == 0
+
+
+# ``int()`` converts digit strings of at most this many digits, leading
+# zeros included; the reader counts only the digits after the zeros.
+_INT_DIGITS = sys.get_int_max_str_digits()
+_TOKEN_FILES = {
+    "width": lambda magic, token: magic + b" " + token + b" 1 255\n0",
+    "height": lambda magic, token: magic + b" 1 " + token + b" 255\n0",
+    "maxval": lambda magic, token: magic + b" 1 1 " + token + b"\n0",
+    "pixel": lambda magic, token: magic + b" 1 1 255\n" + token + b"\n",
+}
+_REFUSALS = {
+    "width": f"width must be below {SIDE_LIMIT}, got {{}}",
+    "height": f"height must be below {SIDE_LIMIT}, got {{}}",
+    "maxval": "maxval {} outside [1, 255]",
+    "pixel": "pixel value {} exceeds 255",
+}
+# Every token kind in P2, and the header's in P5, whose pixels are bytes.
+_TOKEN_CASES = [(b"P2", what) for what in _TOKEN_FILES] + [
+    (b"P5", what) for what in _TOKEN_FILES if what != "pixel"
+]
+
+
+@pytest.mark.parametrize("magic, what", _TOKEN_CASES)
+def test_a_token_too_long_for_int_is_refused_by_its_digit_count(magic, what):
+    digits = _INT_DIGITS + 1
+    data = _TOKEN_FILES[what](magic, b"0" * 3 + b"9" * digits)
+    with pytest.raises(PgmParseError) as err:
+        load_pgm(data)
+    offset = data.index(b"0009")
+    assert str(err.value) == _REFUSALS[what].format(f"<{digits} digits>") + f" (byte offset {offset})"
+
+
+@pytest.mark.parametrize("magic, what", _TOKEN_CASES)
+def test_a_token_as_long_as_int_reads_is_refused_by_its_value(magic, what):
+    token = b"9" * _INT_DIGITS
+    data = _TOKEN_FILES[what](magic, token)
+    with pytest.raises(PgmParseError) as err:
+        load_pgm(data)
+    expected = _REFUSALS[what].format(token.decode()) + f" (byte offset {data.index(token)})"
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("magic, what", _TOKEN_CASES)
+def test_leading_zeros_of_any_length_are_dropped(magic, what):
+    # More zeros than ``int()`` converts, then the digit the token means.
+    value = b"255" if what == "maxval" else b"1"
+    data = _TOKEN_FILES[what](magic, b"0" * (_INT_DIGITS + 5) + value)
+    # The other tokens read 1 1 255; the pixel is ``0``, in P5 the byte 48.
+    pixel = 1 if what == "pixel" else 48 if magic == b"P5" else 0
+    assert load_pgm(data).tolist() == [[pixel]]

@@ -102,6 +102,27 @@ def test_bulk_leaves_token_loop_cases_across_block_cuts(case, block):
     assert bulk is None
 
 
+# Each byte value put between two pixels, and after the last pixel (then
+# a digit, which a byte that is not a separator would join to that pixel).
+_BYTE_PLACES = {
+    "between two pixels": (lambda byte: b" 1" + byte + b"2 3\n", pgm_module._WHITESPACE),
+    "after the last pixel": (lambda byte: b" 1 2 3" + byte + b"9\n", pgm_module._WHITESPACE + b"#"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(_BYTE_PLACES))
+def test_bulk_takes_exactly_the_separators_of_the_token_pattern(place):
+    # ``_p2_block_values`` tells separators by wrapped arithmetic on each
+    # byte, and the token pattern by ``_WHITESPACE``: they must agree.
+    body, separators = _BYTE_PLACES[place]
+    taken = set()
+    for byte in range(256):
+        bulk, _ = _bulk_outcome(body(bytes([byte])), pgm_module._P2_BLOCK)
+        if bulk is not None and bulk.tolist() == [1, 2, 3]:
+            taken.add(byte)
+    assert taken == set(separators)
+
+
 def test_four_digit_run_over_a_cut_is_read_by_the_token_loop():
     with mock.patch.object(pgm_module, "_P2_BLOCK", 2):
         assert load_pgm(_HEADER + b" 0001 4 5\n").tolist() == [[1, 4, 5]]

@@ -1,9 +1,11 @@
 """Property tests of the PGM reader and writer on mutated and random input.
 
-The P2 bulk parser must agree with the token loop it stands in for, and
-``write_pgm`` with the join expression it replaced.
+The P2 bulk parser must agree with the token loop it stands in for,
+``load_pgm`` with the byte-loop token reader that its token pattern
+replaced, and ``write_pgm`` with the join expression it replaced.
 """
 
+import sys
 import warnings
 from unittest import mock
 
@@ -15,6 +17,8 @@ from hypothesis.extra.numpy import arrays
 from shapeid import PgmParseError, load_pgm, write_pgm
 from shapeid import pgm as pgm_module
 from shapeid.pgm import _p2_bulk, _p2_tokens
+
+from helpers import old_load_pgm
 
 # Bytes that matter to the parsers: digits, the six separators, the comment
 # sign, signs and number syntax numpy might accept, and bytes that end C
@@ -182,3 +186,77 @@ _VIEW_SHAPES = st.one_of(
 def test_write_p2_of_a_view_matches_join(dtype, view, data):
     arr = _VIEWS[view](_draw_image(data, dtype, _VIEW_SHAPES))
     assert write_pgm(arr, binary=False) == _join_p2(arr)
+
+
+# Separators: runs of any of the six whitespace bytes, and comments, whose
+# text may hold any byte but a newline.
+_WHITE = st.binary(min_size=1, max_size=3).map(
+    lambda raw: bytes(b" \t\n\r\x0b\x0c"[v % 6] for v in raw)
+)
+_COMMENT_TEXT = st.binary(max_size=4).map(lambda raw: b"#" + raw.replace(b"\n", b""))
+_GAP = st.lists(
+    st.one_of(_WHITE, _COMMENT_TEXT.map(lambda text: text + b"\n")), min_size=1, max_size=3
+).map(b"".join)
+
+
+@st.composite
+def _numbers(draw, high: int) -> bytes:
+    """A number token, mostly at most ``high``, often with leading zeros;
+    now and then one of the longest that ``int()`` reads, or longer."""
+    kind = draw(st.sampled_from(["plain"] * 19 + ["long"]))
+    if kind == "long":
+        limit = sys.get_int_max_str_digits()
+        return draw(st.sampled_from([b"9" * limit, b"0" * limit + b"7", b"9" * (limit + 1)]))
+    zeros = draw(st.sampled_from([0, 0, 0, 1, 2, 5]))
+    return b"0" * zeros + b"%d" % draw(st.integers(0, high + 2))
+
+
+@st.composite
+def _token_files(draw) -> bytes:
+    """A P2 or P5 file built token by token, with every separator above,
+    leading zeros, anything after the last pixel, an unterminated comment
+    at the end now and then, and often cut short."""
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    width, height = draw(_SHAPES)
+    # The header names the shape whose pixels follow, or drawn sides.
+    sides = [b"%d" % width, b"%d" % height]
+    if draw(st.booleans()):
+        sides = [draw(_numbers(8)), draw(_numbers(8))]
+    data = draw(st.sampled_from([b"", b" "])) + magic
+    for token in [*sides, draw(_numbers(255))]:
+        data += draw(_GAP) + token
+    count = width * height + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if magic == b"P5":
+        data += draw(st.one_of(_WHITE.map(lambda white: white[:1]), _GAP))
+        data += draw(st.binary(min_size=count, max_size=count))
+    else:
+        for _ in range(count):
+            data += draw(_GAP) + draw(_numbers(255))
+    data += draw(st.sampled_from([b"", b"\n", b" 9 x\n"]))
+    if draw(st.booleans()):
+        data += draw(_COMMENT_TEXT)
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+def _reading(load, data: bytes):
+    """What ``load`` makes of ``data``: an array, a parse error with its
+    offset, or, for the old reader on a token too long for ``int()``, a
+    plain ``ValueError``."""
+    try:
+        return ("array", load(data).tolist())
+    except PgmParseError as err:
+        return ("error", str(err), err.offset)
+    except ValueError:
+        return ("crash",)
+
+
+@settings(max_examples=500)
+@given(data=_token_files())
+def test_token_pattern_reads_as_the_byte_loop_did(data):
+    new, old = _reading(load_pgm, data), _reading(old_load_pgm, data)
+    if old == ("crash",):
+        assert new[0] in ("array", "error")
+    else:
+        assert new == old

@@ -40,6 +40,10 @@ def test_stage_error_names_the_stage(image, threshold, stage):
     assert isinstance(err, ValueError)
     assert err.stage == stage
     assert str(err).startswith(f"{stage}: ")
+    # The cause is the stage's own error, with the message after the prefix.
+    cause = err.__cause__
+    assert isinstance(cause, ValueError) and not isinstance(cause, StageError)
+    assert str(err) == f"{stage}: {cause}"
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64])
