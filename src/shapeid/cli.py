@@ -22,6 +22,7 @@ from pathlib import Path
 from .classifier import Tolerances
 from .pgm import SIDE_LIMIT, PgmParseError, load_pgm, write_pgm
 from .pipeline import StageError, classify_raster
+from .segment import _fixed_threshold
 from .synth import corpus, render
 
 __all__ = ["main"]
@@ -53,12 +54,16 @@ def _parse_repeat(text: str) -> int:
 def _parse_threshold(text: str):
     if text == "otsu":
         return "otsu"
-    if text.startswith("fixed:"):
-        try:
-            return int(text.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected fixed:N with integer N, got {text!r}")
-    raise argparse.ArgumentTypeError(f"expected 'otsu' or 'fixed:N', got {text!r}")
+    if not text.startswith("fixed:"):
+        raise argparse.ArgumentTypeError(f"expected 'otsu' or 'fixed:N', got {text!r}")
+    try:
+        n = int(text.split(":", 1)[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected fixed:N with integer N, got {text!r}")
+    try:
+        return _fixed_threshold(n)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
 
 
 def _features_summary(features, evidence) -> dict:

@@ -310,9 +310,9 @@ def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray,
 
 
 def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, first columns and last columns, in ``box``, of the runs of
-    the largest 4-connected component of the foreground ``img >= t``
-    inside the box ``box`` of a 2-D array, in row-major order.
+    """Rows, first columns and last columns (``intp``), in ``box``, of the
+    runs of the largest 4-connected component of the foreground
+    ``img >= t`` inside the box ``box`` of a 2-D array, in row-major order.
 
     Components are labelled over row runs, not pixels.  Each row gets a
     ``False`` column at its end, so in the flattened rows of ``width``
@@ -334,8 +334,6 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
     part = img[box]
     h, w = part.shape
     width = w + 1
-    # int32 run indices halve the labeller's arrays wherever they fit.
-    dtype = np.int32 if h * width < 2**31 else np.intp
     step = _band_rows(h, width)
     # The slot before the first row and each row's extra column stay
     # False, so every row's first pixel and its extra column each read
@@ -349,32 +347,36 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
         np.greater_equal(band, t, out=rows[:len(band), :w])
         size = len(band) * width
         np.not_equal(slots[1:size + 1], slots[:size], out=changes[:size])
-        found.append(np.add(np.flatnonzero(changes[:size]), r * width, dtype=dtype))
+        found.append(np.flatnonzero(changes[:size]) + r * width)
     del slots, rows, changes
     ends = np.concatenate(found)
     del found
     start, end = ends[0::2], ends[1::2]
-    lo = np.searchsorted(end, start - width, side="right").astype(dtype)
-    touched = np.searchsorted(start, end - width).astype(dtype) - lo
-    # One edge from each run to each run it touches one row up: a run's
-    # k-th edge goes to run lo + k.
-    below = np.repeat(np.arange(len(start), dtype=dtype), touched)
-    first_edge = np.cumsum(touched, dtype=dtype) - touched
-    above = np.arange(len(below), dtype=dtype) + np.repeat(lo - first_edge, touched)
-    del lo, touched, first_edge
-    root = np.arange(len(start), dtype=dtype)
+    # One edge from each run to each run it touches one row up, the last
+    # of them run hi - 1.  A run's edges are numbered on from
+    # cumsum(touched) - touched, so edge i goes to run i + hi - cumsum(touched).
+    hi = np.searchsorted(start, end - width)
+    touched = hi - np.searchsorted(end, start - width, side="right")
+    below = np.repeat(np.arange(len(start)), touched)
+    hi -= np.cumsum(touched)
+    above = np.arange(len(below)) + np.repeat(hi, touched)
+    del hi, touched
+    root = np.arange(len(start))
     while True:
         a, b = root[below], root[above]
-        apart = a != b
-        if not apart.any():
+        if np.array_equal(a, b):
             break
-        a, b = a[apart], b[apart]
+        # An edge within a tree hooks its root to itself, which changes
+        # nothing: every label is at most its run's index.
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
             root = jumped
+        del jumped
+    # Freed before sizing, which would otherwise set the labeller's peak.
+    del below, above, a, b
     # Float sizes are exact: a box holds far fewer than 2**53 pixels.
     sizes = np.bincount(root, weights=end - start, minlength=len(start))
     kept = root == sizes.argmax()
@@ -399,7 +401,7 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     # In the flattened mask, gaps and kept runs alternate from a gap at the
     # first pixel to one at the last, so the mask repeats False and True
     # over their lengths (a gap between two rows can be empty).
-    start = (box[0].start + rows.astype(np.intp)) * m.shape[1] + box[1].start + first
+    start = (box[0].start + rows) * m.shape[1] + box[1].start + first
     edges = np.empty(2 * len(rows) + 2, dtype=np.intp)
     edges[0], edges[-1] = 0, m.size
     edges[1:-1:2] = start
@@ -484,9 +486,9 @@ def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slic
     heads = np.flatnonzero(np.diff(ys, prepend=-1))
     tails = np.append(heads[1:], len(ys)) - 1
     return Spans(
-        np.add(top, ys[heads], dtype=np.intp),
-        np.add(box[1].start, first[heads], dtype=np.intp),
-        np.add(box[1].start, last[tails], dtype=np.intp),
+        top + ys[heads],
+        box[1].start + first[heads],
+        box[1].start + last[tails],
         int(np.sum(last - first + 1)),
     )
 
@@ -509,5 +511,5 @@ def boundary(mask: np.ndarray) -> np.ndarray:
 
 
 def area(mask: np.ndarray) -> int:
-    """Number of foreground pixels."""
-    return int(np.count_nonzero(np.asarray(mask, dtype=bool)))
+    """Number of foreground pixels of a 2-D mask."""
+    return int(np.count_nonzero(check_mask(mask)))

@@ -26,12 +26,15 @@ the call (the input check, the distances and the feature vector) as
 
 For each of the eight reference shapes at 256x256 and 1024x1024, clean
 under Otsu, this prints a Markdown table of the counts of one call,
-taken after a first call has let numpy set up its caches:
+taken after a first call has let numpy set up its caches, and then a
+second table for the eight speckled 256x256 renders of the label sweep,
+the only ones of these that reach the run labeller:
 
     PYTHONPATH=src python tests/call_table.py
 
-It only reports; ``test_call_table.py`` pins the 256x256 totals.  pytest
-does not collect this file (its name does not start with ``test_``).
+It only reports; ``test_call_table.py`` pins the 256x256 totals of both
+tables.  pytest does not collect this file (its name does not start with
+``test_``).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 
 from shapeid import classify_raster, corpus, render
 from shapeid import classifier, geometry, segment
+from sweep import _speckled
 
 SIZES = (256, 1024)
 
@@ -119,18 +123,33 @@ def corpus_calls(size: int) -> dict[str, dict[str, int]]:
     return {name: raster_calls(render(spec, size, size)) for name, spec in corpus(size, size)}
 
 
-def main() -> None:
-    print("Numpy calls per `classify_raster` call, clean renders under Otsu.\n")
-    columns = [f"{size}² {column}" for size in SIZES for column in (*COLUMNS, "total")]
+def speckled_calls(size: int) -> dict[str, dict[str, int]]:
+    """``raster_calls`` of each speckled corpus render at ``size`` x
+    ``size``, as the label sweep makes them (``sweep._speckled``, one
+    generator seeded with ``size`` for the eight shapes in report order),
+    by shape name, in report order."""
+    rng = np.random.default_rng(size)
+    return {name: raster_calls(_speckled(render(spec, size, size), rng)) for name, spec in corpus(size, size)}
+
+
+def _print_table(tables: dict[str, dict[str, dict[str, int]]]) -> None:
+    """One Markdown row per shape of the counts in ``tables``, one group of
+    columns per table, each headed by its key."""
+    columns = [f"{key} {column}" for key in tables for column in (*COLUMNS, "total")]
     print("| shape | " + " | ".join(columns) + " |")
     print("| --- |" + " --- |" * len(columns))
-    tables = {size: corpus_calls(size) for size in SIZES}
-    for name in tables[SIZES[0]]:
+    for name in next(iter(tables.values())):
         cells = []
-        for size in SIZES:
-            counts = tables[size][name]
+        for counts in (table[name] for table in tables.values()):
             cells += [str(counts[column]) for column in COLUMNS] + [str(sum(counts.values()))]
         print(f"| {name} | " + " | ".join(cells) + " |")
+
+
+def main() -> None:
+    print("Numpy calls per `classify_raster` call, clean renders under Otsu.\n")
+    _print_table({f"{size}²": corpus_calls(size) for size in SIZES})
+    print("\nThe same, speckled 256² renders of the label sweep under Otsu.\n")
+    _print_table({"256² speckled": speckled_calls(256)})
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ Runs this tree's ``tests/sweep.py`` once against this tree's ``src`` and
 once against the base tree's, and each tree's own ``tests/code_lines.py``,
 ``tests/call_table.py`` and ``tests/peak_table.py``.  Prints a Markdown
 summary: how many sweep lines differ and the first 20 of them, each
-module's code lines in both trees, and the call and peak tables of both
-trees side by side, a cell that changed reading ``base → head``.  It only
-reports, and fails only when one of those commands fails, never because
-the trees differ:
+module's code lines in both trees, and each call and peak table of both
+trees side by side, a cell that changed reading ``base → head`` (a table
+that only one tree prints is printed as it is).  It only reports, and
+fails only when one of those commands fails, never because the trees
+differ:
 
     git worktree add --detach /tmp/base BASE_COMMIT
     python tests/compare_with_base.py /tmp/base
@@ -40,28 +41,47 @@ def _code_lines(tree: Path) -> dict[str, int]:
     return {name: int(count) for name, count in (line.split() for line in lines)}
 
 
-def _table(tree: Path, name: str) -> list[list[str]]:
-    """The rows of cells of the Markdown table that a tree's report script
-    prints."""
-    lines = _output(tree / "tests" / name, tree / "src")
-    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines if line.startswith("|")]
+def _tables(tree: Path, name: str) -> list[list[list[str]]]:
+    """The Markdown tables that a tree's report script prints, each as its
+    rows of cells."""
+    tables: list[list[list[str]]] = []
+    within = False
+    for line in _output(tree / "tests" / name, tree / "src"):
+        if line.startswith("|"):
+            if not within:
+                tables.append([])
+            tables[-1].append([cell.strip() for cell in line.strip("|").split("|")])
+        within = line.startswith("|")
+    return tables
+
+
+def _print_rows(rows: list[list[str]]) -> None:
+    print("\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n")
 
 
 def _side_by_side(name: str, base: Path) -> None:
+    """Each table of the head tree's script beside the base tree's table
+    with the same header; a table only one tree prints is printed as it is."""
     print(f"### `tests/{name}`, base → head\n")
     if not (base / "tests" / name).is_file():
         print("The base tree has no such script.\n")
         return
-    old, new = _table(base, name), _table(HEAD, name)
-    if [row[0] for row in old] != [row[0] for row in new] or old[0] != new[0]:
-        # Another layout: the two tables one after the other.
-        for rows in (old, new):
-            print("\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n")
-        return
-    for b, a in zip(old, new):
-        cells = [y if x == y else f"{x} → {y}" for x, y in zip(b, a)]
-        print("| " + " | ".join(cells) + " |")
-    print()
+    old = {tuple(table[0]): table for table in _tables(base, name)}
+    new = {tuple(table[0]): table for table in _tables(HEAD, name)}
+    for header, rows in new.items():
+        before = old.get(header)
+        if before is None:
+            print("Only in head:\n")
+            _print_rows(rows)
+        elif [row[0] for row in before] != [row[0] for row in rows]:
+            # Another layout: the two tables one after the other.
+            _print_rows(before)
+            _print_rows(rows)
+        else:
+            _print_rows([[y if x == y else f"{x} → {y}" for x, y in zip(b, a)] for b, a in zip(before, rows)])
+    for header in (header for header in old if header not in new):
+        print("Only in base:\n")
+        _print_rows(old[header])
 
 
 def main(base: Path) -> None:

@@ -12,7 +12,12 @@ the least of 20 calls was the same in every run tried.  Under every
 threshold only the foreground's bounding box is thresholded; a clean
 render's box is its object's, while a speckled image has foreground
 speckle near every edge, so its box spans the whole image, and the
-labeller thresholds it in bands:
+labeller thresholds it in bands.  A second table gives the peak of
+``foreground_spans`` on two masks of many runs, read as ``uint8`` under
+a fixed threshold of 1, where the labeller's arrays, which grow with the
+number of runs, set the peak: the 44%-foreground 512x512 mask of
+``test_isolate_peak_with_a_large_foreground_share`` and noise at 30%
+fill at 1024x1024:
 
     PYTHONPATH=src python tests/peak_table.py
 
@@ -27,6 +32,7 @@ import tracemalloc
 import numpy as np
 
 from shapeid import classify_raster, corpus, render
+from shapeid.segment import foreground_spans
 from sweep import _speckled
 
 SIZES = (256, 512, 1024)
@@ -34,13 +40,13 @@ SIZES = (256, 512, 1024)
 CALLS = 20
 
 
-def _peak_mib(image: np.ndarray, threshold="otsu") -> float:
-    classify_raster(image, threshold=threshold)
+def _peak_mib(image: np.ndarray, threshold="otsu", fn=classify_raster) -> float:
+    fn(image, threshold=threshold)
     peaks = []
     for _ in range(CALLS):
         tracemalloc.start()
         try:
-            classify_raster(image, threshold=threshold)
+            fn(image, threshold=threshold)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -60,6 +66,19 @@ def main() -> None:
             speckled = _speckled(image, np.random.default_rng(size))
             cells += [f"{_peak_mib(image):.3f}", f"{_peak_mib(image, 128):.3f}", f"{_peak_mib(speckled):.3f}"]
         print(f"| {name} | " + " | ".join(cells) + " |")
+    print("\nTraced peak of `foreground_spans` on masks of many runs, MiB.\n")
+    print("| mask | peak |\n| --- | --- |")
+    for name, mask in _many_run_masks():
+        print(f"| {name} | {_peak_mib(mask.view(np.uint8), 1, foreground_spans):.3f} |")
+
+
+def _many_run_masks():
+    """(name, mask) for the masks of the second table."""
+    rng = np.random.default_rng(44)
+    share = rng.random((512, 512)) < 0.15
+    share[106:406, 106:406] = True
+    yield "44% foreground, 512²", share
+    yield "noise at 30% fill, 1024²", np.random.default_rng(30).random((1024, 1024)) < 0.3
 
 
 if __name__ == "__main__":

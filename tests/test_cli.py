@@ -94,6 +94,21 @@ def test_classify_bad_threshold_flag(square_pgm, capsys):
         main(["classify", "--threshold", "fixed:abc", str(square_pgm)])
 
 
+@pytest.mark.parametrize("n", ["256", "-1", "300"])
+def test_classify_fixed_threshold_out_of_range_is_usage_error(n, square_pgm, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--threshold", f"fixed:{n}", str(square_pgm)])
+    assert exc.value.code == 2
+    assert f"fixed threshold {n} outside [0, 255]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "255"])
+def test_classify_fixed_threshold_at_the_range_ends(n, square_pgm, capsys):
+    # At fixed:0 the object is the whole square image.
+    code, out, err = run_cli(["classify", "--threshold", f"fixed:{n}", str(square_pgm)], capsys)
+    assert (code, out.strip(), err) == (0, "Square", "")
+
+
 def test_classify_unknown_is_success(tmp_path, capsys):
     import numpy as np
 

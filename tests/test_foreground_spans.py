@@ -566,7 +566,7 @@ def test_wide_int64_image_peaks_as_its_uint8_twin(fn):
 
 
 # The labeller thresholds its box in bands of whole rows.  It must give
-# the runs the old labeller gave on the box's mask, dtypes included,
+# the runs the old labeller gave on the box's mask, as ``intp`` arrays,
 # whatever the band edges cut, and ``isolate_object`` must paint them.
 
 def _check_banded_runs(mask: np.ndarray) -> None:
@@ -574,7 +574,7 @@ def _check_banded_runs(mask: np.ndarray) -> None:
     _, box = segment._foreground_box(a, 1, a.max(axis=1, initial=0))
     new, old = segment._largest_runs(a, 1, box), old_largest_runs(mask[box])
     assert [part.tolist() for part in new] == [part.tolist() for part in old]
-    assert [part.dtype for part in new] == [part.dtype for part in old]
+    assert [part.dtype for part in new] == [np.dtype(np.intp)] * 3
     top, left = box[0].start, box[1].start
     kept = np.zeros(mask.shape, dtype=bool)
     for y, x0, x1 in zip(*(part.tolist() for part in old)):

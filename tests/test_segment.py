@@ -66,7 +66,7 @@ def test_binarize_fixed_checks_the_image():
         binarize(np.array([[0.5, 200.7]]), 100)
 
 
-@pytest.mark.parametrize("stage", [isolate_object, boundary])
+@pytest.mark.parametrize("stage", [isolate_object, boundary, area])
 def test_mask_stages_reject_a_mask_that_is_not_2d(stage):
     with pytest.raises(ValueError, match=r"expected a 2-D mask, got shape \(4, 5, 3\)"):
         stage(np.ones((4, 5, 3), dtype=bool))

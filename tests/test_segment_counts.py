@@ -495,8 +495,9 @@ def test_a_third_level_among_the_row_maxima_reads_no_block():
 
 def test_isolate_peak_with_a_large_foreground_share():
     # 44% foreground: 15% random speckle plus a 300x300 block, 22,256
-    # runs.  The run labeller peaks at 1.01 MiB here with int32 run
-    # indices and at 1.33 MiB with intp; pixel labels took 1.65 MiB.
+    # runs.  The run labeller peaks at 1.02 MiB here with intp run
+    # indices (1.01 MiB when it narrowed them to int32); pixel labels
+    # took 1.65 MiB.
     rng = np.random.default_rng(44)
     mask = rng.random((512, 512)) < 0.15
     mask[106:406, 106:406] = True
