@@ -178,7 +178,10 @@ def _convex_path(keys: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
 def _support_rows(x: np.ndarray, y: np.ndarray):
     """The support lookup: a function of ``(g0, g1)`` that returns ``top``
     and ``low`` of rows ``g0:g1`` (see ``_best_triangle_and_quad``), the
-    extremes over ``k`` found by binary search.
+    extremes over ``k`` found by binary search, from the vertices' offsets
+    ``x`` and ``y`` from the first, as ``float64``.  A group of every row
+    takes one lookup: ``cross[i, j, k] = -cross[j, i, k]``, so ``low`` is
+    then ``-top.T``.
 
     On a convex polygon, ``cross[i, j, k]`` is smallest at the vertex
     farthest right of the diagonal from ``i`` to ``j``: the vertex ``k``
@@ -207,8 +210,6 @@ def _support_rows(x: np.ndarray, y: np.ndarray):
     are the exact extremes of the integer areas.
     """
     n = len(x)
-    x = x.astype(np.float64)
-    y = y.astype(np.float64)
     ring = np.arange(3 * n + 1) % n
     edge = np.arctan2(y[ring[1:n + 1]] - y, x[ring[1:n + 1]] - x)  # edge k leaves vertex k
     start = int(edge.argmin())
@@ -232,13 +233,15 @@ def _support_rows(x: np.ndarray, y: np.ndarray):
         dx = x - xi
         dy = y - yi
         angle = np.arctan2(dy, dx)
-        low = farthest(angle, dx, dy)
+        low = farthest(angle, dx, dy) if g1 - g0 < n else None
         angle += np.pi
         top = farthest(angle, dx, dy)
         del angle  # one array fewer at the peak, while ci is made
         ci = dy * xi  # C[i, j]
         ci -= dx * yi
         top += ci
+        if low is None:
+            return top, -top.T
         low += ci
         return top, low
 
@@ -285,7 +288,10 @@ def _best_triangle_and_quad(hull: np.ndarray):
     """
     n = len(hull)
     # Areas do not change under translation; this keeps the products small.
-    x, y = np.subtract(hull.T, hull[0, :, None], dtype=np.int64, order="C")
+    # The offsets are exact in int64 and then in float64, where each product
+    # of two differences is below 2**40 and each area below 2**41, so the
+    # search and areas() are exact.
+    x, y = np.subtract(hull.T, hull[0, :, None], dtype=np.int64, order="C").astype(np.float64)
     search = _support_rows(x, y)
     group = min(n, max(1, _GROUP_VALUES // n))
     tri2, tri_row = -1, None

@@ -9,7 +9,7 @@ and last column, and the object's pixel total), not as a mask, from
 component, the object ``isolate_object`` keeps.  ``_box_spans`` proves
 from the spans alone that the foreground is one component when every row
 of its bounding box is one run overlapping the next.  When a row of the
-box is empty, when the proof fails (its box mask is freed first), and
+box is empty, when the proof fails (its buffers are freed first), and
 always in ``isolate_object``, ``_largest_runs`` labels the box over its
 row runs, not its pixels.  It compares the box with the threshold
 itself, band by band, into one reused buffer whose rows end in a
@@ -37,22 +37,25 @@ threshold, wrapped to ``uint8``.  Every threshold, fixed or Otsu's, then
 takes one route: ``_foreground_box`` finds the rows whose greatest value
 reaches it, reads the columns from those rows, and only the box they
 bound is compared with the threshold, so no mask of the image's size is
-made.  For the proof, whose box has no empty row, the box's mask is
-widened to whole 8-byte words per row, with ``False``, so that
-``_last_true`` reverses each row by copying its words, in reverse order,
-into words of the other byte order.  The same finder gives the box of
-``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
-with a third level is counted into a histogram, two pixels at a time, as
-``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row and
-column sums fold into the 256-bin histogram; no per-pixel ``int64`` copy
-is made.
+made.  For the proof, whose box has no empty row, the box is compared
+with the threshold band by band, into one buffer whose rows are widened
+to whole 8-byte words, with the image's columns beside the box, below
+the threshold in its rows, or with ``False`` in an image too narrow for
+that, so that ``_last_true`` reverses each row by copying its words, in
+reverse order, into words of the other byte order; no mask of the box is
+made.  The same finder gives the box of ``isolate_object``'s mask, read
+as ``uint8`` against 1.  Only an image with a third level is counted
+into a histogram, two pixels at a time, as ``uint16`` pairs, into one
+``int32`` table of 65,536 bins, whose row and column sums fold into the
+256-bin histogram; no per-pixel ``int64`` copy is made.
 
-The three passes that read a box in pieces, the two-level test,
-``_last_true`` and the labeller, cut it by one rule, ``_band_rows``: as
-few bands of whole rows as hold at most ``_COMPARE_BLOCK`` (64 Ki) items
+The four passes that read a box, the two-level test, the one-run proof's
+comparison with the threshold, its row ends (``_last_true``) and the
+labeller, each read it in pieces cut by one rule, ``_band_rows``: as few
+bands of whole rows as hold at most ``_COMPARE_BLOCK`` (64 Ki) items
 each, the rows shared out evenly.  A row wider than that is a band
 alone, so a pass holds one band's scratch at a time, 64 KiB unless a
-single row is wider.
+single row is wider, and no mask of the box is made.
 """
 
 from __future__ import annotations
@@ -82,9 +85,10 @@ __all__ = [
 _PAIRS_PER_PASS = 1 << 29
 
 #: Most items one band of a blocked pass holds (``_band_rows``): pixels
-#: of the two-level test, bytes of ``_last_true``, slots of
-#: ``_largest_runs``.  So their scratch arrays stay at 64 KiB whatever the
-#: image's size, unless a single row is wider.
+#: of the two-level test, bytes of the one-run proof's band and of its
+#: reversed copy in ``_last_true``, slots of ``_largest_runs``.  So their
+#: scratch arrays stay at 64 KiB whatever the image's size, unless a
+#: single row is wider.
 _COMPARE_BLOCK = 1 << 16
 
 #: A 64-bit word of the other byte order: copying words into it reverses
@@ -106,7 +110,9 @@ def _band_rows(height: int, width: int) -> int:
     """Rows per band of ``height`` rows of ``width`` items: as few bands of
     whole rows, at most ``_COMPARE_BLOCK`` items each, as fit, with the rows
     shared out evenly so that no buffer is larger than the bands need.  A
-    row wider than ``_COMPARE_BLOCK`` is a band alone."""
+    row wider than ``_COMPARE_BLOCK`` is a band alone.  The two-level test,
+    the one-run proof (``_one_run_spans``, with ``_last_true``) and the
+    labeller read a box in these bands, so none makes a mask of it."""
     bands = -(-height // max(1, _COMPARE_BLOCK // width))
     return -(-height // bands)
 
@@ -377,8 +383,9 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
         del jumped
     # Freed before sizing, which would otherwise set the labeller's peak.
     del below, above, a, b
-    # Float sizes are exact: a box holds far fewer than 2**53 pixels.
-    sizes = np.bincount(root, weights=end - start, minlength=len(start))
+    # Counted as intp: bincount's weights would make a float64 copy.
+    sizes = np.zeros(len(start), dtype=np.intp)
+    np.add.at(sizes, root, end - start)
     kept = root == sizes.argmax()
     start, end = start[kept], end[kept]
     rows = start // width
@@ -411,28 +418,80 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     return np.repeat(kept, np.diff(edges)).reshape(m.shape)
 
 
-def _last_true(rows: np.ndarray) -> np.ndarray:
-    """Last ``True`` column of each row of a C-contiguous 2-D ``bool``
-    array whose width is a multiple of 8, or the last column where a row
-    has none.
+def _last_true(words: np.ndarray, flipped: np.ndarray, turned: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, set to the last ``True`` of each row of a ``bool`` band
+    whose rows are whole 8-byte words, counted back from the row's last
+    column, or to 0 where a row has none.  ``words`` is the band viewed
+    as ``uint64``; ``flipped`` and ``turned`` are one buffer of at least as
+    many rows, viewed as words of the other byte order and as ``bool``.
 
     The last is the first ``True`` of the row reversed, and a row of whole
     8-byte words is reversed by reversing the order of its words and the
-    bytes in each word.  So bands of whole rows (``_band_rows``) are
-    copied, word order reversed, into one buffer of words of the other
-    byte order, which ``argmax`` reads as ``bool``.  The buffer is freed
-    on return."""
-    height, width = rows.shape
-    words = rows.view(np.uint64)
-    step = _band_rows(height, width)
-    flipped = np.empty((step, width // 8), dtype=_SWAPPED_WORD)
-    reversed_rows = flipped.view(bool)
-    last = np.empty(height, dtype=np.intp)
+    bytes in each word.  So the band is copied, word order reversed, into
+    ``flipped``, and ``argmax`` reads it as ``turned``."""
+    n = len(words)
+    flipped[:n] = words[:, ::-1]
+    return turned[:n].argmax(axis=1, out=out)
+
+
+def _one_run_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans | None:
+    """``Spans`` of the foreground ``img >= t`` if every row of its
+    bounding box ``box`` is one run overlapping the columns of the next,
+    so that the foreground is one component, else ``None``.  ``rows`` are
+    the rows holding foreground, as ``_foreground_box`` gives them, and
+    every row of the box is one of them.
+
+    The box's rows are compared with ``t`` in bands (``_band_rows``) into
+    one buffer whose rows are whole 8-byte words, as ``_last_true`` takes
+    them.  Its columns are the box's and, beside them, as many of the
+    image's as it takes to fill the last word: in the box's rows those are
+    below ``t``, so they read ``False``.  Only in an image too narrow for
+    that are the columns past the box's set to ``False``.  Each band
+    gives its rows' first columns, last columns (``_last_true``, counted
+    back from the buffer's last column) and pixel count, and the proof
+    fails at the first band holding a row that is not one run.  Whether
+    each row overlaps the next, across band edges too, is tested once
+    after the last band, from the row ends alone.  The buffer, and the one
+    ``_last_true`` reverses into, are made once, so no mask of the box is
+    made, and both are freed on return.
+    """
+    height = len(rows)
+    left, width = box[1].start, box[1].stop - box[1].start
+    padded = -(-width // 8) * 8
+    step = _band_rows(height, padded)
+    # The band, and the reversed band _last_true reads, in one buffer.
+    buffer = np.empty((2, step, padded), dtype=bool)
+    band, turned = buffer
+    if padded <= img.shape[1]:
+        left = min(left, img.shape[1] - padded)
+        image, cols = img[box[0], left:left + padded], band
+    else:
+        image, cols = img[box], band[:, :width]
+        band[:, width:] = False
+    words = buffer.view(np.uint64)[0]
+    flipped = buffer.view(_SWAPPED_WORD)[1]
+    # Each row's first column, and its last counted back from padded - 1,
+    # so that the row's span is padded - head - tail columns wide.
+    ends = np.empty((2, height), dtype=np.intp)
+    head, tail = ends
+    total = 0
     for r in range(0, height, step):
-        band = words[r:r + step]
-        flipped[:len(band)] = band[:, ::-1]
-        reversed_rows[:len(band)].argmax(axis=1, out=last[r:r + step])
-    return np.subtract(width - 1, last, out=last)
+        part = image[r:r + step]
+        n = len(part)
+        np.greater_equal(part, t, out=cols[:n])
+        band[:n].argmax(axis=1, out=head[r:r + n])
+        _last_true(words[:n], flipped, turned, tail[r:r + n])
+        count = int(np.count_nonzero(band[:n]))
+        # A row's count is at most the width of its span, so the counts
+        # are equal only if every row is one run.
+        if count != n * padded - ends[:, r:r + n].sum():
+            return None
+        total += count
+    # Rows i and i + 1 overlap when head[i + 1] + tail[i] and
+    # head[i] + tail[i + 1] are both below padded.
+    if (ends[:, 1:] + ends[::-1, :-1]).max(initial=0) >= padded:
+        return None
+    return Spans(rows, left + head, left + padded - 1 - tail, total)
 
 
 def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
@@ -443,50 +502,27 @@ def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slic
 
     The foreground is proved to be one component, without labelling it,
     when its bounding box has no empty row, every row is one run, and each
-    run overlaps the columns of the next.  An empty row rejects the proof
-    before any pixel is compared with ``t``.  Otherwise only the box's
-    rows are compared with ``t``, into a mask whose rows are whole 8-byte
-    words, as ``_last_true`` takes them.  Its columns are the box's and,
-    beside them, as many of the image's as it takes to fill the last word:
-    in the box's rows those are below ``t``, so they read ``False``.  Only
-    an image too narrow for that is padded with ``False`` in a new buffer.
-    The mask is freed after the row ends are read.  Where the proof fails
-    or is rejected, the box is labelled by its row runs
-    (``_largest_runs``, which compares it with ``t`` band by band), the
-    kept runs are reduced to one span per row, and their lengths are
-    summed to the pixel total; no label raster or kept mask is made.
+    run overlaps the columns of the next (``_one_run_spans``, in bands).
+    An empty row rejects the proof before any pixel is compared with
+    ``t``.  Where the proof fails or is rejected, the box is labelled by
+    its row runs (``_largest_runs``, which compares it with ``t`` band by
+    band), the kept runs are reduced to one span per row, and their
+    lengths are summed to the pixel total; no label raster or kept mask is
+    made.
     """
-    top = box[0].start
-    # The empty-row test only rejects early: the one-run test below fails
-    # on an empty row too.
-    if len(rows) == box[0].stop - top:
-        left, width = box[1].start, box[1].stop - box[1].start
-        padded = -(-width // 8) * 8
-        if padded <= img.shape[1]:
-            left = min(left, img.shape[1] - padded)
-            m = np.greater_equal(img[box[0], left:left + padded], t, order="C")
-        else:
-            m = np.zeros((len(rows), padded), dtype=bool)
-            np.greater_equal(img[box], t, out=m[:, :width])
-        last = _last_true(m)
-        first = m.argmax(axis=1)
-        total = int(np.count_nonzero(m))
-        # Freed before the labeller, which thresholds the box again in
-        # bands, can run.
-        del m
-        # A row's count is at most the width of its span, so the totals
-        # are equal only if every row is one run.
-        if total == np.sum(last - first + 1) and (
-            np.maximum(first[1:], first[:-1]) <= np.minimum(last[1:], last[:-1])
-        ).all():
-            return Spans(rows, left + first, left + last, total)
+    # The empty-row test only rejects early: the one-run test fails on an
+    # empty row too.
+    if len(rows) == box[0].stop - box[0].start:
+        spans = _one_run_spans(img, t, rows, box)
+        if spans is not None:
+            return spans
     ys, first, last = _largest_runs(img, t, box)
     # The runs are in row-major order: a row's first run holds its first
     # column and its last run its last.
     heads = np.flatnonzero(np.diff(ys, prepend=-1))
     tails = np.append(heads[1:], len(ys)) - 1
     return Spans(
-        top + ys[heads],
+        box[0].start + ys[heads],
         box[1].start + first[heads],
         box[1].start + last[tails],
         int(np.sum(last - first + 1)),

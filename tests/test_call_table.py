@@ -15,27 +15,27 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 43,
-    "cylinder": 43,
-    "kite": 44,
-    "square": 43,
-    "rhombus": 44,
-    "hemisphere": 44,
-    "triangle": 44,
-    "cone": 46,
+    "rectangle": 41,
+    "cylinder": 41,
+    "kite": 42,
+    "square": 41,
+    "rhombus": 42,
+    "hemisphere": 42,
+    "triangle": 42,
+    "cone": 44,
 }
 
 #: Most numpy calls of one call on each speckled 256x256 render of the
 #: label sweep, the only renders here that reach the run labeller.
 BUDGET_SPECKLED_256 = {
-    "rectangle": 84,
-    "cylinder": 86,
-    "kite": 83,
-    "square": 81,
-    "rhombus": 86,
-    "hemisphere": 85,
-    "triangle": 86,
-    "cone": 86,
+    "rectangle": 83,
+    "cylinder": 85,
+    "kite": 82,
+    "square": 80,
+    "rhombus": 85,
+    "hemisphere": 84,
+    "triangle": 85,
+    "cone": 85,
 }
 
 

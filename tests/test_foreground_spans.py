@@ -9,18 +9,19 @@ two functions, and the ones they called that have since been rewritten,
 are kept below as the oracle, verbatim but for the row minima the old
 ``_two_level`` gathered for ``foreground_spans`` alone.  The oracle's
 ``_box_spans`` and ``_run_ends`` are the ones that found each row's last
-pixel by ``argmax`` over numpy's reversed copy, before the box's mask was
-padded to whole words; the row ends ``_box_spans`` now reads with
-``_last_true`` are also checked against the old ``_run_ends`` directly,
-and ``_two_level`` against the full histogram.  The
-oracle's ``_largest_runs`` labelled a whole box mask; the labeller that
-thresholds its box in bands is checked against it directly, on boxes of
-several bands, and through ``isolate_object``.  Source
-mutants of the bounding box and the row ends must be caught by the same
-comparison, and the traced peak of ``classify_raster`` on a 1024x1024
-render stays below a full-size mask beside the box, under Otsu and under
-a fixed threshold.  A wide ``int64`` image peaks as its ``uint8`` twin
-does.
+pixel by ``argmax`` over numpy's reversed copy, before the box was
+compared with the threshold into rows of whole words, band by band; the
+row ends the one-run proof reads with ``_last_true`` are also checked
+against the old ``_run_ends`` directly, and ``_two_level`` against the
+full histogram.  The oracle's ``_largest_runs`` labelled a whole box
+mask; the labeller that thresholds its box in bands is checked against
+it directly, on boxes of several bands, and through ``isolate_object``.
+Source mutants of the bounding box and the row ends must be caught by
+the same comparison, and the traced peak of ``classify_raster`` on a
+1024x1024 render stays below a full-size mask beside the box, under Otsu
+and under a fixed threshold, and on every clean 1024x1024 corpus render
+below the box mask the proof read before it was banded.  A wide
+``int64`` image peaks as its ``uint8`` twin does.
 """
 
 import tracemalloc
@@ -400,10 +401,14 @@ def _run_masks(draw):
 
 
 def _new_run_ends(last_true, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``old_run_ends`` of ``mask`` as ``_box_spans`` reads it: from the
-    mask padded to whole words, with the last columns from ``last_true``."""
+    """``old_run_ends`` of ``mask`` as the one-run proof reads it: from the
+    mask padded to whole words, as one band, with the last columns from
+    ``last_true``, which counts them back from the padded width."""
     padded = _padded(mask)
-    last, first = last_true(padded), padded.argmax(axis=1)
+    turned = np.empty_like(padded)
+    tail = np.empty(len(padded), dtype=np.intp)
+    last_true(padded.view(np.uint64), turned.view(segment._SWAPPED_WORD), turned, tail)
+    last, first = padded.shape[1] - 1 - tail, padded.argmax(axis=1)
     total = int(np.count_nonzero(padded))
     if total != np.sum(last - first + 1):
         return None
@@ -423,8 +428,10 @@ def _box_cases():
     """Two-level images whose foreground bounds lie in different blocks:
     a rhombus widest in its middle rows, an object in the last block only,
     one in the last columns of a row whose width is not a multiple of 8,
-    one cut across the blocks of rows wider than a block, and one touching
-    every edge."""
+    one cut across the blocks of rows wider than a block, one touching
+    every edge, one in an image too narrow for its box's last word, and
+    two objects that meet only at a corner where the proof's bands
+    meet."""
     rhombus = render(dict(corpus(1024, 1024))["rhombus"], 1024, 1024)
     yield rhombus
     late = np.zeros((300, 257), dtype=np.uint8)
@@ -442,6 +449,18 @@ def _box_cases():
     framed[[0, -1], :] = 90
     framed[:, [0, -1]] = 90
     yield framed
+    # One run per row, up to the last column of an image too narrow for
+    # the box's last word.
+    narrow = np.zeros((20, 13), dtype=np.uint8)
+    narrow[:, 2:] = 200
+    yield narrow
+    # Two blocks of one run per row, one below and right of the other,
+    # meeting only at a corner where the proof's bands meet: two objects.
+    stairs = np.zeros((128, 1024), dtype=np.uint8)
+    stairs[:64, :500] = 200
+    stairs[64:, 500:] = 200
+    assert segment._band_rows(128, 1024) == 64
+    yield stairs
 
 
 def test_foreground_spans_match_on_the_box_cases():
@@ -466,10 +485,15 @@ def test_foreground_spans_match_on_the_box_cases():
     # the box one column short on the right
     ("return rows, (band, slice(cols[0], cols[-1] + 1))",
      "return rows, (band, slice(cols[0], cols[-1]))", True),
-    # the mask handed to the row ends without its padding
-    ("last = _last_true(m)", "last = _last_true(m[:, :width])", True),
+    # the padding of a box too wide for the image's last word read as True
+    ("band[:, width:] = False", "band[:, width:] = True", True),
     # the mask's columns not moved left of a box in the image's last ones
     ("left = min(left, img.shape[1] - padded)", "left = left", True),
+    # the proof's last band read past the box's last row
+    ("image, cols = img[box[0], left:left + padded], band",
+     "image, cols = img[box[0].start:, left:left + padded], band", True),
+    # the proof's overlap test left out
+    ("if (ends[:, 1:] + ends[::-1, :-1]).max(initial=0) >= padded:", "if False:", True),
 ])
 def test_box_mutants_are_caught(old, new, fixed_sees_it):
     mutant = source_mutant(segment, old, new)
@@ -498,13 +522,15 @@ def _padded(mask: np.ndarray) -> np.ndarray:
 
 
 def _row_end_cases():
-    """Masks of one run per row: 70 rows of 1025 pixels, which the row ends
-    read in two bands, and 8 rows of 17 pixels whose runs end at each byte
-    of a word."""
+    """Masks of one run per row, each overlapping the next, so that the
+    one-run proof holds: 70 rows of 1025 pixels, which the proof reads in
+    two bands, and 8 rows of 17 pixels whose runs end at each byte of a
+    word."""
     rng = np.random.default_rng(70)
     wide = np.zeros((70, 1025), dtype=bool)
-    for y, (x0, x1) in enumerate(np.sort(rng.integers(0, 1025, (70, 2)), axis=1)):
+    for y, (x0, x1) in enumerate(zip(rng.integers(0, 513, 70), rng.integers(512, 1025, 70))):
         wide[y, x0:x1 + 1] = True
+    assert segment._band_rows(70, 1032) < 70
     yield wide
     short = np.zeros((8, 17), dtype=bool)
     for y in range(8):
@@ -512,29 +538,38 @@ def _row_end_cases():
     yield short
 
 
+def _proved(one_run_spans, mask: np.ndarray):
+    """``one_run_spans`` of ``mask``, read as ``uint8`` against 1, as plain
+    values, or its error."""
+    a = mask.view(np.uint8)
+    rows, box = segment._foreground_box(a, 1, a.max(axis=1))
+    try:
+        spans = one_run_spans(a, 1, rows, box)
+    except (ValueError, IndexError) as err:
+        return "broken", repr(err)
+    return spans and (tuple(part.tolist() for part in spans[:3]), spans.area)
+
+
 # Mutation checks of the row ends: a wrong last column fails the one-run
 # test, and the labeller then gives the right spans, so these mistakes
-# show only against the old row ends.
+# show only in the proof's own result, on masks where it must hold.
 
 @pytest.mark.parametrize("old, new", [
     # the rows' words reversed, but not the bytes in each
     ("_SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()", "_SWAPPED_WORD = np.dtype(np.uint64)"),
     # the bytes in each word reversed, but not the words
-    ("flipped[:len(band)] = band[:, ::-1]", "flipped[:len(band)] = band"),
+    ("flipped[:n] = words[:, ::-1]", "flipped[:n] = words"),
     # every band's ends written to the first band's rows
-    ("out=last[r:r + step])", "out=last[:len(band)])"),
-    # the last column counted from the unpadded width of a 17-pixel box
-    ("return np.subtract(width - 1, last, out=last)", "return np.subtract(width - 8, last, out=last)"),
+    ("_last_true(words[:n], flipped, turned, tail[r:r + n])", "_last_true(words[:n], flipped, turned, tail[:n])"),
+    # the last column counted back from the unpadded width of a 15-pixel box
+    ("left + padded - 1 - tail", "left + width - 1 - tail"),
 ])
 def test_row_end_mutants_are_caught(old, new):
     mutant = source_mutant(segment, old, new)
-
-    def ends(found):
-        return found and ([part.tolist() for part in found[:2]], found[2])
-
     cases = list(_row_end_cases())
-    assert all(ends(_new_run_ends(segment._last_true, m)) == ends(old_run_ends(m)) for m in cases)
-    assert any(ends(_new_run_ends(mutant["_last_true"], m)) != ends(old_run_ends(m)) for m in cases)
+    expected = [_outcome(_reference, m.view(np.uint8), 1) for m in cases]
+    assert [_proved(segment._one_run_spans, m) for m in cases] == expected
+    assert [_proved(mutant["_one_run_spans"], m) for m in cases] != expected
 
 
 def _peak_mib(fn, *args):
@@ -550,9 +585,18 @@ def _peak_mib(fn, *args):
 @pytest.mark.parametrize("threshold", ["otsu", 128])
 def test_two_level_render_peaks_below_a_full_mask(threshold):
     image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
-    # The box mask (0.15 MiB) and one reversed copy of it in the row ends;
-    # the 1 MiB full-size mask took the peak to 1.32 MiB.
+    # The proof's band and its reversed copy (0.12 MiB); the 1 MiB
+    # full-size mask took the peak to 1.32 MiB.
     assert _peak_mib(classify_raster, image, None, threshold) < 0.75
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus(1024, 1024)])
+def test_clean_1024_renders_peak_below_the_box_mask(name):
+    image = render(dict(corpus(1024, 1024))[name], 1024, 1024)
+    # The one-run proof holds two 64 KiB band buffers, not the box.  With
+    # the box mask the largest peak was the rhombus's, 0.360 MiB; banded
+    # it is the cylinder's, 0.140 MiB.
+    assert _peak_mib(classify_raster, image) <= 0.16
 
 
 @pytest.mark.parametrize("fn", [segment.otsu_threshold, foreground_spans])

@@ -87,7 +87,8 @@ def octagon_hull(a: int, b: int) -> np.ndarray:
 
 
 # Hulls with exact ties, on both sides of the largest hull searched in one
-# group of rows (32 vertices).
+# group of rows (32 vertices), whose low extremes are its top ones
+# transposed, and the smallest searched in two (33).
 TIED_HULLS = [
     convex_hull(np.array([[0, 0], [7, 0], [7, 3], [0, 3]])),
     convex_hull(np.array([[2, 1], [9, 1], [9, 1], [9, 6], [2, 6], [5, 1], [2, 4]])),
@@ -99,13 +100,17 @@ TIED_HULLS = [
     convex_hull(np.array([[-4, 2], [0, -5], [4, 2], [2, 5], [-2, 5]])),
     # ... and on its negative side.
     convex_hull(np.array([[-4, 2], [-2, -3], [0, -3], [2, 2], [0, 7], [-2, 7]])),
-    *(regular_hull(count, 1000.0) for count in (8, 12, 16, 24, 32, 64, 68, 72, 96, 120)),
+    *(regular_hull(count, 1000.0) for count in (8, 12, 16, 24, 32, 33, 64, 68, 72, 96, 120)),
+    # The same mirror symmetry, with the vertex on the mirror at the left,
+    # where the hull starts.
+    regular_hull(33, 10_000.0, np.pi / 33),
 ]
 
 
 def test_tied_hulls_have_the_intended_sizes():
     sizes = [len(h) for h in TIED_HULLS]
-    assert sizes == [4, 4, 8, 8, 6, 5, 6, 8, 12, 16, 24, 32, 64, 68, 72, 96, 120]
+    assert sizes == [4, 4, 8, 8, 6, 5, 6, 8, 12, 16, 24, 32, 33, 64, 68, 72, 96, 120, 33]
+    assert max(size for size in sizes if size * size <= geometry._GROUP_VALUES) == 32
 
 
 #: Where a hull's vertex list starts: its first vertex, its second, or the
@@ -379,6 +384,8 @@ def test_prune_mutants_are_caught(old, new):
     # the last farthest vertex on either side of the quad's diagonal
     ("int(cross.argmax())", "len(cross) - 1 - int(cross[::-1].argmax())"),
     ("int(cross.argmin())", "len(cross) - 1 - int(cross[::-1].argmin())"),
+    # a one-group hull's low extremes taken from its top ones untransposed
+    ("return top, -top.T", "return top, -top"),
 ])
 @pytest.mark.parametrize("start", ["first", "half"])
 def test_search_mutants_are_caught(old, new, start):

@@ -249,7 +249,7 @@ def _peak_mib(fn, *args):
 
 def test_proved_path_allocates_no_second_mask():
     image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
-    # The box mask (0.15 MiB) and one reversed copy of it; a 1 MiB
+    # The proof's band and its reversed copy (0.12 MiB); a 1 MiB
     # threshold mask, a labelled box and a kept mask took 3.2 MiB.
     assert _peak_mib(classify_raster, image) < 1.5
 

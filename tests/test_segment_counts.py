@@ -495,9 +495,10 @@ def test_a_third_level_among_the_row_maxima_reads_no_block():
 
 def test_isolate_peak_with_a_large_foreground_share():
     # 44% foreground: 15% random speckle plus a 300x300 block, 22,256
-    # runs.  The run labeller peaks at 1.02 MiB here with intp run
-    # indices (1.01 MiB when it narrowed them to int32); pixel labels
-    # took 1.65 MiB.
+    # runs.  The run labeller peaks at 0.89 MiB here, sizing its
+    # components in intp (1.02 MiB with bincount's float64 weights, 1.01
+    # when it narrowed its run indices to int32); pixel labels took 1.65
+    # MiB.
     rng = np.random.default_rng(44)
     mask = rng.random((512, 512)) < 0.15
     mask[106:406, 106:406] = True
@@ -524,19 +525,20 @@ def test_speckled_spans_peak_below_a_box_mask(size, bound):
         assert _warm_peak_mib(segment.foreground_spans, image) < bound, name
 
 
-def test_a_failed_proof_frees_its_box_mask_before_labelling():
+def test_a_failed_proof_holds_no_box_mask():
     image = _speckled(render(dict(corpus(2048, 2048))["rectangle"], 2048, 2048), np.random.default_rng(2048))
     t = segment._histogram_threshold(image)
     foreground = image >= t
-    # Every row holds foreground, so the one-run proof reads the 4 MiB box
-    # mask; the object is not all of it, so the proof fails.
+    # Every row holds foreground, so the one-run proof reads the box; the
+    # object is not all of it, so the proof fails.
     assert foreground.any(axis=1).all()
     assert segment.foreground_spans(image).area < np.count_nonzero(foreground)
     del foreground
-    # The box mask and the row ends' buffers took 4.10 MiB, and the
-    # labeller's arrays for 21,626 runs come after the mask is freed; with
-    # the mask alive beside them the peak was 5.04 MiB, and the old
-    # labeller's box-sized array of changes took it to 8.5.
-    assert _warm_peak_mib(segment.foreground_spans, image) < 4.5
-    mutant = source_mutant(segment, "        del m\n", "")
-    assert _warm_peak_mib(mutant["foreground_spans"], image) >= 4.5
+    # The proof reads the box in 64 KiB bands, and the labeller's arrays
+    # for 21,626 runs come after its buffers are freed: 0.91 MiB.  The 4
+    # MiB box mask the proof read before it was banded took the peak to
+    # 4.10 MiB, and the old labeller's box-sized array of changes to 8.5.
+    assert _warm_peak_mib(segment.foreground_spans, image) < 1.5
+    # A proof that reads the whole box as one band holds it as a mask.
+    mutant = source_mutant(segment, "    step = _band_rows(height, padded)\n", "    step = height\n")
+    assert _warm_peak_mib(mutant["foreground_spans"], image) >= 1.5
