@@ -6,25 +6,27 @@ diagonal speckle never bridges into the object.
 The pipeline takes the object as row spans (``Spans``: each row's first
 and last column, and the object's pixel total), not as a mask, from
 ``foreground_spans``.  They are the spans of the largest 4-connected
-component, the object ``isolate_object`` keeps.  ``_box_spans`` proves
-from the spans alone that the foreground is one component when every row
-of its bounding box is one run overlapping the next.  When a row of the
-box is empty, when the proof fails (its buffers are freed first), and
-always in ``isolate_object``, ``_largest_runs`` labels the box over its
-row runs, not its pixels.  It compares the box with the threshold
-itself, band by band, into one reused buffer whose rows end in a
-``False`` column, and takes each band's run ends from one comparison of
-the flattened band with itself shifted by a slot; so no mask or array of
-the box's size is made.  A binary search finds the runs each run touches
-in the row above, and union-find joins them.  Past the bands, its work
-and memory grow with the number of runs, not with the box: a clean or
-lightly speckled object has a few per row, but a box of dense noise or
-fine stripes, with hundreds of thousands, labels several times slower
-than a pixel labeller would.  ``_box_spans`` reduces the kept runs to
-one span per row and sums their lengths, and ``isolate_object`` paints
-them into a mask.  The mask stages, ``binarize``, ``isolate_object``,
-``boundary`` and ``area``, take the steps one at a time for a caller
-that wants the masks; the pipeline does not call them.
+component, the object ``isolate_object`` keeps, and both take them from
+one labeller, ``_largest_runs``, which labels the foreground's bounding
+box over its row runs, not its pixels.  It compares the box with the
+threshold itself, band by band, into one reused buffer whose rows end
+in a ``False`` column, and takes each band's run ends from one
+comparison of the flattened band with itself shifted by a slot; so no
+mask or array of the box's size is made.  When there are as many runs
+as rows and each overlaps the one before it, every row is one run
+overlapping the next and the foreground is one component, as in a clean
+render: the runs are kept as they are.  Otherwise a binary search finds
+the runs each run touches in the row above, and union-find joins them
+(``_largest_component``).  Past the bands, its work and memory grow with
+the number of runs, not with the box: a clean or lightly speckled object
+has a few per row, but a box of dense noise or fine stripes, with
+hundreds of thousands, labels several times slower than a pixel
+labeller would.  ``_box_spans`` sums the kept runs' lengths and, where
+a row holds more than one, reduces them to one span per row, and
+``isolate_object`` paints them into a mask.  The mask stages,
+``binarize``, ``isolate_object``, ``boundary`` and ``area``, take the
+steps one at a time for a caller that wants the masks; the pipeline
+does not call them.
 
 Otsu's threshold of a two-level image (every pixel at its minimum or its
 maximum, as in a clean render) is its lower level plus one, so no
@@ -36,26 +38,20 @@ foreground's bounding box alone, band by band, from each band less the
 threshold, wrapped to ``uint8``.  Every threshold, fixed or Otsu's, then
 takes one route: ``_foreground_box`` finds the rows whose greatest value
 reaches it, reads the columns from those rows, and only the box they
-bound is compared with the threshold, so no mask of the image's size is
-made.  For the proof, whose box has no empty row, the box is compared
-with the threshold band by band, into one buffer whose rows are widened
-to whole 8-byte words, with the image's columns beside the box, below
-the threshold in its rows, or with ``False`` in an image too narrow for
-that, so that ``_last_true`` reverses each row by copying its words, in
-reverse order, into words of the other byte order; no mask of the box is
-made.  The same finder gives the box of ``isolate_object``'s mask, read
-as ``uint8`` against 1.  Only an image with a third level is counted
-into a histogram, two pixels at a time, as ``uint16`` pairs, into one
-``int32`` table of 65,536 bins, whose row and column sums fold into the
-256-bin histogram; no per-pixel ``int64`` copy is made.
+bound is compared with the threshold, by the labeller, so no mask of the
+image's size is made.  The same finder gives the box of
+``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
+with a third level is counted into a histogram, two pixels at a time,
+as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row
+and column sums fold into the 256-bin histogram; no per-pixel ``int64``
+copy is made.
 
-The four passes that read a box, the two-level test, the one-run proof's
-comparison with the threshold, its row ends (``_last_true``) and the
-labeller, each read it in pieces cut by one rule, ``_band_rows``: as few
-bands of whole rows as hold at most ``_COMPARE_BLOCK`` (64 Ki) items
-each, the rows shared out evenly.  A row wider than that is a band
-alone, so a pass holds one band's scratch at a time, 64 KiB unless a
-single row is wider, and no mask of the box is made.
+The two passes that read a box, the two-level test and the labeller,
+each read it in pieces cut by one rule, ``_band_rows``: as few bands of
+whole rows as hold at most ``_COMPARE_BLOCK`` (64 Ki) items each, the
+rows shared out evenly.  A row wider than that is a band alone, so a
+pass holds one band's scratch at a time, 64 KiB unless a single row is
+wider, and no mask of the box is made.
 """
 
 from __future__ import annotations
@@ -85,15 +81,10 @@ __all__ = [
 _PAIRS_PER_PASS = 1 << 29
 
 #: Most items one band of a blocked pass holds (``_band_rows``): pixels
-#: of the two-level test, bytes of the one-run proof's band and of its
-#: reversed copy in ``_last_true``, slots of ``_largest_runs``.  So their
-#: scratch arrays stay at 64 KiB whatever the image's size, unless a
-#: single row is wider.
+#: of the two-level test, slots of ``_largest_runs``.  So their scratch
+#: arrays stay at 64 KiB whatever the image's size, unless a single row is
+#: wider.
 _COMPARE_BLOCK = 1 << 16
-
-#: A 64-bit word of the other byte order: copying words into it reverses
-#: the bytes of each.
-_SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()
 
 #: One reduction per row, from its first column (``_row_maxima``).
 _ROW_START = np.zeros(1, dtype=np.intp)
@@ -110,17 +101,17 @@ def _band_rows(height: int, width: int) -> int:
     """Rows per band of ``height`` rows of ``width`` items: as few bands of
     whole rows, at most ``_COMPARE_BLOCK`` items each, as fit, with the rows
     shared out evenly so that no buffer is larger than the bands need.  A
-    row wider than ``_COMPARE_BLOCK`` is a band alone.  The two-level test,
-    the one-run proof (``_one_run_spans``, with ``_last_true``) and the
-    labeller read a box in these bands, so none makes a mask of it."""
+    row wider than ``_COMPARE_BLOCK`` is a band alone.  The two-level test
+    and the labeller read a box in these bands, so neither makes a mask of
+    it."""
     bands = -(-height // max(1, _COMPARE_BLOCK // width))
     return -(-height // bands)
 
 
-def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple[slice, slice]] | None:
+def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, tuple[slice, slice]] | None:
     """Otsu's threshold ``lo + 1`` of a checked image whose every pixel is
-    its minimum ``lo`` or its maximum ``hi``, with the rows and bounding
-    box of its foreground as ``_foreground_box`` gives them, else ``None``.
+    its minimum ``lo`` or its maximum ``hi``, with the bounding box of its
+    foreground as ``_foreground_box`` gives it, else ``None``.
     ``top`` is the image's row maxima.
 
     Each value less ``lo + 1``, wrapped modulo 256 to ``uint8``, reads 255
@@ -157,13 +148,13 @@ def _two_level(img: np.ndarray, top: np.ndarray) -> tuple[int, np.ndarray, tuple
     floor = hi - lo - 1
     if np.subtract(top, lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:
         return None
-    rows, box = _foreground_box(img, lo + 1, top)
+    box = _foreground_box(img, lo + 1, top)
     part = img[box]
     step = _band_rows(*part.shape)
     for r in range(0, len(part), step):
         if np.subtract(part[r:r + step], lo + 1, dtype=np.uint8, casting="unsafe").min() < floor:
             return None
-    return lo + 1, rows, box
+    return lo + 1, box
 
 
 def _histogram(image: np.ndarray) -> np.ndarray:
@@ -260,7 +251,7 @@ def foreground_spans(image: np.ndarray, threshold="otsu") -> Spans:
     Otsu, and the rows whose greatest value reaches the threshold are the
     rows that hold foreground.  The columns are read from those rows, and
     only the foreground's bounding box is compared with the threshold.  A
-    two-level image under Otsu takes its rows and box from ``_two_level``,
+    two-level image under Otsu takes its box from ``_two_level``,
     which tested that box; an image with a third level goes from the test
     of its row maxima straight to its histogram.
     """
@@ -275,7 +266,7 @@ def _foreground_spans(img: np.ndarray, threshold) -> Spans:
     if found is None:
         if t is None:
             t = _histogram_threshold(img)
-        found = t, *_foreground_box(img, t, top)
+        found = t, _foreground_box(img, t, top)
     # The row maxima are freed before the box is thresholded.
     del top
     return _box_spans(img, *found)
@@ -300,11 +291,11 @@ class Spans(NamedTuple):
     area: int
 
 
-def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray, tuple[slice, slice]]:
-    """The rows of ``a`` holding a value of at least ``t``, those whose
-    greatest value ``top`` reaches it, and the bounding box of those
-    values.  ``isolate_object`` reads its mask as the ``uint8`` view with
-    ``t`` 1."""
+def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[slice, slice]:
+    """The bounding box of the values of ``a`` of at least ``t``, whose
+    rows are those whose greatest value ``top`` reaches it.
+    ``isolate_object`` reads its mask as the ``uint8`` view with ``t``
+    1."""
     rows = (top >= t).nonzero()[0]
     if len(rows) == 0:
         raise ValueError("no object: mask has no foreground pixels")
@@ -312,13 +303,14 @@ def _foreground_box(a: np.ndarray, t: int, top: np.ndarray) -> tuple[np.ndarray,
     # the values lie in 0..255, and a wider dtype's maxima cost more memory.
     band = slice(rows[0], rows[-1] + 1)
     cols = (np.maximum.reduce(a[band], axis=0, dtype=np.uint8) >= t).nonzero()[0]
-    return rows, (band, slice(cols[0], cols[-1] + 1))
+    return band, slice(cols[0], cols[-1] + 1)
 
 
 def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, first columns and last columns (``intp``), in ``box``, of the
     runs of the largest 4-connected component of the foreground
-    ``img >= t`` inside the box ``box`` of a 2-D array, in row-major order.
+    ``img >= t`` inside its bounding box ``box`` (as ``_foreground_box``
+    gives it) of a 2-D array, in row-major order.
 
     Components are labelled over row runs, not pixels.  Each row gets a
     ``False`` column at its end, so in the flattened rows of ``width``
@@ -329,13 +321,13 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
     ``False`` slot; each band's changes are then one comparison of the
     flattened buffer with itself shifted by a slot.
     The runs one row up that touch a run are those ending after
-    ``s - width`` and starting before ``e - width``; no run of another
-    row lies between them.  Runs are joined by union-find: each root is
-    hooked to the smallest root it touches, then pointers are jumped to
-    their roots, until no edge joins two trees.  Every hook points to an
-    earlier run, so a root is its component's first run, and size ties
-    resolve to the component whose first pixel comes earliest in
-    row-major order.
+    ``s - width`` and starting before ``e - width``; no run of another row
+    lies between them.  So a run can touch the run just before it only if
+    that run lies in the row above, and when there are as many runs as
+    rows and each touches the one before it, every row is one run
+    overlapping the next, the foreground is one component, and its runs
+    are returned as they are.  Otherwise ``_largest_component`` joins
+    them.
     """
     part = img[box]
     h, w = part.shape
@@ -353,11 +345,29 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
         np.greater_equal(band, t, out=rows[:len(band), :w])
         size = len(band) * width
         np.not_equal(slots[1:size + 1], slots[:size], out=changes[:size])
-        found.append(np.flatnonzero(changes[:size]) + r * width)
+        found.append(changes[:size].nonzero()[0] + r * width)
     del slots, rows, changes
     ends = np.concatenate(found)
     del found
     start, end = ends[0::2], ends[1::2]
+    if not (len(start) == h and ((start[1:] - width < end[:-1]) & (end[1:] - width > start[:-1])).all()):
+        start, end = _largest_component(start, end, width)
+    rows, first = np.divmod(start, width)
+    return rows, first, end - 1 - rows * width
+
+
+def _largest_component(start: np.ndarray, end: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of the runs of the largest 4-connected
+    component among the runs ``start``, ``end`` of ``_largest_runs``, in
+    flattened rows of ``width`` slots.
+
+    The runs one row up that each run touches are found by binary search
+    on those bounds.  Runs are joined by union-find: each root is hooked to
+    the smallest root it touches, then pointers are jumped to their roots,
+    until no edge joins two trees.  Every hook points to an earlier run, so
+    a root is its component's first run, and size ties resolve to the
+    component whose first pixel comes earliest in row-major order.
+    """
     # One edge from each run to each run it touches one row up, the last
     # of them run hi - 1.  A run's edges are numbered on from
     # cumsum(touched) - touched, so edge i goes to run i + hi - cumsum(touched).
@@ -387,9 +397,7 @@ def _largest_runs(img: np.ndarray, t: int, box: tuple[slice, slice]) -> tuple[np
     sizes = np.zeros(len(start), dtype=np.intp)
     np.add.at(sizes, root, end - start)
     kept = root == sizes.argmax()
-    start, end = start[kept], end[kept]
-    rows = start // width
-    return rows, start - rows * width, end - 1 - rows * width
+    return start[kept], end[kept]
 
 
 def isolate_object(mask: np.ndarray) -> np.ndarray:
@@ -403,7 +411,7 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     """
     m = check_mask(mask)
     a = m.view(np.uint8)
-    _, box = _foreground_box(a, 1, a.max(axis=1, initial=0))
+    box = _foreground_box(a, 1, a.max(axis=1, initial=0))
     rows, first, last = _largest_runs(a, 1, box)
     # In the flattened mask, gaps and kept runs alternate from a gap at the
     # first pixel to one at the last, so the mask repeats False and True
@@ -418,115 +426,26 @@ def isolate_object(mask: np.ndarray) -> np.ndarray:
     return np.repeat(kept, np.diff(edges)).reshape(m.shape)
 
 
-def _last_true(words: np.ndarray, flipped: np.ndarray, turned: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out``, set to the last ``True`` of each row of a ``bool`` band
-    whose rows are whole 8-byte words, counted back from the row's last
-    column, or to 0 where a row has none.  ``words`` is the band viewed
-    as ``uint64``; ``flipped`` and ``turned`` are one buffer of at least as
-    many rows, viewed as words of the other byte order and as ``bool``.
-
-    The last is the first ``True`` of the row reversed, and a row of whole
-    8-byte words is reversed by reversing the order of its words and the
-    bytes in each word.  So the band is copied, word order reversed, into
-    ``flipped``, and ``argmax`` reads it as ``turned``."""
-    n = len(words)
-    flipped[:n] = words[:, ::-1]
-    return turned[:n].argmax(axis=1, out=out)
-
-
-def _one_run_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans | None:
-    """``Spans`` of the foreground ``img >= t`` if every row of its
-    bounding box ``box`` is one run overlapping the columns of the next,
-    so that the foreground is one component, else ``None``.  ``rows`` are
-    the rows holding foreground, as ``_foreground_box`` gives them, and
-    every row of the box is one of them.
-
-    The box's rows are compared with ``t`` in bands (``_band_rows``) into
-    one buffer whose rows are whole 8-byte words, as ``_last_true`` takes
-    them.  Its columns are the box's and, beside them, as many of the
-    image's as it takes to fill the last word: in the box's rows those are
-    below ``t``, so they read ``False``.  Only in an image too narrow for
-    that are the columns past the box's set to ``False``.  Each band
-    gives its rows' first columns, last columns (``_last_true``, counted
-    back from the buffer's last column) and pixel count, and the proof
-    fails at the first band holding a row that is not one run.  Whether
-    each row overlaps the next, across band edges too, is tested once
-    after the last band, from the row ends alone.  The buffer, and the one
-    ``_last_true`` reverses into, are made once, so no mask of the box is
-    made, and both are freed on return.
-    """
-    height = len(rows)
-    left, width = box[1].start, box[1].stop - box[1].start
-    padded = -(-width // 8) * 8
-    step = _band_rows(height, padded)
-    # The band, and the reversed band _last_true reads, in one buffer.
-    buffer = np.empty((2, step, padded), dtype=bool)
-    band, turned = buffer
-    if padded <= img.shape[1]:
-        left = min(left, img.shape[1] - padded)
-        image, cols = img[box[0], left:left + padded], band
-    else:
-        image, cols = img[box], band[:, :width]
-        band[:, width:] = False
-    words = buffer.view(np.uint64)[0]
-    flipped = buffer.view(_SWAPPED_WORD)[1]
-    # Each row's first column, and its last counted back from padded - 1,
-    # so that the row's span is padded - head - tail columns wide.
-    ends = np.empty((2, height), dtype=np.intp)
-    head, tail = ends
-    total = 0
-    for r in range(0, height, step):
-        part = image[r:r + step]
-        n = len(part)
-        np.greater_equal(part, t, out=cols[:n])
-        band[:n].argmax(axis=1, out=head[r:r + n])
-        _last_true(words[:n], flipped, turned, tail[r:r + n])
-        count = int(np.count_nonzero(band[:n]))
-        # A row's count is at most the width of its span, so the counts
-        # are equal only if every row is one run.
-        if count != n * padded - ends[:, r:r + n].sum():
-            return None
-        total += count
-    # Rows i and i + 1 overlap when head[i + 1] + tail[i] and
-    # head[i] + tail[i + 1] are both below padded.
-    if (ends[:, 1:] + ends[::-1, :-1]).max(initial=0) >= padded:
-        return None
-    return Spans(rows, left + head, left + padded - 1 - tail, total)
-
-
-def _box_spans(img: np.ndarray, t: int, rows: np.ndarray, box: tuple[slice, slice]) -> Spans:
+def _box_spans(img: np.ndarray, t: int, box: tuple[slice, slice]) -> Spans:
     """``Spans`` of the largest 4-connected component of the foreground
-    ``img >= t``, the object ``isolate_object`` keeps, from the rows
-    ``rows`` holding foreground and its bounding box ``box``, as
-    ``_foreground_box`` gives them.
+    ``img >= t``, the object ``isolate_object`` keeps, from its bounding
+    box ``box``, as ``_foreground_box`` gives it.
 
-    The foreground is proved to be one component, without labelling it,
-    when its bounding box has no empty row, every row is one run, and each
-    run overlaps the columns of the next (``_one_run_spans``, in bands).
-    An empty row rejects the proof before any pixel is compared with
-    ``t``.  Where the proof fails or is rejected, the box is labelled by
-    its row runs (``_largest_runs``, which compares it with ``t`` band by
-    band), the kept runs are reduced to one span per row, and their
-    lengths are summed to the pixel total; no label raster or kept mask is
-    made.
+    The box is labelled by its row runs (``_largest_runs``, which
+    compares it with ``t`` band by band), and the kept runs' lengths are
+    summed to the pixel total; no label raster or kept mask is made.  A
+    component's rows are contiguous, so only when it has more runs than
+    rows are they reduced to one span per row.
     """
-    # The empty-row test only rejects early: the one-run test fails on an
-    # empty row too.
-    if len(rows) == box[0].stop - box[0].start:
-        spans = _one_run_spans(img, t, rows, box)
-        if spans is not None:
-            return spans
     ys, first, last = _largest_runs(img, t, box)
-    # The runs are in row-major order: a row's first run holds its first
-    # column and its last run its last.
-    heads = np.flatnonzero(np.diff(ys, prepend=-1))
-    tails = np.append(heads[1:], len(ys)) - 1
-    return Spans(
-        box[0].start + ys[heads],
-        box[1].start + first[heads],
-        box[1].start + last[tails],
-        int(np.sum(last - first + 1)),
-    )
+    total = int((last - first + 1).sum())
+    if len(ys) > ys[-1] - ys[0] + 1:
+        # The runs are in row-major order: a row's first run holds its
+        # first column and its last run its last.
+        heads = np.flatnonzero(np.diff(ys, prepend=-1))
+        tails = np.append(heads[1:], len(ys)) - 1
+        ys, first, last = ys[heads], first[heads], last[tails]
+    return Spans(box[0].start + ys, box[1].start + first, box[1].start + last, total)
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:

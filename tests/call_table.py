@@ -32,8 +32,8 @@ the only ones of these that reach the run labeller:
 
     PYTHONPATH=src python tests/call_table.py
 
-It only reports; ``test_call_table.py`` pins the 256x256 totals of both
-tables.  pytest does not collect this file (its name does not start with
+It only reports; ``test_call_table.py`` pins the totals of the clean
+renders at both sizes and of the speckled ones.  pytest does not collect this file (its name does not start with
 ``test_``).
 """
 

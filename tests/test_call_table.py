@@ -2,7 +2,9 @@
 
 At 256x256 the pipeline is bound by the fixed cost of each numpy call,
 so the count per corpus shape, as ``call_table.py`` counts it, is pinned
-as an upper bound, the way the allocation peaks are pinned.  Counts are
+as an upper bound, the way the allocation peaks are pinned; so is the
+count at 1024x1024, where the segment stage's calls grow with the bands
+its box is read in.  Counts are
 deterministic, so a change that adds calls fails here whatever the
 machine's speed.
 """
@@ -15,14 +17,26 @@ from shapeid import corpus, render
 
 #: Most numpy calls of one call on each clean 256x256 corpus render.
 BUDGET_256 = {
-    "rectangle": 41,
-    "cylinder": 41,
-    "kite": 42,
-    "square": 41,
-    "rhombus": 42,
-    "hemisphere": 42,
-    "triangle": 42,
-    "cone": 44,
+    "rectangle": 39,
+    "cylinder": 39,
+    "kite": 40,
+    "square": 39,
+    "rhombus": 40,
+    "hemisphere": 40,
+    "triangle": 40,
+    "cone": 42,
+}
+
+#: Most numpy calls of one call on each clean 1024x1024 corpus render.
+BUDGET_1024 = {
+    "rectangle": 43,
+    "cylinder": 77,
+    "kite": 46,
+    "square": 43,
+    "rhombus": 48,
+    "hemisphere": 54,
+    "triangle": 44,
+    "cone": 59,
 }
 
 #: Most numpy calls of one call on each speckled 256x256 render of the
@@ -46,6 +60,11 @@ def _over_budget(calls: dict[str, dict[str, int]], budget: dict[str, int]) -> di
 
 def test_each_corpus_shape_stays_within_its_256_budget():
     over = _over_budget(corpus_calls(256), BUDGET_256)
+    assert not over, over
+
+
+def test_each_corpus_shape_stays_within_its_1024_budget():
+    over = _over_budget(corpus_calls(1024), BUDGET_1024)
     assert not over, over
 
 

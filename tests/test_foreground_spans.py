@@ -8,15 +8,15 @@ before that route was shared, or raise the same ``ValueError``; those
 two functions, and the ones they called that have since been rewritten,
 are kept below as the oracle, verbatim but for the row minima the old
 ``_two_level`` gathered for ``foreground_spans`` alone.  The oracle's
-``_box_spans`` and ``_run_ends`` are the ones that found each row's last
-pixel by ``argmax`` over numpy's reversed copy, before the box was
-compared with the threshold into rows of whole words, band by band; the
-row ends the one-run proof reads with ``_last_true`` are also checked
-against the old ``_run_ends`` directly, and ``_two_level`` against the
-full histogram.  The oracle's ``_largest_runs`` labelled a whole box
-mask; the labeller that thresholds its box in bands is checked against
-it directly, on boxes of several bands, and through ``isolate_object``.
-Source mutants of the bounding box and the row ends must be caught by
+``_box_spans`` and ``_run_ends`` are the ones that proved one component
+from each row's first and last pixel, found by ``argmax`` over the box
+mask and numpy's reversed copy of it, before the proof was folded into
+the run labeller; ``_two_level`` is also checked against the full
+histogram.  The oracle's ``_largest_runs`` labelled a whole box mask;
+the labeller that thresholds its box in bands, and proves one component
+from its runs, is checked against it directly, on boxes of several
+bands, and through ``isolate_object``.  Source mutants of the bounding
+box, the proof and the reduction to one span per row must be caught by
 the same comparison, and the traced peak of ``classify_raster`` on a
 1024x1024 render stays below a full-size mask beside the box, under Otsu
 and under a fixed threshold, and on every clean 1024x1024 corpus render
@@ -328,7 +328,7 @@ def test_foreground_spans_match_the_mask_path(image, threshold):
 
 
 #: Widths around one 8-byte word, and around a row of 1024 pixels, which
-#: the row ends read in more than one band once a box has 65 rows.
+#: the labeller reads in more than one band in a box of 70 rows.
 _WIDTHS = st.one_of(st.integers(1, 17), st.integers(1023, 1025))
 
 
@@ -385,53 +385,14 @@ def test_row_maxima_and_padded_rows_match_the_oracles(image):
             assert found[0] == _histogram_threshold(view)
 
 
-@st.composite
-def _run_masks(draw):
-    """Masks of 1 to 200 rows of widths 1-17 or 1023-1025, each row empty,
-    one run or two."""
-    h, w = draw(st.sampled_from([1, 2, 65, 200])), draw(_WIDTHS)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mask = np.zeros((h, w), dtype=bool)
-    runs = draw(st.sampled_from([(1,), (0, 1), (1, 2), (0, 1, 2)]))
-    for y in range(h):
-        for _ in range(runs[rng.integers(len(runs))]):
-            x0, x1 = sorted(rng.integers(0, w, 2))
-            mask[y, x0:x1 + 1] = True
-    return mask
-
-
-def _new_run_ends(last_true, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``old_run_ends`` of ``mask`` as the one-run proof reads it: from the
-    mask padded to whole words, as one band, with the last columns from
-    ``last_true``, which counts them back from the padded width."""
-    padded = _padded(mask)
-    turned = np.empty_like(padded)
-    tail = np.empty(len(padded), dtype=np.intp)
-    last_true(padded.view(np.uint64), turned.view(segment._SWAPPED_WORD), turned, tail)
-    last, first = padded.shape[1] - 1 - tail, padded.argmax(axis=1)
-    total = int(np.count_nonzero(padded))
-    if total != np.sum(last - first + 1):
-        return None
-    return first, last, total
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mask=_run_masks())
-def test_last_true_of_the_padded_mask_matches_the_old_run_ends(mask):
-    new, old = _new_run_ends(segment._last_true, mask), old_run_ends(mask)
-    assert (new is None) == (old is None)
-    if new is not None:
-        assert [part.tolist() for part in new[:2]] + [new[2]] == [part.tolist() for part in old[:2]] + [old[2]]
-
-
 def _box_cases():
     """Two-level images whose foreground bounds lie in different blocks:
     a rhombus widest in its middle rows, an object in the last block only,
     one in the last columns of a row whose width is not a multiple of 8,
     one cut across the blocks of rows wider than a block, one touching
-    every edge, one in an image too narrow for its box's last word, and
-    two objects that meet only at a corner where the proof's bands
-    meet."""
+    every edge, one whose rows each end at the image's last column, and
+    two objects that meet only at a corner where the labeller's bands
+    meet, the lower one right of the upper one or left of it."""
     rhombus = render(dict(corpus(1024, 1024))["rhombus"], 1024, 1024)
     yield rhombus
     late = np.zeros((300, 257), dtype=np.uint8)
@@ -449,18 +410,19 @@ def _box_cases():
     framed[[0, -1], :] = 90
     framed[:, [0, -1]] = 90
     yield framed
-    # One run per row, up to the last column of an image too narrow for
-    # the box's last word.
+    # One run per row, up to the image's last column.
     narrow = np.zeros((20, 13), dtype=np.uint8)
     narrow[:, 2:] = 200
     yield narrow
     # Two blocks of one run per row, one below and right of the other,
-    # meeting only at a corner where the proof's bands meet: two objects.
-    stairs = np.zeros((128, 1024), dtype=np.uint8)
+    # meeting only at a corner where the labeller's bands of 1,024-slot
+    # rows meet: two objects.
+    stairs = np.zeros((128, 1023), dtype=np.uint8)
     stairs[:64, :500] = 200
     stairs[64:, 500:] = 200
     assert segment._band_rows(128, 1024) == 64
     yield stairs
+    yield stairs[:, ::-1]
 
 
 def test_foreground_spans_match_on_the_box_cases():
@@ -472,9 +434,10 @@ def test_foreground_spans_match_on_the_box_cases():
 
 
 # Mutation checks: each fragment of segment.py below is replaced by a
-# plausible mistake in the foreground's bounding box, and the comparison
-# above must then find a case that differs, under Otsu and, where the
-# fragment is on its route, under a fixed threshold.
+# plausible mistake in the foreground's bounding box, the one-component
+# proof or the reduction to one span per row, and the comparison above
+# must then find a case that differs, under Otsu and, where the fragment
+# is on its route, under a fixed threshold.
 
 @pytest.mark.parametrize("old, new, fixed_sees_it", [
     # the columns of the last row with foreground only
@@ -483,17 +446,21 @@ def test_foreground_spans_match_on_the_box_cases():
     # the band's last row cut off
     ("band = slice(rows[0], rows[-1] + 1)", "band = slice(rows[0], rows[-1])", True),
     # the box one column short on the right
-    ("return rows, (band, slice(cols[0], cols[-1] + 1))",
-     "return rows, (band, slice(cols[0], cols[-1]))", True),
-    # the padding of a box too wide for the image's last word read as True
-    ("band[:, width:] = False", "band[:, width:] = True", True),
-    # the mask's columns not moved left of a box in the image's last ones
-    ("left = min(left, img.shape[1] - padded)", "left = left", True),
-    # the proof's last band read past the box's last row
-    ("image, cols = img[box[0], left:left + padded], band",
-     "image, cols = img[box[0].start:, left:left + padded], band", True),
-    # the proof's overlap test left out
-    ("if (ends[:, 1:] + ends[::-1, :-1]).max(initial=0) >= padded:", "if False:", True),
+    ("return band, slice(cols[0], cols[-1] + 1)",
+     "return band, slice(cols[0], cols[-1])", True),
+    # the proof without its test that each run starts left of the end of
+    # the one above
+    ("((start[1:] - width < end[:-1]) & (end[1:] - width > start[:-1])).all()",
+     "(end[1:] - width > start[:-1]).all()", True),
+    # the proof without its test that each run ends right of the start of
+    # the one above
+    ("((start[1:] - width < end[:-1]) & (end[1:] - width > start[:-1])).all()",
+     "(start[1:] - width < end[:-1]).all()", True),
+    # runs that meet only at a corner read as overlapping
+    ("(start[1:] - width < end[:-1])", "(start[1:] - width <= end[:-1])", True),
+    ("(end[1:] - width > start[:-1])", "(end[1:] - width >= start[:-1])", True),
+    # the kept runs never reduced to one span per row
+    ("if len(ys) > ys[-1] - ys[0] + 1:", "if False:", True),
 ])
 def test_box_mutants_are_caught(old, new, fixed_sees_it):
     mutant = source_mutant(segment, old, new)
@@ -514,64 +481,6 @@ def test_box_mutants_are_caught(old, new, fixed_sees_it):
         assert caught(fixed=True)
 
 
-def _padded(mask: np.ndarray) -> np.ndarray:
-    h, w = mask.shape
-    padded = np.zeros((h, -(-w // 8) * 8), dtype=bool)
-    padded[:, :w] = mask
-    return padded
-
-
-def _row_end_cases():
-    """Masks of one run per row, each overlapping the next, so that the
-    one-run proof holds: 70 rows of 1025 pixels, which the proof reads in
-    two bands, and 8 rows of 17 pixels whose runs end at each byte of a
-    word."""
-    rng = np.random.default_rng(70)
-    wide = np.zeros((70, 1025), dtype=bool)
-    for y, (x0, x1) in enumerate(zip(rng.integers(0, 513, 70), rng.integers(512, 1025, 70))):
-        wide[y, x0:x1 + 1] = True
-    assert segment._band_rows(70, 1032) < 70
-    yield wide
-    short = np.zeros((8, 17), dtype=bool)
-    for y in range(8):
-        short[y, y + 1:y + 9] = True
-    yield short
-
-
-def _proved(one_run_spans, mask: np.ndarray):
-    """``one_run_spans`` of ``mask``, read as ``uint8`` against 1, as plain
-    values, or its error."""
-    a = mask.view(np.uint8)
-    rows, box = segment._foreground_box(a, 1, a.max(axis=1))
-    try:
-        spans = one_run_spans(a, 1, rows, box)
-    except (ValueError, IndexError) as err:
-        return "broken", repr(err)
-    return spans and (tuple(part.tolist() for part in spans[:3]), spans.area)
-
-
-# Mutation checks of the row ends: a wrong last column fails the one-run
-# test, and the labeller then gives the right spans, so these mistakes
-# show only in the proof's own result, on masks where it must hold.
-
-@pytest.mark.parametrize("old, new", [
-    # the rows' words reversed, but not the bytes in each
-    ("_SWAPPED_WORD = np.dtype(np.uint64).newbyteorder()", "_SWAPPED_WORD = np.dtype(np.uint64)"),
-    # the bytes in each word reversed, but not the words
-    ("flipped[:n] = words[:, ::-1]", "flipped[:n] = words"),
-    # every band's ends written to the first band's rows
-    ("_last_true(words[:n], flipped, turned, tail[r:r + n])", "_last_true(words[:n], flipped, turned, tail[:n])"),
-    # the last column counted back from the unpadded width of a 15-pixel box
-    ("left + padded - 1 - tail", "left + width - 1 - tail"),
-])
-def test_row_end_mutants_are_caught(old, new):
-    mutant = source_mutant(segment, old, new)
-    cases = list(_row_end_cases())
-    expected = [_outcome(_reference, m.view(np.uint8), 1) for m in cases]
-    assert [_proved(segment._one_run_spans, m) for m in cases] == expected
-    assert [_proved(mutant["_one_run_spans"], m) for m in cases] != expected
-
-
 def _peak_mib(fn, *args):
     fn(*args)  # first call: let numpy set up its caches
     tracemalloc.start()
@@ -585,7 +494,7 @@ def _peak_mib(fn, *args):
 @pytest.mark.parametrize("threshold", ["otsu", 128])
 def test_two_level_render_peaks_below_a_full_mask(threshold):
     image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
-    # The proof's band and its reversed copy (0.12 MiB); the 1 MiB
+    # The labeller's band and its changes (0.12 MiB); the 1 MiB
     # full-size mask took the peak to 1.32 MiB.
     assert _peak_mib(classify_raster, image, None, threshold) < 0.75
 
@@ -593,9 +502,9 @@ def test_two_level_render_peaks_below_a_full_mask(threshold):
 @pytest.mark.parametrize("name", [name for name, _ in corpus(1024, 1024)])
 def test_clean_1024_renders_peak_below_the_box_mask(name):
     image = render(dict(corpus(1024, 1024))[name], 1024, 1024)
-    # The one-run proof holds two 64 KiB band buffers, not the box.  With
-    # the box mask the largest peak was the rhombus's, 0.360 MiB; banded
-    # it is the cylinder's, 0.140 MiB.
+    # The labeller holds two 64 KiB band buffers, not the box.  With the
+    # box mask the largest peak was the rhombus's, 0.360 MiB; banded it is
+    # the rhombus's, 0.140 MiB.
     assert _peak_mib(classify_raster, image) <= 0.16
 
 
@@ -615,7 +524,7 @@ def test_wide_int64_image_peaks_as_its_uint8_twin(fn):
 
 def _check_banded_runs(mask: np.ndarray) -> None:
     a = mask.view(np.uint8)
-    _, box = segment._foreground_box(a, 1, a.max(axis=1, initial=0))
+    box = segment._foreground_box(a, 1, a.max(axis=1, initial=0))
     new, old = segment._largest_runs(a, 1, box), old_largest_runs(mask[box])
     assert [part.tolist() for part in new] == [part.tolist() for part in old]
     assert [part.dtype for part in new] == [np.dtype(np.intp)] * 3

@@ -1,9 +1,10 @@
 """The object's row spans against the mask path they replaced.
 
 ``classify_raster`` reads the largest component's row spans straight from
-the thresholded box (``segment.foreground_spans``).  It proves the
-foreground is one component without labelling it when every row of its
-box is one run overlapping the next, and labels the box otherwise.  A
+the thresholded box (``segment.foreground_spans``), by its row runs.  It
+proves the foreground is one component, with no union-find, when every
+row of its box is one run overlapping the next, and joins the runs
+otherwise.  A
 mask is fed to it as a two-level image under the fixed threshold 1
 (``mask_spans``).  The old path, ``isolate_object`` then the row extremes
 and pixel count of the kept mask, is kept here verbatim as the oracle.
@@ -135,7 +136,8 @@ def _noise(share: float, side: int = 256) -> np.ndarray:
     return np.random.default_rng(int(100 * share)).random((side, side)) < share
 
 
-# name: (mask, whether the proof holds without labelling)
+# name: (mask, whether the foreground is proved one component, so that
+# no union-find runs)
 CRAFTED = {
     "diagonal-pixels": (_mask("#. .#"), False),
     "diagonal-blocks": (_mask("##.. ##.. ..## ..##"), False),
@@ -146,6 +148,8 @@ CRAFTED = {
     "c-shape": (_mask("##### #.... #.... #####"), True),
     "hole": (_mask("##### #.#.# ##### #####"), False),
     "empty-row-inside": (_mask("###. .... .##."), False),
+    # As many runs as rows, but not one run per row.
+    "two-runs-over-an-empty-row": (_mask("#.# ... .#."), False),
     "one-by-n": (_mask("..... .####"), True),
     "n-by-one": (_mask("#. #. #."), True),
     "single-pixel": (_mask("... .#. ..."), True),
@@ -170,21 +174,22 @@ CRAFTED = {
 
 
 class _CountingLabeller:
-    """``segment._largest_runs`` with its calls counted."""
+    """``segment._largest_component``, the run labeller's union-find, with
+    its calls counted."""
 
     def __init__(self):
         self.calls = 0
-        self._label = segment._largest_runs
+        self._label = segment._largest_component
 
-    def __call__(self, img, t, box):
+    def __call__(self, start, end, width):
         self.calls += 1
-        return self._label(img, t, box)
+        return self._label(start, end, width)
 
 
 @pytest.fixture
 def labelling(monkeypatch):
     counter = _CountingLabeller()
-    monkeypatch.setattr(segment, "_largest_runs", counter)
+    monkeypatch.setattr(segment, "_largest_component", counter)
     return counter
 
 
@@ -220,9 +225,9 @@ def test_corpus_shapes_are_proved_without_labelling(size, labelling):
     for name, spec in corpus(size, size):
         image = render(spec, size, size)
         classify_raster(image)
+        # isolate_object takes the same proof.
+        assert_spans_match_oracle(binarize(image))
         assert labelling.calls == 0, name
-        assert_spans_match_oracle(binarize(image))  # isolate_object labels
-        labelling.calls = 0
 
 
 def _speckled_square(size: int) -> np.ndarray:
@@ -249,7 +254,7 @@ def _peak_mib(fn, *args):
 
 def test_proved_path_allocates_no_second_mask():
     image = render(dict(corpus(1024, 1024))["square"], 1024, 1024)
-    # The proof's band and its reversed copy (0.12 MiB); a 1 MiB
+    # The labeller's band and its changes (0.12 MiB); a 1 MiB
     # threshold mask, a labelled box and a kept mask took 3.2 MiB.
     assert _peak_mib(classify_raster, image) < 1.5
 

@@ -447,7 +447,7 @@ def _third_level_images():
      'part[r:r + step], lo + 1, dtype=np.uint8, casting="unsafe").min() < 0:'),
     # the box of the upper level alone: a third level in a column holding
     # no upper level is read as background
-    ("rows, box = _foreground_box(img, lo + 1, top)", "rows, box = _foreground_box(img, hi, top)"),
+    ("box = _foreground_box(img, lo + 1, top)", "box = _foreground_box(img, hi, top)"),
     # the band's last row cut off
     ("band = slice(rows[0], rows[-1] + 1)", "band = slice(rows[0], rows[-1])"),
 ])
@@ -529,16 +529,16 @@ def test_a_failed_proof_holds_no_box_mask():
     image = _speckled(render(dict(corpus(2048, 2048))["rectangle"], 2048, 2048), np.random.default_rng(2048))
     t = segment._histogram_threshold(image)
     foreground = image >= t
-    # Every row holds foreground, so the one-run proof reads the box; the
-    # object is not all of it, so the proof fails.
+    # Every row holds foreground, but the object is not all of it, so the
+    # one-component proof fails and the runs are joined by union-find.
     assert foreground.any(axis=1).all()
     assert segment.foreground_spans(image).area < np.count_nonzero(foreground)
     del foreground
-    # The proof reads the box in 64 KiB bands, and the labeller's arrays
-    # for 21,626 runs come after its buffers are freed: 0.91 MiB.  The 4
-    # MiB box mask the proof read before it was banded took the peak to
-    # 4.10 MiB, and the old labeller's box-sized array of changes to 8.5.
+    # The labeller reads the box in 64 KiB bands, and its arrays for
+    # 21,626 runs come after its buffers are freed: 0.90 MiB.  The 4 MiB
+    # box mask the proof read before it was banded took the peak to 4.10
+    # MiB, and the old labeller's box-sized array of changes to 8.5.
     assert _warm_peak_mib(segment.foreground_spans, image) < 1.5
-    # A proof that reads the whole box as one band holds it as a mask.
-    mutant = source_mutant(segment, "    step = _band_rows(height, padded)\n", "    step = height\n")
+    # A labeller that reads the whole box as one band holds it as a mask.
+    mutant = source_mutant(segment, "    step = _band_rows(h, width)\n", "    step = h\n")
     assert _warm_peak_mib(mutant["foreground_spans"], image) >= 1.5
