@@ -11,15 +11,17 @@ P2 pixel data is written in bulk: one lookup of a 256-word table gives
 each pixel a 4-byte word, its digits padded with NUL bytes to three and
 then a space (a newline at the end of a row), and one ``bytes.translate``
 drops the NUL bytes.  It is read by digit arithmetic in numpy, in blocks
-of ``_P2_BLOCK`` bytes.  Neither makes a Python object per pixel.  Pixel
-data the bulk reader cannot take as it is (comments or any byte but
-digits and whitespace before the last pixel, such a byte right after a
-digit, too few values, and up to the last pixel, digit runs of four or
-more or values above 255) goes to a token loop, which gives
-the same result and the same errors.  Tokens of up to three digits,
-leading zeros included, take the bulk path.  Like the token loop, the
-bulk reader reads nothing after the last pixel but the byte that ends it,
-so whatever follows that byte takes the bulk path too.
+of ``_P2_BLOCK`` bytes (32 KiB) that write their values straight into the
+image, with about five bytes of scratch per block byte.  Neither makes a
+Python object per pixel.  Pixel data the bulk reader cannot take as it
+is (comments or any byte but digits and whitespace before the last
+pixel, such a byte right after a digit, too few values, and up to the
+last pixel, digit runs of four or more or values above the header's
+maxval) goes to a token loop, which gives the same result and the same
+errors.  A pixel above maxval is a parse error, in P5 too.  Tokens of up
+to three digits, leading zeros included, take the bulk path.  Like the
+token loop, the bulk reader reads nothing after the last pixel but the
+byte that ends it, so whatever follows that byte takes the bulk path too.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ _COMMENT = 0x23  # '#'
 _TOKEN = re.compile(rb"(?:[%(ws)s]+|#[^\n]*)*([^#%(ws)s]*)" % {b"ws": re.escape(_WHITESPACE)})
 #: Bytes of P2 pixel data the bulk reader takes per numpy pass, which
 #: bounds its working memory apart from the image it returns.
-_P2_BLOCK = 1 << 14
+_P2_BLOCK = 1 << 15
 #: ``_P2_WORDS[v]`` is the P2 text of ``v`` as one 4-byte word: its
 #: digits padded with NUL bytes to three, then a space.
 _P2_WORDS = np.frombuffer(
@@ -86,32 +88,42 @@ def _number(token: bytes, start: int, what: str, low: int, high: int, refusal: s
     return value
 
 
-def _p2_tokens(data: bytes, pos: int, count: int) -> np.ndarray:
-    """Read ``count`` P2 pixel tokens from ``data[pos:]`` one at a time.
+def _p2_tokens(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """Read ``count`` P2 pixel tokens of at most ``maxval`` from
+    ``data[pos:]`` one at a time.
 
     This is the reference parser and the only one that raises pixel-data
     errors.  It allows comments between pixels, leading zeros and anything
     after the last pixel.
     """
     values = []
+    refusal = f"pixel value {{}} exceeds {maxval}"
     while len(values) < count:
         match = _TOKEN.match(data, pos)
         if not match[1]:
             message = f"pixel data holds {len(values)} values, header promises {count}"
             raise PgmParseError(message, len(data))
-        values.append(_number(match[1], match.start(1), "pixel", 0, 255, "pixel value {} exceeds 255"))
+        values.append(_number(match[1], match.start(1), "pixel", 0, maxval, refusal))
         pos = match.end()
     return np.array(values, dtype=np.uint8)
 
 
-def _p2_block_values(block: np.ndarray, need: int) -> tuple[np.ndarray | None, int]:
-    """The values of the P2 pixel tokens in ``block[:end]``, a ``uint8``
-    view that no token crosses, and ``end``: the index right after the
-    ``need``-th token if the block holds that many, else the index of its
-    first byte that is neither a digit nor whitespace, or its length.  The
-    values are ``None`` if that prefix holds a digit run of four or more or
-    a value above 255.  Each value is read at its token's last digit, from
-    that digit and the two before it.
+def _p2_block_values(
+    block: np.ndarray, need: int, maxval: int, out: np.ndarray
+) -> tuple[int, int] | None:
+    """Write the values of the P2 pixel tokens in ``block[:end]``, a
+    ``uint8`` view that no token crosses, to the start of ``out``, and
+    return their number and ``end``: the index right after the ``need``-th
+    token if the block holds that many, else the index of its first byte
+    that is neither a digit nor whitespace, or its length.  Return ``None``
+    if that prefix holds a digit run of four or more or a value above
+    ``maxval``.  Each value is read at its token's last digit, from that
+    digit and the two before it.
+
+    Apart from ``out``, a block of L bytes needs at most 5 L bytes of
+    scratch at once, and a numpy cast buffer: three byte arrays and the
+    ``uint16`` values.  The values are compacted in two halves of the
+    block, so only one half's ``intp`` token index exists at a time.
     """
     # Less '0', digits are 0..9, a space wraps to 240 and \t..\r to 217..221.
     d = np.subtract(block, 0x30, dtype=np.uint8)
@@ -121,45 +133,69 @@ def _p2_block_values(block: np.ndarray, need: int) -> tuple[np.ndarray | None, i
     if not known.all():
         end = int(known.argmin())
         d, digit = d[:end], digit[:end]
-    # Freed before the arrays below, so the block's peak does not grow.
-    del known
-    d *= digit
-    # tens[i] is the number the digits at i-1 and i make, or 0 at a
-    # separator, so a token ending at i reads d[i] + 10 tens[i-1].
-    tens = d.copy()
-    tens[1:] += np.multiply(d[:-1], 10, dtype=np.uint8)
-    tens *= digit
-    value = d.astype(np.uint16)
-    value[1:] += np.multiply(tens[:-1], 10, dtype=np.uint16)
+    # A run of four digits starts where the digit pairs at i and i + 2 both
+    # are; it counts only if it ends by the final ``end``.
+    pairs = np.logical_and(digit[:-1], digit[1:], out=known[: max(end - 1, 0)])
+    fours = pairs[:-2] & pairs[2:]
+    first_four = int(fours.argmax()) if fours.any() else end
+    # Each array is freed once read, so the block's peak does not grow.
+    del known, pairs, fours
+    # t[i], at buf[i + 1], is the number the digits at i - 1 and i make, or
+    # 0 at a separator, so a token ending at i reads d[i] + 10 buf[i].  The
+    # buffer then holds the token ends.
+    digit8 = digit.view(np.uint8)
+    d *= digit8
+    buf = np.zeros(end + 1, dtype=np.uint8)
+    t = buf[1:]
+    np.multiply(d[:-1], 10, out=t[1:])
+    t += d
+    t *= digit8
+    value = buf[:end].astype(np.uint16)
+    value *= 10
+    value += d
     # A token ends at a digit followed by a separator; the prefix's last
     # byte is followed by one, by a byte that ends the token as a comment
     # does or makes it no number, or by the end of the data.
-    ends = digit.copy()
+    ends = buf[:end].view(bool)
     np.greater(digit[:-1], digit[1:], out=ends[:-1])
-    found = np.compress(ends, value)
-    if len(found) >= need:
-        # The block holds the last value needed: check nothing after it.
-        end = int(np.flatnonzero(ends)[need - 1]) + 1
-        found, digit = found[:need], digit[:end]
-    pairs = digit[1:] & digit[:-1]
-    if (pairs[2:] & pairs[:-2]).any() or (len(found) and found.max() > 255):
-        return None, end
-    return found, end
+    ends[-1:] = digit[-1:]
+    del d, digit, digit8, t
+    count = 0
+    for low, high in ((0, end // 2), (end // 2, end)):
+        at = np.flatnonzero(ends[low:high])
+        if len(at) >= need - count:
+            # The block holds the last value needed: check nothing after it.
+            at = at[: need - count]
+            end = low + int(at[-1]) + 1
+        if len(at):
+            found = value[low:high].take(at)
+            if found.max() > maxval:
+                return None
+            out[count : count + len(at)] = found
+            count += len(at)
+            del at, found
+        if count == need:
+            break
+    if first_four + 4 <= end:
+        return None
+    return count, end
 
 
-def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
+def _p2_bulk(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray | None:
     """Read the P2 pixel data ``data[pos:]`` by digit arithmetic in numpy,
     about ``_P2_BLOCK`` bytes at a time.
 
     Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
-    need the token loop: a digit run of four or more or a value above 255
-    up to the ``count``-th value, fewer than ``count`` values, any byte but
-    digits and whitespace before the ``count``-th value, or a byte right
-    after it that is neither whitespace nor ``#``.  Like the token loop, it
-    reads nothing past that byte.  The bytes are not copied, and no Python
-    object is made per token.  Each value takes at least one byte, so with
-    fewer than ``count`` bytes it returns ``None`` before the output array
-    is made: a short file cannot make it allocate what its header promises.
+    need the token loop: a digit run of four or more or a value above
+    ``maxval`` up to the ``count``-th value, fewer than ``count`` values,
+    any byte but digits and whitespace before the ``count``-th value, or a
+    byte right after it that is neither whitespace nor ``#``.  Like the
+    token loop, it reads nothing past that byte.  The bytes are not copied,
+    each block writes its values straight into the output array, and no
+    Python object is made per token.  Each value takes at least one byte,
+    so with fewer than ``count`` bytes it returns ``None`` before the
+    output array is made: a short file cannot make it allocate what its
+    header promises.
     """
     raw = np.frombuffer(data, dtype=np.uint8)[pos:]
     n = len(raw)
@@ -175,11 +211,11 @@ def _p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
         stop = min(start + _P2_BLOCK, n)
         cut = data[pos + stop : pos + stop + 4]
         stop += len(cut) - len(cut.lstrip(b"0123456789"))
-        found, end = _p2_block_values(raw[start:stop], count - filled)
-        if found is None:
+        read = _p2_block_values(raw[start:stop], count - filled, maxval, out[filled:])
+        if read is None:
             return None
-        out[filled : filled + len(found)] = found
-        filled += len(found)
+        got, end = read
+        filled += got
         if filled == count:
             at = start + end
             return out if at == n or raw[at] == _COMMENT or int(raw[at]) in _WHITESPACE else None
@@ -194,7 +230,8 @@ def load_pgm(data: bytes) -> np.ndarray:
 
     Accepts magic ``P2`` (ASCII) or ``P5`` (binary) with both sides below
     ``SIDE_LIMIT`` and maxval in ``[1, 255]``.  Pixel values are taken as
-    stored, without rescaling to the declared maxval.
+    stored, without rescaling to the declared maxval; a value above maxval
+    is a parse error at its byte offset.
     """
     magic, start, pos = _next_token(data, 0, "magic number")
     if magic not in (b"P2", b"P5"):
@@ -211,7 +248,7 @@ def load_pgm(data: bytes) -> np.ndarray:
         sides.append(side)
     width, height = sides
     token, start, pos = _next_token(data, pos, "maxval")
-    _number(token, start, "maxval", 1, 255, "maxval {} outside [1, 255]")
+    maxval = _number(token, start, "maxval", 1, 255, "maxval {} outside [1, 255]")
 
     count = width * height
     if magic == b"P5":
@@ -226,10 +263,13 @@ def load_pgm(data: bytes) -> np.ndarray:
         # A view of ``data`` is read-only, so copy it; the P2 parsers
         # already return new arrays.
         flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).copy()
+        if maxval < 255 and flat.max() > maxval:
+            at = int((flat > maxval).argmax())
+            raise PgmParseError(f"pixel value {flat[at]} exceeds {maxval}", pos + at)
     else:
-        flat = _p2_bulk(data, pos, count)
+        flat = _p2_bulk(data, pos, count, maxval)
         if flat is None:
-            flat = _p2_tokens(data, pos, count)
+            flat = _p2_tokens(data, pos, count, maxval)
     return flat.reshape(height, width)
 
 

@@ -124,7 +124,7 @@ def source_mutant(module, old: str, new: str) -> dict:
 # The PGM token reader as it stood before ``shapeid.pgm`` read tokens
 # through one compiled pattern, verbatim, for the tests that check that
 # the pattern reads every file as it did.  ``old_load_pgm`` is the old
-# ``load_pgm`` on these readers and the library's unchanged bulk reader.
+# ``load_pgm`` on these readers and the old bulk reader below.
 # ``int()`` refuses a token of more digits than
 # ``sys.get_int_max_str_digits()``, leading zeros included, so these
 # raise a plain ``ValueError`` on one.
@@ -229,7 +229,100 @@ def old_load_pgm(data: bytes) -> np.ndarray:
         # already return new arrays.
         flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).copy()
     else:
-        flat = pgm._p2_bulk(data, pos, count)
+        flat = old_p2_bulk(data, pos, count)
         if flat is None:
             flat = old_p2_tokens(data, pos, count)
     return flat.reshape(height, width)
+
+
+# The P2 bulk reader as it stood before its block kernel wrote each value
+# straight into the output image, compacted the values in two halves of a
+# block and refused values above the header's maxval, verbatim, with the
+# block size it had: ``old_load_pgm`` reads through it, and the tests
+# check that the new kernel reads every block as the old one did.
+_P2_BLOCK = 1 << 14
+
+
+def old_p2_block_values(block: np.ndarray, need: int) -> tuple[np.ndarray | None, int]:
+    """The values of the P2 pixel tokens in ``block[:end]``, a ``uint8``
+    view that no token crosses, and ``end``: the index right after the
+    ``need``-th token if the block holds that many, else the index of its
+    first byte that is neither a digit nor whitespace, or its length.  The
+    values are ``None`` if that prefix holds a digit run of four or more or
+    a value above 255.  Each value is read at its token's last digit, from
+    that digit and the two before it.
+    """
+    # Less '0', digits are 0..9, a space wraps to 240 and \t..\r to 217..221.
+    d = np.subtract(block, 0x30, dtype=np.uint8)
+    digit = d <= 9
+    known = digit | (d == 240) | (np.subtract(d, 217, dtype=np.uint8) <= 4)
+    end = len(block)
+    if not known.all():
+        end = int(known.argmin())
+        d, digit = d[:end], digit[:end]
+    # Freed before the arrays below, so the block's peak does not grow.
+    del known
+    d *= digit
+    # tens[i] is the number the digits at i-1 and i make, or 0 at a
+    # separator, so a token ending at i reads d[i] + 10 tens[i-1].
+    tens = d.copy()
+    tens[1:] += np.multiply(d[:-1], 10, dtype=np.uint8)
+    tens *= digit
+    value = d.astype(np.uint16)
+    value[1:] += np.multiply(tens[:-1], 10, dtype=np.uint16)
+    # A token ends at a digit followed by a separator; the prefix's last
+    # byte is followed by one, by a byte that ends the token as a comment
+    # does or makes it no number, or by the end of the data.
+    ends = digit.copy()
+    np.greater(digit[:-1], digit[1:], out=ends[:-1])
+    found = np.compress(ends, value)
+    if len(found) >= need:
+        # The block holds the last value needed: check nothing after it.
+        end = int(np.flatnonzero(ends)[need - 1]) + 1
+        found, digit = found[:need], digit[:end]
+    pairs = digit[1:] & digit[:-1]
+    if (pairs[2:] & pairs[:-2]).any() or (len(found) and found.max() > 255):
+        return None, end
+    return found, end
+
+
+def old_p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
+    """Read the P2 pixel data ``data[pos:]`` by digit arithmetic in numpy,
+    about ``_P2_BLOCK`` bytes at a time.
+
+    Returns what ``_p2_tokens`` would return, or ``None`` where the bytes
+    need the token loop: a digit run of four or more or a value above 255
+    up to the ``count``-th value, fewer than ``count`` values, any byte but
+    digits and whitespace before the ``count``-th value, or a byte right
+    after it that is neither whitespace nor ``#``.  Like the token loop, it
+    reads nothing past that byte.  The bytes are not copied, and no Python
+    object is made per token.  Each value takes at least one byte, so with
+    fewer than ``count`` bytes it returns ``None`` before the output array
+    is made: a short file cannot make it allocate what its header promises.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)[pos:]
+    n = len(raw)
+    if n < count:
+        return None
+    out = np.empty(count, dtype=np.uint8)
+    filled = start = 0
+    while start < n:
+        # End the block after the digit run its cut lands in, so that the
+        # next block starts on a separator.  Four digits past the cut make
+        # a run the four-digit check rejects, or one after the last value
+        # that is never read, so look no further.
+        stop = min(start + _P2_BLOCK, n)
+        cut = data[pos + stop : pos + stop + 4]
+        stop += len(cut) - len(cut.lstrip(b"0123456789"))
+        found, end = old_p2_block_values(raw[start:stop], count - filled)
+        if found is None:
+            return None
+        out[filled : filled + len(found)] = found
+        filled += len(found)
+        if filled == count:
+            at = start + end
+            return out if at == n or raw[at] == _COMMENT or int(raw[at]) in _WHITESPACE else None
+        if end < stop - start:
+            return None
+        start = stop
+    return None

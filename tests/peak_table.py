@@ -1,4 +1,4 @@
-"""Traced allocation peak of ``classify_raster`` per corpus shape.
+"""Traced allocation peaks of ``classify_raster`` and ``load_pgm`` per corpus shape.
 
 For each of the eight reference shapes at 256x256, 512x512 (the size of
 the benchmark's speckled workload) and 1024x1024, clean under Otsu and
@@ -18,7 +18,10 @@ the peak of ``foreground_spans`` on two masks of many runs, read as
 ``uint8`` under a fixed threshold of 1, where the labeller's arrays,
 which grow with the number of runs, set the peak: the 44%-foreground
 512x512 mask of ``test_isolate_peak_with_a_large_foreground_share`` and
-noise at 30% fill at 1024x1024:
+noise at 30% fill at 1024x1024.  A third gives the peak of ``load_pgm``
+on each shape's render written as P2 at 256x256 and 1024x1024, the
+image it returns included; the benchmark's ``cli_ascii_256`` workload
+reads such 256x256 files, and its allocation peak is the reader's:
 
     PYTHONPATH=src python tests/peak_table.py
 
@@ -32,28 +35,34 @@ import tracemalloc
 
 import numpy as np
 
-from shapeid import classify_raster, corpus, render
+from shapeid import classify_raster, corpus, load_pgm, render, write_pgm
 from shapeid.segment import foreground_spans
 from sweep import _speckled
 
 #: The columns' sizes, each with the kinds of image it is traced on.
 KINDS = ("clean", "clean, fixed 128", "speckled")
 SIZES = {256: KINDS, 512: KINDS, 1024: KINDS, 2048: ("clean", "speckled")}
+#: The sizes of the P2 files the reader's table traces.
+P2_SIZES = (256, 1024)
 #: Traced calls per cell, of which the least peak is printed.
 CALLS = 20
 
 
-def _peak_mib(image: np.ndarray, threshold="otsu", fn=classify_raster) -> float:
-    fn(image, threshold=threshold)
+def _least_peak_mib(call) -> float:
+    call()
     peaks = []
     for _ in range(CALLS):
         tracemalloc.start()
         try:
-            fn(image, threshold=threshold)
+            call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     return min(peaks) / 2**20
+
+
+def _peak_mib(image: np.ndarray, threshold="otsu", fn=classify_raster) -> float:
+    return _least_peak_mib(lambda: fn(image, threshold=threshold))
 
 
 def _kind_peak_mib(image: np.ndarray, kind: str, size: int) -> float:
@@ -79,6 +88,15 @@ def main() -> None:
     print("| mask | peak |\n| --- | --- |")
     for name, mask in _many_run_masks():
         print(f"| {name} | {_peak_mib(mask.view(np.uint8), 1, foreground_spans):.3f} |")
+    print("\nTraced peak of `load_pgm` on P2 files of the corpus renders, MiB.\n")
+    print("| P2 shape | " + " | ".join(f"{size}²" for size in P2_SIZES) + " |")
+    print("| --- |" + " --- |" * len(P2_SIZES))
+    for index, (name, _) in enumerate(renders[256]):
+        cells = []
+        for size in P2_SIZES:
+            data = write_pgm(render(renders[size][index][1], size, size), binary=False)
+            cells.append(f"{_least_peak_mib(lambda: load_pgm(data)):.3f}")
+        print(f"| {name} | " + " | ".join(cells) + " |")
 
 
 def _many_run_masks():

@@ -318,6 +318,19 @@ def test_classify_token_too_long_for_int_is_parse_error(header, message, tmp_pat
     assert err == f"error: PGM parse failed for {path}: {message}\n"
 
 
+@pytest.mark.parametrize("binary", [False, True])
+def test_classify_pixel_above_maxval_is_parse_error(binary, tmp_path, capsys):
+    path = tmp_path / "above.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n\x03\xc8" if binary else b"P2\n2 1\n15\n3 200\n")
+    code, out, err = run_cli(["classify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    offset = 11 if binary else 12
+    assert err == (
+        f"error: PGM parse failed for {path}: pixel value 200 exceeds 15 (byte offset {offset})\n"
+    )
+
+
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_bench_repeat_below_one_rejected(repeat, capsys):
     with pytest.raises(SystemExit) as exc:

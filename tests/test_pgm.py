@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeid import PgmParseError, StageError, classify_raster, load_pgm, write_pgm
-from shapeid.pgm import SIDE_LIMIT, check_image
+from shapeid.pgm import SIDE_LIMIT, _p2_bulk, check_image
 
 
 def test_parse_ascii_minimal():
@@ -50,6 +50,32 @@ def test_comments_and_whitespace_ignored():
 
 def test_maxval_below_255_values_kept_verbatim():
     assert load_pgm(b"P2\n2 1\n100\n5 100\n").tolist() == [[5, 100]]
+
+
+# A pixel above the header's maxval is refused at its byte offset: by the
+# bulk reader's value check, by the token loop (after a comment between
+# pixels, which sends the data there), and in P5 by the payload's maximum.
+_ABOVE_MAXVAL = {
+    "P2 bulk": (b"P2\n2 1\n15\n200 3\n", 200, 10),
+    "P2 token loop": (b"P2\n2 1\n15\n3 # x\n16\n", 16, 16),
+    "P5": (b"P5\n2 1\n15\n\x03\xc8", 200, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ABOVE_MAXVAL))
+def test_pixel_above_maxval_is_refused_at_its_offset(case):
+    data, value, offset = _ABOVE_MAXVAL[case]
+    with pytest.raises(PgmParseError, match=f"pixel value {value} exceeds 15") as err:
+        load_pgm(data)
+    assert err.value.offset == offset
+    # At maxval 255 the same pixels are read as they are.
+    assert load_pgm(data.replace(b"\n15\n", b"\n255\n")).max() == value
+
+
+def test_pixel_above_maxval_leaves_the_bulk_reader():
+    data = _ABOVE_MAXVAL["P2 bulk"][0]
+    assert _p2_bulk(data, 9, 2, 15) is None
+    assert _p2_bulk(data, 9, 2, 200).tolist() == [200, 3]
 
 
 @given(

@@ -3,9 +3,10 @@ full-size files.
 
 ``_p2_bulk`` cuts the pixel data into blocks of ``_P2_BLOCK`` bytes and
 extends each cut to the end of the digit run it lands in.  Real blocks are
-16 KiB, so the crafted bodies below are cut into blocks of a few bytes,
-which puts each case on a cut.  Every case is compared with the token loop
-``_p2_tokens``, the reference parser, and with ``load_pgm``.
+32 KiB, so the crafted bodies below are cut into blocks of a few bytes,
+which puts each case on a cut; full-size files are also read in the 16
+KiB blocks the reader took before.  Every case is compared with the token
+loop ``_p2_tokens``, the reference parser, and with ``load_pgm``.
 """
 
 import dataclasses
@@ -34,9 +35,9 @@ def _bulk_outcome(body: bytes, block: int):
     """What ``_p2_bulk`` makes of ``body`` in blocks of ``block`` bytes, once
     checked against the token loop and ``load_pgm``."""
     data = _HEADER + body
-    reference = _outcome(_p2_tokens, data, len(_HEADER), 3)
+    reference = _outcome(_p2_tokens, data, len(_HEADER), 3, 255)
     with mock.patch.object(pgm_module, "_P2_BLOCK", block):
-        bulk = _p2_bulk(data, len(_HEADER), 3)
+        bulk = _p2_bulk(data, len(_HEADER), 3, 255)
         assert _outcome(load_pgm, data) == reference
     if bulk is not None:
         assert reference == ("array", bulk.tolist())
@@ -140,12 +141,19 @@ def _corpus_renders():
                 yield render(dataclasses.replace(spec, rotation=rotation), 256, 256)
 
 
+#: The reader's block size and the one it had before.
+_FULL_BLOCKS = [1 << 15, 1 << 14]
+
+
 def test_corpus_renders_round_trip_through_p2():
     for image in _corpus_renders():
         data = write_pgm(image, binary=False)
         pos = data.index(b"255") + 3
-        assert np.array_equal(_p2_bulk(data, pos, image.size), _p2_tokens(data, pos, image.size))
-        assert np.array_equal(load_pgm(data), image)
+        for block in _FULL_BLOCKS:
+            with mock.patch.object(pgm_module, "_P2_BLOCK", block):
+                bulk = _p2_bulk(data, pos, image.size, 255)
+                assert np.array_equal(bulk, _p2_tokens(data, pos, image.size, 255))
+                assert np.array_equal(load_pgm(data), image)
 
 
 def _noise_p2(size: int) -> tuple[np.ndarray, bytes]:
@@ -155,8 +163,10 @@ def _noise_p2(size: int) -> tuple[np.ndarray, bytes]:
 
 def test_large_noise_image_round_trips_through_p2():
     image, data = _noise_p2(1024)
-    assert _p2_bulk(data, data.index(b"255") + 3, image.size) is not None
-    assert np.array_equal(load_pgm(data), image)
+    for block in _FULL_BLOCKS:
+        with mock.patch.object(pgm_module, "_P2_BLOCK", block):
+            assert _p2_bulk(data, data.index(b"255") + 3, image.size, 255) is not None
+            assert np.array_equal(load_pgm(data), image)
 
 
 def test_large_p2_load_peak_memory_is_bounded():
@@ -170,6 +180,27 @@ def test_large_p2_load_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+#: The least traced ``load_pgm`` peak of 256x256 corpus renders written as
+#: P2 when the reader took 16 KiB blocks, in MiB, the 64 KiB image included.
+_P2_LOAD_PEAK_256_MIB = 0.2522
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_p2_load_peak_of_corpus_renders_is_pinned(name):
+    # 32 KiB blocks must cost no more memory than 16 KiB blocks did.
+    data = write_pgm(render(dict(corpus())[name], 256, 256), binary=False)
+    load_pgm(data)
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            load_pgm(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert min(peaks) <= _P2_LOAD_PEAK_256_MIB * 2**20
 
 
 @pytest.mark.parametrize("which", ["1024 noise", "256 render"])
@@ -196,9 +227,9 @@ def test_comment_after_the_last_pixel_keeps_the_bulk_path():
     image = render(corpus()[0][1], 256, 256)
     data, pos = _p2_file(image)
     data += b"# end\n"
-    bulk = _p2_bulk(data, pos, image.size)
+    bulk = _p2_bulk(data, pos, image.size, 255)
     assert bulk is not None
-    assert np.array_equal(bulk, _p2_tokens(data, pos, image.size))
+    assert np.array_equal(bulk, _p2_tokens(data, pos, image.size, 255))
     assert np.array_equal(load_pgm(data), image)
 
 
@@ -208,9 +239,9 @@ def test_extra_tokens_after_the_last_pixel_keep_the_bulk_path():
     # The token loop never reads a tail; the bulk reader's four-digit,
     # above-255 and non-digit checks must not see one either.
     for tail in (b"0\n", b"7 8 9\n" * 100, b"1000\n", b"300\n", b"\nx\n"):
-        bulk = _p2_bulk(data + tail, pos, image.size)
+        bulk = _p2_bulk(data + tail, pos, image.size, 255)
         assert bulk is not None
-        assert np.array_equal(bulk, _p2_tokens(data + tail, pos, image.size))
+        assert np.array_equal(bulk, _p2_tokens(data + tail, pos, image.size, 255))
         assert np.array_equal(load_pgm(data + tail), image)
 
 
@@ -220,11 +251,11 @@ def test_byte_glued_to_the_last_pixel_is_the_token_loops_error():
     data, pos = _p2_file(image)
     assert data.endswith(b" 8\n")
     data = data[:-1] + b"x\n"
-    assert _p2_bulk(data, pos, image.size) is None
+    assert _p2_bulk(data, pos, image.size, 255) is None
     with pytest.raises(PgmParseError, match="non-numeric pixel token b'8x'") as err:
         load_pgm(data)
     with pytest.raises(PgmParseError) as reference:
-        _p2_tokens(data, pos, image.size)
+        _p2_tokens(data, pos, image.size, 255)
     assert (str(err.value), err.value.offset) == (str(reference.value), reference.value.offset)
     assert err.value.offset == len(data) - 3
 
@@ -234,6 +265,6 @@ def test_comment_between_pixels_takes_the_token_loop():
     data, pos = _p2_file(image)
     middle = data.index(b"\n", pos + len(data) // 2)
     data = data[:middle] + b" # a comment\n" + data[middle:]
-    assert _p2_bulk(data, pos, image.size) is None
-    assert np.array_equal(_p2_tokens(data, pos, image.size), image.ravel())
+    assert _p2_bulk(data, pos, image.size, 255) is None
+    assert np.array_equal(_p2_tokens(data, pos, image.size, 255), image.ravel())
     assert np.array_equal(load_pgm(data), image)

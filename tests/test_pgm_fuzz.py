@@ -1,8 +1,10 @@
 """Property tests of the PGM reader and writer on mutated and random input.
 
-The P2 bulk parser must agree with the token loop it stands in for,
-``load_pgm`` with the byte-loop token reader that its token pattern
-replaced, and ``write_pgm`` with the join expression it replaced.
+The P2 bulk parser must agree with the token loop it stands in for, its
+block kernel with the kernel it replaced, ``load_pgm`` with the
+byte-loop token reader that its token pattern replaced (but for the
+pixels above maxval that it now refuses), and ``write_pgm`` with the
+join expression it replaced.
 """
 
 import sys
@@ -16,9 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 from shapeid import PgmParseError, load_pgm, write_pgm
 from shapeid import pgm as pgm_module
-from shapeid.pgm import _p2_bulk, _p2_tokens
+from shapeid.pgm import SIDE_LIMIT, _p2_block_values, _p2_bulk, _p2_tokens
 
-from helpers import old_load_pgm
+from helpers import old_load_pgm, old_next_int, old_next_token, old_p2_block_values
 
 # Bytes that matter to the parsers: digits, the six separators, the comment
 # sign, signs and number syntax numpy might accept, and bytes that end C
@@ -117,10 +119,10 @@ def _check_bulk_against_tokens(shape, data):
     count = height * width
     header = b"P2\n%d %d\n255" % (width, height)
     pgm = header + data.draw(_p2_bodies(count))
-    reference = _outcome(lambda: _p2_tokens(pgm, len(header), count).reshape(height, width))
+    reference = _outcome(lambda: _p2_tokens(pgm, len(header), count, 255).reshape(height, width))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bulk = _p2_bulk(pgm, len(header), count)
+        bulk = _p2_bulk(pgm, len(header), count, 255)
         assert _outcome(load_pgm, pgm) == reference
     if bulk is not None:
         assert reference == ("array", bulk.reshape(height, width).tolist())
@@ -140,6 +142,32 @@ def test_bulk_p2_matches_token_loop_in_small_blocks(block, shape, data):
     # into blocks of a few bytes to put tokens and digit runs on the cuts.
     with mock.patch.object(pgm_module, "_P2_BLOCK", block):
         _check_bulk_against_tokens(shape, data)
+
+
+# Block bytes: mostly digits and the six separators, now and then a byte
+# that is neither, as a comment sign, a NUL or a byte next to the digits.
+_BLOCK_BYTES = st.sampled_from(list(b"0123456789" * 3 + b" \t\n\r\x0b\x0c" * 2 + b"#x\x00\xff/:"))
+
+
+@settings(max_examples=1000)
+@given(
+    body=st.lists(_BLOCK_BYTES, min_size=1, max_size=96).map(bytes),
+    need=st.integers(1, 40),
+    maxval=st.sampled_from([255, 255, 254, 200, 99, 10, 9, 1]),
+)
+def test_block_kernel_reads_as_the_old_kernel(body, need, maxval):
+    # The old kernel refused values above 255 only; a lower maxval also
+    # refuses a block whose values the old kernel read, if one exceeds it.
+    block = np.frombuffer(body, dtype=np.uint8)
+    values, end = old_p2_block_values(block, need)
+    out = np.full(need, 0xAA, dtype=np.uint8)
+    read = _p2_block_values(block, need, maxval, out)
+    if values is None or (len(values) and values.max() > maxval):
+        assert read is None
+    else:
+        assert read == (len(values), end)
+        assert out[: len(values)].tolist() == values.tolist()
+        assert (out[len(values) :] == 0xAA).all()
 
 
 def _join_p2(arr: np.ndarray) -> bytes:
@@ -252,6 +280,42 @@ def _reading(load, data: bytes):
         return ("crash",)
 
 
+def _refused_above_maxval(data: bytes, old):
+    """``old``, the old reader's reading of ``data``, or the error the
+    reader now gives at the first pixel above the header's maxval that the
+    old reader read before any token it refused."""
+    try:
+        magic, _, pos = old_next_token(data, 0, "magic number")
+        width, _, pos = old_next_int(data, pos, "width")
+        height, _, pos = old_next_int(data, pos, "height")
+        maxval, _, pos = old_next_int(data, pos, "maxval")
+    except ValueError:
+        # A parse error, or a token too long for ``int()`` after a header
+        # error the old reader raised first.
+        return old
+    if magic not in (b"P2", b"P5") or not 1 <= maxval < 255:
+        return old
+    if not (1 <= width < SIDE_LIMIT and 1 <= height < SIDE_LIMIT):
+        return old
+    if magic == b"P5":
+        if old[0] != "array" or max(map(max, old[1])) <= maxval:
+            return old
+        flat = [v for row in old[1] for v in row]
+        at = next(i for i, v in enumerate(flat) if v > maxval)
+        value, start = flat[at], pos + 1 + at
+    else:
+        for _ in range(width * height):
+            try:
+                value, start, pos = old_next_int(data, pos, "pixel")
+            except PgmParseError:
+                return old
+            if value > maxval:
+                break
+        else:
+            return old
+    return ("error", f"pixel value {value} exceeds {maxval} (byte offset {start})", start)
+
+
 @settings(max_examples=500)
 @given(data=_token_files())
 def test_token_pattern_reads_as_the_byte_loop_did(data):
@@ -259,4 +323,4 @@ def test_token_pattern_reads_as_the_byte_loop_did(data):
     if old == ("crash",):
         assert new[0] in ("array", "error")
     else:
-        assert new == old
+        assert new == _refused_above_maxval(data, old)
