@@ -17,11 +17,11 @@ as rows and each overlaps the one before it, every row is one run
 overlapping the next and the foreground is one component, as in a clean
 render: the runs are kept as they are.  Otherwise a binary search finds
 the runs each run touches in the row above, and union-find joins them
-(``_largest_component``).  Past the bands, its work and memory grow with
-the number of runs, not with the box: a clean or lightly speckled object
-has a few per row, but a box of dense noise or fine stripes, with
-hundreds of thousands, labels several times slower than a pixel
-labeller would.  ``_box_spans`` sums the kept runs' lengths and, where
+by hooking and pointer jumping (``_largest_component``).  Past the
+bands, its work and memory grow with the number of runs, not with the
+box: a clean or lightly speckled object has a few per row, but a box of
+dense noise or fine stripes, with hundreds of thousands, labels several
+times slower than a pixel labeller would.  ``_box_spans`` sums the kept runs' lengths and, where
 a row holds more than one, reduces them to one span per row, and
 ``isolate_object`` paints them into a mask.  The mask stages,
 ``binarize``, ``isolate_object``, ``boundary`` and ``area``, take the
@@ -43,8 +43,10 @@ image's size is made.  The same finder gives the box of
 ``isolate_object``'s mask, read as ``uint8`` against 1.  Only an image
 with a third level is counted into a histogram, two pixels at a time,
 as ``uint16`` pairs, into one ``int32`` table of 65,536 bins, whose row
-and column sums fold into the 256-bin histogram; no per-pixel ``int64``
-copy is made.
+and column sums, taken in ``int32``, fold into the 256-bin ``int64``
+histogram; no per-pixel ``int64`` copy is made.  Otsu's variance is then
+scored only at the thresholds between its least and greatest occupied
+levels.
 
 The two passes that read a box, the two-level test and the labeller,
 each read it in pieces cut by one rule, ``_band_rows``: as few bands of
@@ -76,8 +78,9 @@ __all__ = [
 ]
 
 #: Most pixel pairs one pass of the Otsu histogram counts into its
-#: ``int32`` table.  Each pass is folded into the ``int64`` histogram, so
-#: no bin, row sum or column sum of the table can overflow.
+#: ``int32`` table.  No bin, row sum or column sum of the table exceeds
+#: it, so each pass's sums are taken in ``int32`` and folded into the
+#: ``int64`` histogram without overflow.
 _PAIRS_PER_PASS = 1 << 29
 
 #: Most items one band of a blocked pass holds (``_band_rows``): pixels
@@ -174,26 +177,39 @@ def _histogram(image: np.ndarray) -> np.ndarray:
         # An int32 scalar keeps add.at on its fast path; a Python 1 does not.
         np.add.at(table, pairs[start:start + _PAIRS_PER_PASS], np.int32(1))
         square = table.reshape(256, 256)
-        hist += square.sum(axis=0)
-        hist += square.sum(axis=1)
+        # Exact in int32 (see _PAIRS_PER_PASS); int64 sums would cast
+        # every bin.
+        hist += square.sum(axis=0, dtype=np.int32)
+        hist += square.sum(axis=1, dtype=np.int32)
     if len(flat) % 2:
         hist[flat[-1]] += 1
     return hist
 
 
 def _histogram_threshold(image: np.ndarray) -> int:
-    """Otsu's threshold of a checked image of at least three levels, from
-    its full histogram."""
-    hist = _histogram(image).astype(np.float64)
-    weight = np.cumsum(hist)
-    mass = np.cumsum(hist * np.arange(256))
+    """Otsu's threshold of a checked image of at least two levels, from
+    its full histogram; a single level has no two classes to separate, so
+    it raises ``ValueError``.
+
+    Only the thresholds that leave both classes occupied are scored: those
+    in ``(lo, hi)``, from just above the least occupied level ``lo`` to the
+    greatest, ``hi - 1``, so every class weight is positive.  The empty
+    levels below ``lo`` would add an exact 0.0 to each running sum, so the
+    sums over ``hist[lo:hi]`` are the same floats as over all 256 levels.
+    """
+    hist = _histogram(image)
+    levels = hist.nonzero()[0]
+    if len(levels) < 2:
+        raise ValueError("degenerate histogram: single distinct intensity")
+    lo, hi = int(levels[0]), int(levels[-1]) + 1
+    counts = hist[lo:hi].astype(np.float64)
+    weight = np.cumsum(counts)
+    mass = np.cumsum(counts * np.arange(lo, hi))
     w0 = weight[:-1]
     w1 = weight[-1] - w0
-    valid = (w0 > 0) & (w1 > 0)
-    mu0 = np.divide(mass[:-1], w0, out=np.zeros(255), where=valid)
-    mu1 = np.divide(mass[-1] - mass[:-1], w1, out=np.zeros(255), where=valid)
-    variance = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -1.0)
-    return int(np.argmax(variance)) + 1
+    mu0 = mass[:-1] / w0
+    mu1 = (mass[-1] - mass[:-1]) / w1
+    return int(np.argmax(w0 * w1 * (mu0 - mu1) ** 2)) + lo + 1
 
 
 def otsu_threshold(image: np.ndarray) -> int:
@@ -362,11 +378,15 @@ def _largest_component(start: np.ndarray, end: np.ndarray, width: int) -> tuple[
     flattened rows of ``width`` slots.
 
     The runs one row up that each run touches are found by binary search
-    on those bounds.  Runs are joined by union-find: each root is hooked to
-    the smallest root it touches, then pointers are jumped to their roots,
-    until no edge joins two trees.  Every hook points to an earlier run, so
-    a root is its component's first run, and size ties resolve to the
-    component whose first pixel comes earliest in row-major order.
+    on those bounds.  Runs are joined by union-find, hooking and pointer
+    jumping (Shiloach and Vishkin, 1982): each root is hooked to the
+    smallest root it touches, then pointers are jumped, two jumps to each
+    check, until every run points at its root, and the rounds repeat until
+    no edge joins two trees.  The first round hooks each run straight to
+    the least run it touches, as every run is still its own root.  Every
+    hook points to an earlier run, so a root is its component's first run,
+    and size ties resolve to the component whose first pixel comes
+    earliest in row-major order.
     """
     # One edge from each run to each run it touches one row up, the last
     # of them run hi - 1.  A run's edges are numbered on from
@@ -378,19 +398,27 @@ def _largest_component(start: np.ndarray, end: np.ndarray, width: int) -> tuple[
     above = np.arange(len(below)) + np.repeat(hi, touched)
     del hi, touched
     root = np.arange(len(start))
+    # While each run is its own root, an edge's roots are its runs, and
+    # the run above comes first: the first hook needs no gather.
+    np.minimum.at(root, below, above)
     while True:
+        # Two jumps per check.  The half-jumped array is freed before the
+        # next gather, so no more than two label arrays are alive.
+        while True:
+            root = root[root]
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+            del jumped
+        del jumped
         a, b = root[below], root[above]
-        if np.array_equal(a, b):
+        if (a == b).all():
             break
         # An edge within a tree hooks its root to itself, which changes
         # nothing: every label is at most its run's index.
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-        del jumped
+        del a, b
     # Freed before sizing, which would otherwise set the labeller's peak.
     del below, above, a, b
     # Counted as intp: bincount's weights would make a float64 copy.

@@ -326,3 +326,50 @@ def old_p2_bulk(data: bytes, pos: int, count: int) -> np.ndarray | None:
             return None
         start = stop
     return None
+
+
+# The run labeller's union-find as it stood before its first hook took no
+# gather and its pointers jumped twice to each check, verbatim, as the
+# oracle of the tests that check that it joins every run list as before.
+def old_largest_component(start: np.ndarray, end: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of the runs of the largest 4-connected
+    component among the runs ``start``, ``end`` of ``_largest_runs``, in
+    flattened rows of ``width`` slots.
+
+    The runs one row up that each run touches are found by binary search
+    on those bounds.  Runs are joined by union-find: each root is hooked to
+    the smallest root it touches, then pointers are jumped to their roots,
+    until no edge joins two trees.  Every hook points to an earlier run, so
+    a root is its component's first run, and size ties resolve to the
+    component whose first pixel comes earliest in row-major order.
+    """
+    # One edge from each run to each run it touches one row up, the last
+    # of them run hi - 1.  A run's edges are numbered on from
+    # cumsum(touched) - touched, so edge i goes to run i + hi - cumsum(touched).
+    hi = np.searchsorted(start, end - width)
+    touched = hi - np.searchsorted(end, start - width, side="right")
+    below = np.repeat(np.arange(len(start)), touched)
+    hi -= np.cumsum(touched)
+    above = np.arange(len(below)) + np.repeat(hi, touched)
+    del hi, touched
+    root = np.arange(len(start))
+    while True:
+        a, b = root[below], root[above]
+        if np.array_equal(a, b):
+            break
+        # An edge within a tree hooks its root to itself, which changes
+        # nothing: every label is at most its run's index.
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        del jumped
+    # Freed before sizing, which would otherwise set the labeller's peak.
+    del below, above, a, b
+    # Counted as intp: bincount's weights would make a float64 copy.
+    sizes = np.zeros(len(start), dtype=np.intp)
+    np.add.at(sizes, root, end - start)
+    kept = root == sizes.argmax()
+    return start[kept], end[kept]

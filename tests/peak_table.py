@@ -17,8 +17,9 @@ image, and the labeller thresholds it in bands.  A second table gives
 the peak of ``foreground_spans`` on two masks of many runs, read as
 ``uint8`` under a fixed threshold of 1, where the labeller's arrays,
 which grow with the number of runs, set the peak: the 44%-foreground
-512x512 mask of ``test_isolate_peak_with_a_large_foreground_share`` and
-noise at 30% fill at 1024x1024.  A third gives the peak of ``load_pgm``
+512x512 mask of ``test_isolate_peak_with_a_large_foreground_share``,
+whose peak ``test_union_find_holds_two_label_arrays_at_a_time`` pins,
+and noise at 30% fill at 1024x1024.  A third gives the peak of ``load_pgm``
 on each shape's render written as P2 at 256x256 and 1024x1024, the
 image it returns included; the benchmark's ``cli_ascii_256`` workload
 reads such 256x256 files, and its allocation peak is the reader's:

@@ -42,14 +42,14 @@ BUDGET_1024 = {
 #: Most numpy calls of one call on each speckled 256x256 render of the
 #: label sweep, the only renders here that reach the run labeller.
 BUDGET_SPECKLED_256 = {
-    "rectangle": 83,
-    "cylinder": 85,
-    "kite": 82,
-    "square": 80,
-    "rhombus": 85,
-    "hemisphere": 84,
-    "triangle": 85,
-    "cone": 85,
+    "rectangle": 76,
+    "cylinder": 77,
+    "kite": 75,
+    "square": 73,
+    "rhombus": 77,
+    "hemisphere": 77,
+    "triangle": 77,
+    "cone": 78,
 }
 
 

@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from helpers import source_mutant
+from peak_table import _many_run_masks
 from shapeid import ShapeSpec, StageError, binarize, classify_raster, corpus, isolate_object, otsu_threshold, render
 from shapeid import segment
 from sweep import _speckled
@@ -155,6 +156,26 @@ def test_multi_pass_fold_matches_bincount(pairs_per_pass, image):
         for view in (image, image.T):
             assert np.array_equal(segment._histogram(view), old_histogram(view))
             assert _threshold_outcome(otsu_threshold, view) == _threshold_outcome(old_otsu_threshold, view)
+
+
+def test_pair_table_sums_fit_in_int32():
+    # _histogram sums each pass's table in int32, and no row or column sum
+    # exceeds the pairs one pass counts.
+    assert segment._PAIRS_PER_PASS < 2**31
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 90, 200), (3, 120, 254, 255), (127, 128, 129)],
+                         ids=["reaching-0", "reaching-255", "three-adjacent"])
+def test_histogram_threshold_at_the_ends_of_the_occupied_levels(levels):
+    # _histogram_threshold scores only the thresholds between the least and
+    # the greatest occupied level; the old Otsu scored all 255.
+    rng = np.random.default_rng(34)
+    for weights in ([0.25] * 4, [0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]):
+        p = np.array(weights[:len(levels)])
+        image = rng.choice(np.array(levels, dtype=np.uint8), (37, 41), p=p / p.sum())
+        assert len(np.unique(image)) == len(levels)
+        for view in _views(image):
+            assert segment._histogram_threshold(view) == old_otsu_threshold(view)
 
 
 @st.composite
@@ -402,7 +423,7 @@ def test_two_level_threshold_matches_old_otsu(image):
 def test_constant_image_keeps_the_degenerate_message(shape):
     image = np.full(shape, 77, dtype=np.uint8)
     message = "degenerate histogram: single distinct intensity"
-    for fn in (old_otsu_threshold, otsu_threshold, binarize):
+    for fn in (old_otsu_threshold, otsu_threshold, binarize, segment._histogram_threshold):
         with pytest.raises(ValueError, match=f"^{message}$"):
             fn(image)
     with pytest.raises(StageError, match=f"^segmentation: {message}$") as err:
@@ -510,6 +531,21 @@ def test_isolate_peak_with_a_large_foreground_share():
 def _warm_peak_mib(fn, *args):
     fn(*args)  # first call: let numpy set up its caches
     return _peak_mib(fn, *args)
+
+
+def _least_spans_peak_mib(spans, mask):
+    return min(_warm_peak_mib(spans, mask.view(np.uint8), 1) for _ in range(3))
+
+
+def test_union_find_holds_two_label_arrays_at_a_time():
+    # The 44%-foreground mask of tests/peak_table.py.  Union-find jumps
+    # twice to each check and frees the half-jumped labels before the next
+    # gather: 0.882 MiB.  Three label arrays alive at once took 0.914.
+    name, mask = next(_many_run_masks())
+    assert name == "44% foreground, 512²"
+    assert round(_least_spans_peak_mib(segment.foreground_spans, mask), 3) <= 0.882
+    mutant = source_mutant(segment, "            root = jumped\n            del jumped\n", "            root = jumped\n")
+    assert _least_spans_peak_mib(mutant["foreground_spans"], mask) > 0.9
 
 
 @pytest.mark.parametrize("size, bound", [(512, 0.36), (1024, 0.50)])
