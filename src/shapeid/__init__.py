@@ -8,7 +8,6 @@ classifies among eight shape classes with tolerance rules.
 
 from .classifier import (
     ShapeClass,
-    TABLE_ORDER,
     Tolerances,
     Verdict,
     classify,
@@ -37,7 +36,6 @@ __all__ = [
     "ShapeClass",
     "ShapeSpec",
     "StageError",
-    "TABLE_ORDER",
     "Tolerances",
     "Verdict",
     "analytic_area",

@@ -34,7 +34,6 @@ from .geometry import FeatureVector, fit_hemisphere
 
 __all__ = [
     "ShapeClass",
-    "TABLE_ORDER",
     "Tolerances",
     "Verdict",
     "classify",
@@ -52,10 +51,6 @@ class ShapeClass(Enum):
     TRIANGLE = "Triangle"
     CONE = "Cone"
     UNKNOWN = "Unknown"
-
-
-#: The eight concrete classes in report order.
-TABLE_ORDER = tuple(cls for cls in ShapeClass if cls is not ShapeClass.UNKNOWN)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ each side.  It finds each one's third vertex by binary search on the
 hull's edge angles (``_support_rows``), in O(h**2 log h) and with no loop
 over vertices in Python.  That search is exact on hulls that span less
 than ``pgm.SIDE_LIMIT`` px, the one input limit, which ``check_image``
-states for images and ``extract_corners`` for points.
+states for images and ``convex_hull`` for points.
 
 At the typical image size this stage costs per numpy call, not per
 pixel, so it makes few of them (``tests/call_table.py`` counts them).
@@ -102,8 +102,8 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     unsigned; any other dtype or shape raises ``ValueError``.  Returns hull
     vertices in counterclockwise order starting from the lexicographically
     smallest point, with the input's dtype.  Degenerate inputs yield fewer
-    than three vertices.  The coordinates must span less than 2**31, so
-    that the turn test is exact; else ``ValueError``.
+    than three vertices.  The points must span less than ``SIDE_LIMIT``
+    px, the one input limit; else ``ValueError``.
     """
     pts = np.asarray(points)
     if pts.dtype.kind not in "iu" or pts.ndim != 2 or pts.shape[1] != 2:
@@ -113,19 +113,13 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(pts, axis=0)  # sorts by x, then y
     if len(pts) == 0:
         return pts
-    span = _span(pts)
-    if span >= 1 << 31:
-        raise ValueError(f"integer coordinates must span less than 2**31, got {span}")
+    span = max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+    if span >= SIDE_LIMIT:
+        raise ValueError(f"points must span less than {SIDE_LIMIT} px, got {span}")
     new = pts[1:, 0] != pts[:-1, 0]  # where x changes: each column's run ends
     starts = pts[np.r_[True, new]]
     ends = pts[np.r_[new, True]]
     return _convex_path(starts[:, 0], starts[:, 1], ends[:, 1]).astype(pts.dtype, copy=False)
-
-
-def _span(pts: np.ndarray) -> int:
-    """The larger of the x and y ranges of a non-empty (N, 2) integer
-    array, exact whatever its dtype."""
-    return max(int(hi) - int(lo) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
 
 
 def _convex_path(keys: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -144,7 +138,9 @@ def _convex_path(keys: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
     first or last column's copies merged, is the monotone chain's (Andrew
     1979) output.  The turns are exact in int64 when the path spans less
     than 2**31: each difference of two points, even if it wraps, is then
-    exact, and each product below 2**62.
+    exact, and each product below 2**62.  So they are exact on every hull
+    of an image or of ``convex_hull``'s points, which span less than
+    ``SIDE_LIMIT`` = 2**20.
     """
     split = len(keys)
     # int64 wraps alike going in and out, and differences below 2**31
@@ -195,7 +191,7 @@ def _support_rows(x: np.ndarray, y: np.ndarray):
     give the same value, so either may be found.
 
     The hull must span less than ``SIDE_LIMIT``, as every image's objects
-    and every point set ``extract_corners`` accepts do, and that makes
+    and every point set ``convex_hull`` accepts do, and that makes
     every step exact.  Two directions between points of such a hull are
     integer vectors with components below ``M = SIDE_LIMIT``, so if they
     differ, their angles differ by more than ``1 / (2 M**2)`` (the sine of
@@ -329,19 +325,15 @@ def extract_corners(points: np.ndarray) -> np.ndarray:
     Returns the vertices of the maximum-area quadrilateral when it beats
     the maximum-area triangle by the ``QUAD_GAIN`` factor; otherwise the
     triangle vertices with one repeated (a degenerate fourth corner).
-    Raises ``ValueError`` for fewer than three points, points that span
-    ``SIDE_LIMIT`` or more (the corner search is exact only below it), a
-    fully collinear set, or points ``convex_hull`` rejects.
+    Raises ``ValueError`` for fewer than three points, a fully collinear
+    set, or points ``convex_hull`` rejects, among them points that span
+    ``SIDE_LIMIT`` or more (the corner search is exact only below it).
     """
     pts = np.asarray(points)
     # A 0-d input has no length; convex_hull rejects it by its shape.
     if pts.ndim and len(pts) < 3:
         raise ValueError(_too_few_points(len(pts)))
-    hull = convex_hull(pts)
-    span = _span(hull)  # the points' span: their extremes are hull vertices
-    if span >= SIDE_LIMIT:
-        raise ValueError(f"points must span less than {SIDE_LIMIT} px, got {span}")
-    return _corners_of_hull(hull)[0]
+    return _corners_of_hull(convex_hull(pts))[0]
 
 
 def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
@@ -391,13 +383,6 @@ def _counterclockwise(points: list) -> list:
         range(len(rel)),
         key=lambda i: (math.atan2(rel[i][1], rel[i][0]), rel[i][0] ** 2 + rel[i][1] ** 2, i),
     )
-
-
-def order_counterclockwise(points: np.ndarray) -> np.ndarray:
-    """Sort points by angle about their centroid (ties: radius, then index),
-    in ``float64`` (see ``_counterclockwise``)."""
-    pts = np.asarray(points)
-    return pts[_counterclockwise(pts.tolist())]
 
 
 def _distances(points: list) -> tuple:

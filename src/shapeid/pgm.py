@@ -33,11 +33,13 @@ import numpy as np
 
 __all__ = ["PgmParseError", "check_image", "load_pgm", "write_pgm"]
 
-#: Every image side must be shorter than this many pixels, so every
-#: object spans less; ``geometry``'s corner search is exact only then
-#: (see ``geometry._support_rows``).  ``load_pgm`` refuses a header that
-#: names such a side before it reads any pixel, ``extract_corners`` points
-#: that span this much or more, and the CLI's ``--size`` such a side.
+#: The one input limit: every image side must be shorter than this many
+#: pixels, so every object spans less, and so must every point set;
+#: ``geometry``'s corner search is exact only then (see
+#: ``geometry._support_rows``).  ``load_pgm`` refuses a header that names
+#: such a side before it reads any pixel, ``convex_hull`` (and so
+#: ``extract_corners``) points that span this much or more, and the CLI's
+#: ``--size`` such a side.
 SIDE_LIMIT = 1 << 20
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"

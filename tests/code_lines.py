@@ -48,13 +48,18 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Number of code lines in one module's source."""
+def code_line_numbers(source: str) -> set[int]:
+    """Numbers of the code lines in one module's source."""
     code: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(code - _docstring_lines(ast.parse(source)))
+    return code - _docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """Number of code lines in one module's source."""
+    return len(code_line_numbers(source))
 
 
 def main() -> None:

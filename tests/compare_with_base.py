@@ -6,14 +6,16 @@ once against the base tree's, and each tree's own ``tests/code_lines.py``,
 ``tests/call_table.py`` and ``tests/peak_table.py``.  Prints a Markdown
 summary: how many sweep lines differ, matched by their case, and how many
 cases only one tree prints, with the first 20 lines of each kind; each
-module's code lines in both trees; and each call and peak table of both
-trees merged into one (``merge_tables``), a cell that changed reading
-``base → head``.  Tables are matched by their first header cell, in the
-order each tree prints them, so a table that gains or loses a column is
-still merged, and the columns only one tree has are named below it (a
-table that only one tree prints is printed as it is).  It only reports,
-and fails only when one of those commands fails, never because the trees
-differ:
+module's code lines in both trees; the top-level names of ``src/shapeid``
+that only one tree defines (``definitions``), each with its code lines,
+so that a change names the code it deleted; and each call and peak table
+of both trees merged into one (``merge_tables``), a cell that changed
+reading ``base → head``.  Tables are matched by their first header cell,
+in the order each tree prints them, so a table that gains or loses a
+column is still merged, and the columns only one tree has are named
+below it (a table that only one tree prints is printed as it is).  It
+only reports, and fails only when one of those commands fails, never
+because the trees differ:
 
     git worktree add --detach /tmp/base BASE_COMMIT
     python tests/compare_with_base.py /tmp/base
@@ -23,11 +25,14 @@ pytest does not collect this file (its name does not start with ``test_``).
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from code_lines import code_line_numbers
 
 HEAD = Path(__file__).resolve().parent.parent
 SHOWN = 20
@@ -44,6 +49,42 @@ def _output(script: Path, src: Path) -> list[str]:
 def _code_lines(tree: Path) -> dict[str, int]:
     lines = _output(tree / "tests" / "code_lines.py", tree / "src")
     return {name: int(count) for name, count in (line.split() for line in lines)}
+
+
+def definitions(package: Path) -> dict[str, int]:
+    """Each top-level function, class and module constant of a package's
+    modules, as ``module.name``, with its code lines as ``code_lines.py``
+    counts them, decorators included (a name bound twice adds both)."""
+    found: dict[str, int] = {}
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        code = code_line_numbers(source)
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+                names = [n.id for n in bound if isinstance(n.ctx, ast.Store)]
+                first = node.lineno
+            else:
+                continue
+            lines = sum(first <= number <= node.end_lineno for number in code)
+            for name in names:
+                key = f"{path.stem}.{name}"
+                found[key] = found.get(key, 0) + lines
+    return found
+
+
+def names_only_in_one(
+    before: dict[str, int], after: dict[str, int]
+) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """The ``definitions`` only the base has, then those only the head
+    has, each as sorted ``(name, code lines)`` pairs."""
+    removed = sorted((name, lines) for name, lines in before.items() if name not in after)
+    added = sorted((name, lines) for name, lines in after.items() if name not in before)
+    return removed, added
 
 
 def _tables(tree: Path, name: str) -> list[list[list[str]]]:
@@ -166,6 +207,17 @@ def main(base: Path) -> None:
         b, a = old.get(name, 0), new.get(name, 0)
         print(f"| {name} | {b} | {a} | {a - b:+d} |")
     print()
+    package = Path("src") / "shapeid"
+    removed, added = names_only_in_one(definitions(base / package), definitions(HEAD / package))
+    print("### Top-level names of `src/shapeid` that only one tree defines\n")
+    if removed or added:
+        print("| name | code lines | only in |\n|---|---:|---|")
+        for label, names in (("base", removed), ("head", added)):
+            for name, lines in names:
+                print(f"| `{name}` | {lines} | {label} |")
+        print()
+    else:
+        print("None.\n")
     for name in ("call_table.py", "peak_table.py"):
         _side_by_side(name, base)
 

@@ -18,6 +18,7 @@ from collections import deque
 import numpy as np
 
 from shapeid import pgm
+from shapeid.geometry import _counterclockwise
 from shapeid.pgm import PgmParseError
 
 
@@ -103,6 +104,15 @@ def worst_corner_error(corners, true_vertices):
         max(math.dist(corners[i], true_vertices[p[i]]) for i in range(len(corners)))
         for p in itertools.permutations(range(len(true_vertices)))
     )
+
+
+# Moved verbatim from ``shapeid.geometry``, whose own code never called
+# it: the tests put hand-made corners in the library's order with it.
+def order_counterclockwise(points: np.ndarray) -> np.ndarray:
+    """Sort points by angle about their centroid (ties: radius, then index),
+    in ``float64`` (see ``_counterclockwise``)."""
+    pts = np.asarray(points)
+    return pts[_counterclockwise(pts.tolist())]
 
 
 def source_mutant(module, old: str, new: str) -> dict:

@@ -15,6 +15,7 @@ from helpers import (
     add_salt,
     largest_component_mask,
     centroid_fan_area,
+    order_counterclockwise,
     random_convex_quad,
     worst_corner_error,
 )
@@ -35,7 +36,7 @@ from shapeid import (
     write_pgm,
 )
 from shapeid.cli import main
-from shapeid.geometry import features_of_spans, order_counterclockwise
+from shapeid.geometry import features_of_spans
 from shapeid.segment import foreground_spans
 
 CENTER = (127.5, 127.5)

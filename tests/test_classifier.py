@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import order_counterclockwise
 from shapeid import (
     FeatureVector,
     ShapeClass,
@@ -13,7 +14,6 @@ from shapeid import (
     pairwise_distances,
     polygon_area,
 )
-from shapeid.geometry import order_counterclockwise
 
 
 def make_features(corners, area_px=None, area_factor=None, poly=None):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import source_mutant
+from helpers import order_counterclockwise, source_mutant
 from shapeid import (
     FeatureVector,
     ShapeClass,
@@ -32,7 +32,7 @@ from shapeid import (
 )
 from shapeid import classifier
 from shapeid.classifier import Verdict
-from shapeid.geometry import fit_hemisphere, order_counterclockwise
+from shapeid.geometry import fit_hemisphere
 from test_classifier import make_features
 
 

@@ -16,6 +16,7 @@ from scipy import ndimage
 from helpers import flood_components
 from shapeid import boundary, convex_hull, extract_corners, isolate_object
 from shapeid.geometry import _span_hull, features_of_spans, pairwise_distances, polygon_area
+from shapeid.pgm import SIDE_LIMIT
 from shapeid.segment import foreground_spans
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -146,31 +147,33 @@ def test_convex_hull_keeps_int32_and_uint8_dtypes(pts):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     pts=_point_sets().filter(lambda p: len(p) > 0),
-    scale32=st.integers(1, 2**14),
+    scale32=st.integers(1, 2**13),
     shift32=st.integers(-(2**20), 2**20),
-    scale64=st.integers(1, 2**23),
+    scale64=st.integers(1, 2**13),
     shift64=st.integers(-(2**29), 2**29),
 )
 def test_convex_hull_turns_are_exact_on_large_integers(pts, scale32, shift32, scale64, shift64):
-    # Products of the int32 differences reach 2**40, which wraps in int32,
-    # and those of the int64 ones 2**58; the chain on the int64 copy
-    # computes both exactly.
+    # The points span at most 115 px, so scaled by at most 2**13 they span
+    # less than SIDE_LIMIT.  Products of their differences reach 2**40,
+    # which wraps in int32; the chain on the int64 copy computes them
+    # exactly.
     for dtype, scale, shift in ((np.int32, scale32, shift32), (np.int64, scale64, shift64)):
         big = pts * scale + shift
+        assert np.ptp(big, axis=0).max() < SIDE_LIMIT
         hull = convex_hull(big.astype(dtype))
         assert hull.dtype == dtype
         assert np.array_equal(hull, old_convex_hull(big))
 
 
 def test_convex_hull_limits_the_integer_span():
-    n = 2**31 - 1
+    n = SIDE_LIMIT - 1
     # (n - 1, n - 2) lies 1/n below the line from (0, 0) to (n, n - 1):
     # a vertex that the cross products must not round away.
     pts = np.array([[n, n - 1], [0, 0], [n - 1, n - 2], [0, 0]])
     assert convex_hull(pts).tolist() == [[0, 0], [n - 1, n - 2], [n, n - 1]]
-    with pytest.raises(ValueError, match=r"span less than 2\*\*31, got 2147483648"):
+    with pytest.raises(ValueError, match=f"^points must span less than {SIDE_LIMIT} px, got {SIDE_LIMIT}$"):
         convex_hull(pts + [[1, 0], [0, 0], [0, 0], [0, 0]])
-    with pytest.raises(ValueError, match=r"span less than 2\*\*31"):
+    with pytest.raises(ValueError, match=f"^points must span less than {SIDE_LIMIT} px, got {2**32 - 1}$"):
         convex_hull(np.array([[0, -(2**31)], [1, 2**31 - 1], [2, 0]], dtype=np.int32))
 
 
