@@ -26,9 +26,12 @@ At the typical image size this stage costs per numpy call, not per
 pixel, so it makes few of them (``tests/call_table.py`` counts them).
 Once the corner search has picked its three or four vertices, the rest
 runs on Python numbers, read with ``.tolist()``: the repeated corner of
-a triangle, the counterclockwise order and the six distances.  They are
-the floats numpy gave, because each is the same float operation in the
-same order.
+a triangle and the six distances, which are the floats numpy gives,
+because each is the same float operation in the same order.  The corners
+are taken in hull order, which is counterclockwise: the picked hull
+indices ascending, started at the corner of least angle about their
+centroid, which one integer comparison of each corner's row with the
+centroid's finds, with no angle computed.
 """
 
 from __future__ import annotations
@@ -74,9 +77,11 @@ _GROUP_VALUES = 1024
 class FeatureVector:
     """Distance and area features of one object.
 
-    ``corners`` is a (4, 2) array of (x, y) pixel coordinates in
-    counterclockwise order; ``distances`` holds the six pairwise corner
-    distances in ``CORNER_PAIRS`` order and ``sd`` their minimum.
+    ``corners`` is a (4, 2) array of (x, y) pixel coordinates in the
+    hull's counterclockwise order, starting at the corner of least angle
+    about their centroid, a repeated corner next to its twin;
+    ``distances`` holds the six pairwise corner distances in
+    ``CORNER_PAIRS`` order and ``sd`` their minimum.
     ``area_px`` counts foreground pixels; ``poly_area`` is the area of the
     corner polygon, in which a repeated pick adds nothing.
     """
@@ -344,13 +349,13 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
     It works on a group of diagonals at a time, so its memory stays
     bounded: under 128 KiB at every hull size from 3 to 200 vertices.  The
     picked vertices are then handled as Python lists, and the corners are
-    taken from the hull in their order.
+    taken from the hull in hull order (``_hull_order``).
     """
     if len(hull) < 3:
         raise ValueError("degenerate boundary: all points collinear")
 
     tri2, tri_idx, quad2, quad_idx = _best_triangle_and_quad(hull)
-    four = quad_idx is not None and quad2 > QUAD_GAIN * tri2
+    four = quad2 > QUAD_GAIN * tri2
     picks = list(quad_idx if four else tri_idx)
     points = hull[picks].tolist()
     if not four:
@@ -362,27 +367,30 @@ def _corners_of_hull(hull: np.ndarray) -> tuple[np.ndarray, int]:
         far = max(range(3), key=totals.__getitem__)  # the first largest
         picks.append(picks[far])
         points.append(points[far])
-    return hull[[picks[k] for k in _counterclockwise(points)]], quad2 if four else tri2
+    return hull[_hull_order(picks, points)], quad2 if four else tri2
 
 
-def _counterclockwise(points: list) -> list:
-    """Indices that sort ``[x, y]`` points by angle about their centroid
-    (ties: radius, then index).  The centroid and the offsets are the floats
-    that numpy's ``mean`` and subtraction give for a ``float64`` or integer
-    array: the sums run in order from ``0.0``."""
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    cx = cy = 0.0
-    for x, y in zip(xs, ys):
-        cx += x
-        cy += y
-    cx /= len(points)
-    cy /= len(points)
-    rel = [(x - cx, y - cy) for x, y in zip(xs, ys)]
-    return sorted(
-        range(len(rel)),
-        key=lambda i: (math.atan2(rel[i][1], rel[i][0]), rel[i][0] ** 2 + rel[i][1] ** 2, i),
-    )
+def _hull_order(picks: list, points: list) -> list:
+    """The hull indices ``picks`` of the four corners ``points``, a
+    triangle's repeated corner twice, in hull order: ascending, which is
+    counterclockwise, with the twins side by side.  The list starts at
+    the corner whose ``y`` is less than the corners' mean ``y`` and whose
+    predecessor's is not.
+
+    That is the order of the corners' angles about their centroid, the
+    smallest first, as ``atan2`` gives them.  The centroid lies strictly
+    inside the corners, so their angles ascend in hull order, and an
+    angle is negative exactly when the corner's ``y`` is less than the
+    centroid's (one level with it has the angle 0 or pi).  So the corners
+    whose ``y`` is less than the mean form one run of the hull order, and
+    its first corner has the least angle.  ``4 * y < total`` compares the
+    integers exactly.
+    """
+    rows = sorted(zip(picks, points))
+    total = sum(y for _, (_, y) in rows)
+    above = [4 * y < total for _, (_, y) in rows]
+    start = next(k for k in range(4) if above[k] and not above[k - 1])
+    return [pick for pick, _ in rows[start:] + rows[:start]]
 
 
 def _distances(points: list) -> tuple:

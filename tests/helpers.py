@@ -18,7 +18,6 @@ from collections import deque
 import numpy as np
 
 from shapeid import pgm
-from shapeid.geometry import _counterclockwise
 from shapeid.pgm import PgmParseError
 
 
@@ -103,6 +102,29 @@ def worst_corner_error(corners, true_vertices):
     return min(
         max(math.dist(corners[i], true_vertices[p[i]]) for i in range(len(corners)))
         for p in itertools.permutations(range(len(true_vertices)))
+    )
+
+
+# Moved verbatim from ``shapeid.geometry``, whose corners now leave the
+# search in hull order: the oracle of the tests that check that they
+# come out in the order this sort gave them.
+def _counterclockwise(points: list) -> list:
+    """Indices that sort ``[x, y]`` points by angle about their centroid
+    (ties: radius, then index).  The centroid and the offsets are the floats
+    that numpy's ``mean`` and subtraction give for a ``float64`` or integer
+    array: the sums run in order from ``0.0``."""
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    cx = cy = 0.0
+    for x, y in zip(xs, ys):
+        cx += x
+        cy += y
+    cx /= len(points)
+    cy /= len(points)
+    rel = [(x - cx, y - cy) for x, y in zip(xs, ys)]
+    return sorted(
+        range(len(rel)),
+        key=lambda i: (math.atan2(rel[i][1], rel[i][0]), rel[i][0] ** 2 + rel[i][1] ** 2, i),
     )
 
 

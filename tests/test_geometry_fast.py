@@ -8,7 +8,9 @@ results bit for bit, including which of several equal candidates wins,
 at every hull size and at every span below ``SIDE_LIMIT``.
 The old per-vertex search is kept here verbatim as the oracle; the old
 hull is ``convex_hull(old_row_extremes(mask))``, and the old monotone
-chain is ``old_convex_hull``.
+chain is ``old_convex_hull``.  The corners leave the search in hull order
+(``_hull_order``), which must be the order that the old sort by angle
+about their centroid, ``order_counterclockwise``, gives them.
 """
 
 import math
@@ -261,6 +263,48 @@ def test_search_area_is_the_corner_polygon_area(hull, shift):
 
 
 @st.composite
+def _corner_point_sets(draw):
+    """3 to 12 integer points that span up to ``SIDE_LIMIT - 1`` px, half
+    of the sets on three evenly spaced rows, so that corners often sit
+    level with the corners' centroid."""
+    span = draw(st.sampled_from([4, 12, 40, 2000, SIDE_LIMIT - 1]))
+    count = draw(st.integers(3, 12))
+    xs = draw(st.lists(st.integers(0, span), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        step = draw(st.integers(1, span // 2))
+        rows = st.integers(0, 2).map(lambda k: k * step)
+    else:
+        rows = st.integers(0, span)
+    ys = draw(st.lists(rows, min_size=count, max_size=count))
+    return np.column_stack([xs, ys])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pts=_corner_point_sets())
+def test_corners_come_out_in_the_old_angular_order(pts):
+    assume(len(convex_hull(pts)) >= 3)
+    corners = extract_corners(pts)
+    assert np.array_equal(corners, order_counterclockwise(corners))
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("hull", TIED_HULLS, ids=[str(len(h)) for h in TIED_HULLS])
+def test_corners_of_tied_hulls_come_out_in_the_old_angular_order(hull, start):
+    corners, _ = _corners_of_hull(started(hull, start))
+    assert np.array_equal(corners, order_counterclockwise(corners))
+
+
+@pytest.mark.parametrize("points, corners", [
+    # The first hull vertex is level with the centroid, (2, 2).
+    ([(0, 2), (2, 0), (4, 2), (2, 4)], [[2, 0], [4, 2], [2, 4], [0, 2]]),
+    # The repeated corner sits next to its twin.
+    ([(0, 0), (6, 0), (3, 5)], [[0, 0], [0, 0], [6, 0], [3, 5]]),
+], ids=["rhombus", "triangle"])
+def test_corners_of_crafted_hulls(points, corners):
+    assert extract_corners(np.array(points)).tolist() == corners
+
+
+@st.composite
 def _rough_masks(draw, max_side=32):
     """Masks with several components, holes, skipped rows and one-pixel rows."""
     h = draw(st.integers(1, max_side))
@@ -424,10 +468,11 @@ def test_corner_search_memory_is_bounded(count, radius):
 
 
 #: The least traced ``classify_raster`` peak of 20 calls on the 256x256
-#: corpus cylinder, in bytes, with numpy 2.4 on CPython 3.11.  That image
+#: corpus cylinder, in bytes, with numpy 2.4 on CPython 3.11, as a bound:
+#: it reads 60,035 B with the corners taken in hull order.  That image
 #: sets the peak of the benchmark's ``rotated_256`` workload, 0.0573 MiB:
 #: its 32-vertex hull is searched in one group, and ``_corners_of_hull``
-#: alone peaks at 55,272 B.  A call's peak is one step of 59 B higher
+#: alone peaks at 55,232 B.  A call's peak is one step of 59 B higher
 #: until a process has made some 20 to 30 calls (see
 #: ``tests/peak_table.py``), so the pin allows that step.
 _CYLINDER_256_PEAK = 60_075
